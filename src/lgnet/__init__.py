@@ -34,7 +34,6 @@ from .tensor import (
     conv2d,
     global_avg_pool,
     relu,
-    roi_max_pool,
     sigmoid,
 )
 from .training import (

@@ -42,16 +42,6 @@ class Box:
     def with_score(self, score: float) -> "Box":
         return Box(self.x_min, self.y_min, self.x_max, self.y_max, score)
 
-    def clamp(self, image_w: float, image_h: float) -> "Box":
-        """Clip to image bounds; raises if nothing is left inside."""
-        return Box(
-            max(0.0, self.x_min),
-            max(0.0, self.y_min),
-            min(float(image_w), self.x_max),
-            min(float(image_h), self.y_max),
-            self.score,
-        )
-
     def contains_point(self, x: float, y: float) -> bool:
         return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max
 

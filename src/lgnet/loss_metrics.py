@@ -46,17 +46,18 @@ def weighted_sigmoid_ce(
     pos_ratio: np.ndarray,
     sigma: float = 1.0,
 ) -> tuple[float, np.ndarray]:
-    """Loss and analytic gradient for one sample.
+    """Loss and analytic gradient for one sample [a] or a batch [N, a].
 
     Per attribute with weight w = exp((1 - p) / sigma^2):
         term = w * y * (-log sigmoid(z)) + (1 - y) * (-log(1 - sigmoid(z)))
-    and the loss is the mean term over attributes. Uses the softplus
-    formulation, stable for any logit magnitude.
+    A sample's loss is its mean term over attributes and a batch's loss is
+    the mean of its samples' losses. Uses the softplus formulation, stable
+    for any logit magnitude.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     p = np.asarray(pos_ratio, dtype=np.float64)
-    if z.shape != y.shape or z.shape != p.shape or z.ndim != 1:
+    if z.shape != y.shape or z.shape[-1:] != p.shape or z.ndim not in (1, 2):
         raise ValueError(f"shape mismatch: logits {z.shape}, labels {y.shape}, p {p.shape}")
     if (p < 0.0).any() or (p > 1.0).any():
         raise ValueError("positive ratios must lie in [0, 1]")
@@ -64,8 +65,10 @@ def weighted_sigmoid_ce(
     # -log sigmoid(z) = softplus(-z); -log(1 - sigmoid(z)) = softplus(z)
     terms = w * y * _softplus(-z) + (1.0 - y) * _softplus(z)
     s = _sigmoid_stable(z)
-    grad = (w * y * (s - 1.0) + (1.0 - y) * s) / z.size
-    return float(terms.mean()), grad
+    grad = (w * y * (s - 1.0) + (1.0 - y) * s) / z.shape[-1]
+    if z.ndim == 2:
+        grad /= z.shape[0]
+    return float(terms.mean(axis=-1).mean()), grad
 
 
 def weighted_sigmoid_ce_node(
@@ -74,32 +77,15 @@ def weighted_sigmoid_ce_node(
     pos_ratio: np.ndarray,
     sigma: float = 1.0,
 ) -> Tensor:
-    """Graph-building wrapper around :func:`weighted_sigmoid_ce`.
+    """Graph-building wrapper around :func:`weighted_sigmoid_ce`: a scalar
+    tensor whose backward pass injects the analytic gradient."""
+    loss, grad = weighted_sigmoid_ce(logits.data, labels, pos_ratio, sigma)
 
-    Accepts [a] logits for one sample or [N, a] for a batch (the batch
-    loss is the mean of per-sample losses). Returns a scalar tensor whose
-    backward pass injects the analytic gradient.
-    """
-    z = logits.data
-    y = np.asarray(labels, dtype=np.float64)
-    if z.ndim == 1:
-        loss, grad = weighted_sigmoid_ce(z, y, pos_ratio, sigma)
-    elif z.ndim == 2:
-        losses = np.empty(z.shape[0])
-        grad = np.empty_like(z)
-        for n in range(z.shape[0]):
-            losses[n], grad[n] = weighted_sigmoid_ce(z[n], y[n], pos_ratio, sigma)
-        loss = float(losses.mean())
-        grad /= z.shape[0]
-    else:
-        raise ValueError(f"logits must be rank 1 or 2, got {z.ndim}")
-
-    def backward():
+    def backward(g):
         if logits.requires_grad:
-            logits._accumulate(grad * out.grad)
+            logits._accumulate(grad * g)
 
-    out = Tensor._make(np.asarray(loss), (logits,), backward, "weighted_sigmoid_ce")
-    return out
+    return Tensor._make(np.asarray(loss), (logits,), backward, "weighted_sigmoid_ce")
 
 
 def _predictions(scores: np.ndarray, threshold: float) -> np.ndarray:
@@ -117,22 +103,26 @@ def mean_accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5
     preds = _predictions(scores, threshold)
     if labels.shape != preds.shape or labels.ndim != 2:
         raise ValueError(f"shape mismatch: scores {preds.shape}, labels {labels.shape}")
-    total = 0.0
-    n_attr = labels.shape[1]
-    for i in range(n_attr):
-        y = labels[:, i] == 1
-        pos = int(y.sum())
-        neg = int((~y).sum())
-        if pos == 0 or neg == 0:
-            warnings.warn(
-                f"attribute {i} has {'no positives' if pos == 0 else 'no negatives'} "
-                "in the evaluation split; that rate counts as 0",
-                stacklevel=2,
-            )
-        tpr = float(np.logical_and(y, preds[:, i]).sum()) / pos if pos else 0.0
-        tnr = float(np.logical_and(~y, ~preds[:, i]).sum()) / neg if neg else 0.0
-        total += 0.5 * (tpr + tnr)
-    return total / n_attr
+    y = labels == 1
+    pos = y.sum(axis=0)
+    neg = (~y).sum(axis=0)
+    for i in np.flatnonzero((pos == 0) | (neg == 0)):
+        warnings.warn(
+            f"attribute {i} has {'no positives' if pos[i] == 0 else 'no negatives'} "
+            "in the evaluation split; that rate counts as 0",
+            stacklevel=2,
+        )
+    tpr = _ratio((y & preds).sum(axis=0), pos, 0.0)
+    tnr = _ratio((~y & ~preds).sum(axis=0), neg, 0.0)
+    # summed left to right in attribute order (a pairwise np.sum can round
+    # the last bit differently)
+    total = np.cumsum(0.5 * (tpr + tnr))[-1]
+    return float(total) / labels.shape[1]
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, empty: float) -> np.ndarray:
+    """num / den elementwise, with ``empty`` where den is 0."""
+    return np.divide(num, den, out=np.full(num.shape, empty), where=den != 0)
 
 
 def example_based_metrics(
@@ -153,18 +143,10 @@ def example_based_metrics(
     preds = _predictions(scores, threshold)
     if labels.shape != preds.shape or labels.ndim != 2:
         raise ValueError(f"shape mismatch: scores {preds.shape}, labels {labels.shape}")
-    accs, precs, recs = [], [], []
-    for n in range(labels.shape[0]):
-        p, y = preds[n], labels[n]
-        inter = int(np.logical_and(p, y).sum())
-        union = int(np.logical_or(p, y).sum())
-        np_, ny = int(p.sum()), int(y.sum())
-        accs.append(1.0 if union == 0 else inter / union)
-        precs.append(0.0 if np_ == 0 else inter / np_)
-        recs.append(1.0 if ny == 0 else inter / ny)
-    acc = float(np.mean(accs))
-    prec = float(np.mean(precs))
-    rec = float(np.mean(recs))
+    inter = (preds & labels).sum(axis=1)
+    acc = float(np.mean(_ratio(inter, (preds | labels).sum(axis=1), 1.0)))
+    prec = float(np.mean(_ratio(inter, preds.sum(axis=1), 0.0)))
+    rec = float(np.mean(_ratio(inter, labels.sum(axis=1), 1.0)))
     f1 = 2.0 * prec * rec / (prec + rec) if prec + rec > 0.0 else 0.0
     return acc, prec, rec, f1
 

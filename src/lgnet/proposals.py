@@ -10,6 +10,7 @@ format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -231,6 +232,8 @@ def save_proposals(path: str | Path, proposals: ProposalSet) -> None:
 
 
 def load_proposals(path: str | Path) -> ProposalSet:
+    """Read a file written by :func:`save_proposals`; raises ValueError on a
+    malformed line, a non-finite value or a degenerate box."""
     path = Path(path)
     boxes = []
     for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -239,7 +242,10 @@ def load_proposals(path: str | Path) -> ProposalSet:
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
-        x0, y0, x1, y1, score = map(float, parts)
+        values = [float(v) for v in parts]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}:{ln}: non-finite value in {line.strip()!r}")
+        x0, y0, x1, y1, score = values
         boxes.append(Box(x0, y0, x1, y1, score))
     if not boxes:
         raise ValueError(f"{path}: no proposals")

@@ -19,16 +19,13 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "ConvSpec",
     "relu",
     "sigmoid",
     "affine",
     "matmul",
     "conv2d",
     "global_avg_pool",
-    "roi_max_pool",
     "roi_max_pool_batch",
-    "stack",
     "check_gradients",
     "conv_output_extent",
 ]
@@ -58,18 +55,22 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @classmethod
     def _make(
         cls,
         data: np.ndarray,
         parents: tuple["Tensor", ...],
-        backward: Callable[[], None],
+        backward: Callable[[np.ndarray], None],
         op: str,
     ) -> "Tensor":
         """Internal constructor for op results; drops the graph when no
-        parent tracks gradients."""
+        parent tracks gradients.
+
+        ``backward`` receives the result's gradient as its argument and
+        must not refer to the result itself: a graph then holds no
+        reference cycle and is freed as soon as its last result is."""
         _ensure_finite(data, op)
         out = cls.__new__(cls)
         out.data = data
@@ -130,26 +131,26 @@ class Tensor:
         self._accumulate(seed)
         for node in order:
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def _topo_order(self) -> list["Tensor"]:
         # Iterative DFS; returns nodes in reverse topological order
         # (output first) so gradients flow parents-last.
         order: list[Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
+        pending: list[tuple[Tensor, bool]] = [(self, False)]
+        while pending:
+            node, processed = pending.pop()
             if processed:
                 order.append(node)
                 continue
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            stack.append((node, True))
+            pending.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
-                    stack.append((parent, False))
+                    pending.append((parent, False))
         order.reverse()
         return order
 
@@ -161,15 +162,13 @@ class Tensor:
         data = a.data + b.data
         _check_same_or_scalar(a, b, "add")
 
-        def backward():
-            out_grad = out.grad
+        def backward(g):
             if a.requires_grad:
-                a._accumulate(_reduce_to(out_grad, a.data.shape))
+                a._accumulate(_reduce_to(g, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_reduce_to(out_grad, b.data.shape))
+                b._accumulate(_reduce_to(g, b.data.shape))
 
-        out = Tensor._make(data, (a, b), backward, "add")
-        return out
+        return Tensor._make(data, (a, b), backward, "add")
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -178,12 +177,11 @@ class Tensor:
         a = self
         data = -a.data
 
-        def backward():
+        def backward(g):
             if a.requires_grad:
-                a._accumulate(-out.grad)
+                a._accumulate(-g)
 
-        out = Tensor._make(data, (a,), backward, "neg")
-        return out
+        return Tensor._make(data, (a,), backward, "neg")
 
     def __sub__(self, other):
         return self.__add__(-_as_tensor(other))
@@ -197,15 +195,13 @@ class Tensor:
         _check_same_or_scalar(a, b, "mul")
         data = a.data * b.data
 
-        def backward():
-            out_grad = out.grad
+        def backward(g):
             if a.requires_grad:
-                a._accumulate(_reduce_to(out_grad * b.data, a.data.shape))
+                a._accumulate(_reduce_to(g * b.data, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_reduce_to(out_grad * a.data, b.data.shape))
+                b._accumulate(_reduce_to(g * a.data, b.data.shape))
 
-        out = Tensor._make(data, (a, b), backward, "mul")
-        return out
+        return Tensor._make(data, (a, b), backward, "mul")
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -214,17 +210,15 @@ class Tensor:
         a = self
         data = np.asarray(a.data.sum(axis=axis))
 
-        def backward():
+        def backward(g):
             if not a.requires_grad:
                 return
-            g = out.grad
             if axis is None:
                 a._accumulate(np.broadcast_to(g, a.data.shape).copy())
             else:
                 a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
-        out = Tensor._make(data, (a,), backward, "sum")
-        return out
+        return Tensor._make(data, (a,), backward, "sum")
 
 
 def _as_tensor(value) -> Tensor:
@@ -253,24 +247,22 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     data = np.where(mask, x.data, 0.0)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x._accumulate(out.grad * mask)
+            x._accumulate(g * mask)
 
-    out = Tensor._make(data, (x,), backward, "relu")
-    return out
+    return Tensor._make(data, (x,), backward, "relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise logistic function, computed in the overflow-safe split form."""
     data = _sigmoid_stable(x.data)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            x._accumulate(out.grad * data * (1.0 - data))
+            x._accumulate(g * data * (1.0 - data))
 
-    out = Tensor._make(data, (x,), backward, "sigmoid")
-    return out
+    return Tensor._make(data, (x,), backward, "sigmoid")
 
 
 def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
@@ -300,8 +292,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             raise ValueError(f"affine: x has {x.data.shape[0]} features, weight expects {w.data.shape[1]}")
         data = w.data @ x.data + b.data
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if w.requires_grad:
                 w._accumulate(np.outer(g, x.data))
             if x.requires_grad:
@@ -314,8 +305,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             raise ValueError(f"affine: x has {x.data.shape[1]} features, weight expects {w.data.shape[1]}")
         data = x.data @ w.data.T + b.data[None, :]
 
-        def backward():
-            g = out.grad
+        def backward(g):
             if w.requires_grad:
                 w._accumulate(g.T @ x.data)
             if x.requires_grad:
@@ -326,8 +316,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     else:
         raise ValueError(f"affine: x must be rank 1 or 2, got rank {x.data.ndim}")
 
-    out = Tensor._make(data, (x, w, b), backward, "affine")
-    return out
+    return Tensor._make(data, (x, w, b), backward, "affine")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -336,31 +325,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    out = Tensor._make(data, (a, b), backward, "matmul")
-    return out
+    return Tensor._make(data, (a, b), backward, "matmul")
 
 
 # -- convolution ----------------------------------------------------------------
-
-
-class ConvSpec:
-    """Geometry of a 2-D cross-correlation: stride, dilation, zero padding."""
-
-    __slots__ = ("stride", "dilation", "padding")
-
-    def __init__(self, stride: int = 1, dilation: int = 1, padding: int = 0):
-        if stride < 1 or dilation < 1 or padding < 0:
-            raise ValueError(f"bad conv spec: stride={stride} dilation={dilation} padding={padding}")
-        self.stride = int(stride)
-        self.dilation = int(dilation)
-        self.padding = int(padding)
 
 
 def conv_output_extent(extent: int, kernel: int, stride: int, dilation: int, padding: int) -> int:
@@ -373,17 +347,6 @@ def conv_output_extent(extent: int, kernel: int, stride: int, dilation: int, pad
             f"stride {stride}, dilation {dilation}, padding {padding}"
         )
     return out
-
-
-def _im2col_indices(channels, kh, kw, out_h, out_w, stride, dilation):
-    i0 = np.tile(np.repeat(np.arange(kh) * dilation, kw), channels)
-    j0 = np.tile(np.tile(np.arange(kw) * dilation, kh), channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    ii = i0[:, None] + i1[None, :]
-    jj = j0[:, None] + j1[None, :]
-    kk = np.repeat(np.arange(channels), kh * kw)[:, None]
-    return kk, ii, jj
 
 
 def conv2d(
@@ -400,7 +363,8 @@ def conv2d(
     [K, C, kh, kw]; ``bias`` is [K]. The output has the matching rank.
     Differentiable with respect to all three tensor arguments.
     """
-    spec = ConvSpec(stride, dilation, padding)
+    if stride < 1 or dilation < 1 or padding < 0:
+        raise ValueError(f"bad conv spec: stride={stride} dilation={dilation} padding={padding}")
     squeezed = x.data.ndim == 3
     xd = x.data[None] if squeezed else x.data
     if xd.ndim != 4:
@@ -414,20 +378,24 @@ def conv2d(
         raise ValueError(f"conv2d: input has {c} channels, kernels expect {kc}")
     if bias.data.shape != (k,):
         raise ValueError(f"conv2d: bias shape {bias.data.shape} != ({k},)")
-    out_h = conv_output_extent(h, kh, spec.stride, spec.dilation, spec.padding)
-    out_w = conv_output_extent(w, kw, spec.stride, spec.dilation, spec.padding)
+    out_h = conv_output_extent(h, kh, stride, dilation, padding)
+    out_w = conv_output_extent(w, kw, stride, dilation, padding)
 
-    p = spec.padding
+    p = padding
     xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-    kk, ii, jj = _im2col_indices(c, kh, kw, out_h, out_w, spec.stride, spec.dilation)
-    cols = xp[:, kk, ii, jj]  # [N, C*kh*kw, out_h*out_w]
+    span = (dilation * (kh - 1) + 1, dilation * (kw - 1) + 1)
+    # [N, C, out_h, out_w, kh, kw] view of every kernel placement
+    windows = np.lib.stride_tricks.sliding_window_view(xp, span, axis=(2, 3))[
+        :, :, ::stride, ::stride, ::dilation, ::dilation
+    ]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
     wmat = wd.reshape(k, -1)
     data = (np.matmul(wmat, cols) + bias.data[None, :, None]).reshape(n, k, out_h, out_w)
     if squeezed:
         data = data[0]
+    padded_shape = xp.shape
 
-    def backward():
-        g = out.grad
+    def backward(g):
         gmat = (g[None] if squeezed else g).reshape(n, k, -1)
         if kernels.requires_grad:
             dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
@@ -435,14 +403,18 @@ def conv2d(
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, gmat)  # [N, C*kh*kw, L]
-            dxp = np.zeros_like(xp)
-            np.add.at(dxp, (slice(None), kk, ii, jj), dcols)
+            dcols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, out_h, out_w)
+            dxp = np.zeros(padded_shape)
+            # one strided slice-add per kernel tap, in row-major tap order
+            for i in range(kh):
+                for j in range(kw):
+                    ys = slice(i * dilation, i * dilation + stride * out_h, stride)
+                    xs = slice(j * dilation, j * dilation + stride * out_w, stride)
+                    dxp[:, :, ys, xs] += dcols[:, :, i, j]
             dx = dxp[:, :, p : p + h, p : p + w] if p else dxp
             x._accumulate(dx[0] if squeezed else dx)
 
-    out = Tensor._make(data, (x, kernels, bias), backward, "conv2d")
-    return out
+    return Tensor._make(data, (x, kernels, bias), backward, "conv2d")
 
 
 # -- pooling ------------------------------------------------------------------
@@ -461,14 +433,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ValueError("global_avg_pool: empty spatial extent")
     data = x.data.mean(axis=axes)
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            g = out.grad
             expanded = g[..., None, None] / spatial
             x._accumulate(np.broadcast_to(expanded, x.data.shape).copy())
 
-    out = Tensor._make(data, (x,), backward, "global_avg_pool")
-    return out
+    return Tensor._make(data, (x,), backward, "global_avg_pool")
 
 
 def _bin_edges(start: int, count: int, bins: int) -> list[tuple[int, int]]:
@@ -499,61 +469,6 @@ def _quantize_roi(box, fh: int, fw: int, image_w: int, image_h: int) -> tuple[in
     if iy1 <= iy0:
         iy1 = iy0 + 1
     return ix0, iy0, ix1, iy1
-
-
-def _pool_rect(
-    data: np.ndarray, rect: tuple[int, int, int, int], out_h: int, out_w: int, chans: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Max and row-major argmax (flat spatial index) per bin of one rect."""
-    c = data.shape[0]
-    fw = data.shape[2]
-    ix0, iy0, ix1, iy1 = rect
-    pooled = np.empty((c, out_h, out_w))
-    argpos = np.empty((c, out_h, out_w), dtype=np.intp)
-    for bi, (r0, r1) in enumerate(_bin_edges(iy0, iy1 - iy0, out_h)):
-        for bj, (c0, c1) in enumerate(_bin_edges(ix0, ix1 - ix0, out_w)):
-            block = data[:, r0:r1, c0:c1].reshape(c, -1)
-            idx = block.argmax(axis=1)
-            pooled[:, bi, bj] = block[chans, idx]
-            width = c1 - c0
-            argpos[:, bi, bj] = (r0 + idx // width) * fw + (c0 + idx % width)
-    return pooled, argpos
-
-
-def roi_max_pool(
-    x: Tensor,
-    box,
-    out_h: int,
-    out_w: int,
-    image_w: int,
-    image_h: int,
-) -> Tensor:
-    """Quantized max pooling of a box region into an out_h x out_w grid.
-
-    Box coordinates live in image pixel space; they are scaled onto the
-    feature map's cell grid and rounded. The region is split into
-    near-equal integer bins (each at least one cell), the maximum of each
-    bin is taken per channel, and gradients flow to the argmax cell, with
-    ties resolved to the first cell in row-major order.
-    """
-    if x.data.ndim != 3:
-        raise ValueError(f"roi_max_pool: feature map must be rank 3, got {x.data.ndim}")
-    if out_h < 1 or out_w < 1:
-        raise ValueError("roi_max_pool: output grid must be at least 1x1")
-    c, fh, fw = x.data.shape
-    rect = _quantize_roi(box, fh, fw, image_w, image_h)
-    chans = np.arange(c)
-    data, argpos = _pool_rect(x.data, rect, out_h, out_w, chans)
-
-    def backward():
-        if x.requires_grad:
-            dx = np.zeros((c, fh * fw))
-            ch_idx = np.broadcast_to(chans[:, None, None], argpos.shape)
-            np.add.at(dx, (ch_idx, argpos), out.grad)
-            x._accumulate(dx.reshape(c, fh, fw))
-
-    out = Tensor._make(data, (x,), backward, "roi_max_pool")
-    return out
 
 
 def _merge_max(v1, i1, v2, i2):
@@ -605,17 +520,24 @@ def roi_max_pool_batch(
     image_w: int,
     image_h: int,
 ) -> Tensor:
-    """Pool many boxes from one feature map: returns [d, C, out_h, out_w].
+    """Quantized max pooling of many boxes from one feature map into
+    out_h x out_w grids: returns [d, C, out_h, out_w].
 
-    Bin-for-bin identical to :func:`roi_max_pool` per box, including the
-    first-cell tie-break, but bins are answered as O(1) range-max queries
-    against sparse tables and the whole gradient scatter happens in one
-    pass, so the per-proposal cost is a few gathers.
+    Box coordinates live in image pixel space; they are scaled onto the
+    feature map's cell grid and rounded. Each region is split into
+    near-equal integer bins (each at least one cell), the maximum of each
+    bin is taken per channel, and gradients flow to the argmax cell, with
+    ties resolved to the first cell in row-major order. Bins are answered
+    as O(1) range-max queries against sparse tables and the whole gradient
+    scatter is one ``np.bincount``, so the per-proposal cost is a few
+    gathers.
     """
     if x.data.ndim != 3:
         raise ValueError(f"roi_max_pool_batch: feature map must be rank 3, got {x.data.ndim}")
     if not boxes:
         raise ValueError("roi_max_pool_batch: need at least one box")
+    if out_h < 1 or out_w < 1:
+        raise ValueError("roi_max_pool_batch: output grid must be at least 1x1")
     c, fh, fw = x.data.shape
     track = x.requires_grad
 
@@ -672,33 +594,15 @@ def roi_max_pool_batch(
     )
     if track:
         argpos = argpos_u.reshape(c, u, out_h, out_w).transpose(1, 0, 2, 3)[gather]
+        # flat (channel, cell) target of every pooled value, in output order
+        target = (np.arange(c)[None, :, None, None] * (fh * fw) + argpos).ravel()
 
-    def backward():
+    def backward(g):
         if x.requires_grad:
-            dx = np.zeros((c, fh * fw))
-            ch_idx = np.broadcast_to(np.arange(c)[None, :, None, None], argpos.shape)
-            np.add.at(dx, (ch_idx, argpos), out.grad)
+            dx = np.bincount(target, weights=g.ravel(), minlength=c * fh * fw)
             x._accumulate(dx.reshape(c, fh, fw))
 
-    out = Tensor._make(data, (x,), backward, "roi_max_pool_batch")
-    return out
-
-
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("stack: need at least one tensor")
-    data = np.stack([t.data for t in tensors], axis=0)
-
-    def backward():
-        g = out.grad
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(g[i])
-
-    out = Tensor._make(data, tuple(tensors), backward, "stack")
-    return out
+    return Tensor._make(data, (x,), backward, "roi_max_pool_batch")
 
 
 # -- verification ---------------------------------------------------------------

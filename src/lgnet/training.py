@@ -396,6 +396,12 @@ def _prepare_proposals(
         if s.image_id not in proposals:
             raise DataError(f"no proposals for image {s.image_id!r}")
         h, w = s.image.shape[1:]
+        for b in proposals[s.image_id].boxes:
+            if b.x_max <= 0 or b.y_max <= 0 or b.x_min >= w or b.y_min >= h:
+                raise DataError(
+                    f"proposal ({b.x_min:g}, {b.y_min:g}, {b.x_max:g}, {b.y_max:g}) "
+                    f"for image {s.image_id!r} lies outside the {w}x{h} image"
+                )
         ready[s.image_id] = _normalize_proposals(proposals[s.image_id], k, w, h)
     return ready
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -64,6 +65,26 @@ class TestErrors:
             "eval", "--model", str(workspace / "stage2.lgn"),
             "--data", str(workspace / "data"),
         ]) == 2
+
+    @pytest.mark.parametrize("first_line", [
+        "0.000000 0.000000 inf 20.000000 1.000000",  # non-finite coordinate
+        "500.000000 500.000000 600.000000 600.000000 9.000000",  # outside the image
+    ])
+    @pytest.mark.parametrize("command", ["train-stage2", "eval"])
+    def test_bad_proposal_file_is_data_error(self, workspace, tmp_path, capsys, command, first_line):
+        props = tmp_path / "props"
+        shutil.copytree(workspace / "props", props)
+        for path in props.glob("*.proposals"):
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join([first_line] + lines[1:]) + "\n")
+        if command == "train-stage2":
+            argv = ["train-stage2", "--model", str(workspace / "stage1.lgn"),
+                    "--out", str(tmp_path / "s2.lgn"), "--epochs", "1", "--top-k", "16"]
+        else:
+            argv = ["eval", "--model", str(workspace / "stage2.lgn")]
+        assert main(argv + ["--data", str(workspace / "data"), "--proposals", str(props)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestEval:

@@ -13,6 +13,7 @@ from lgnet.loss_metrics import (
     weighted_sigmoid_ce,
     weighted_sigmoid_ce_node,
 )
+from lgnet.loss_metrics import _softplus
 from lgnet.tensor import Tensor, _sigmoid_stable
 
 
@@ -29,6 +30,26 @@ def _naive_loss(logits, labels, p, sigma=1.0):
             s = 1.0 / (1.0 + mpmath.exp(-z))
             terms.append(w * y * -mpmath.log(s) + (1 - y) * -mpmath.log(1 - s))
         return float(sum(terms) / len(terms))
+
+
+def _loop_weighted_sigmoid_ce(logits, labels, pos_ratio, sigma=1.0):
+    """Per-sample loop over the single-sample formula: the reference for
+    the batched loss, which must match it bit for bit."""
+    w = np.exp((1.0 - pos_ratio) / (sigma * sigma))
+
+    def one(z, y):
+        terms = w * y * _softplus(-z) + (1.0 - y) * _softplus(z)
+        s = _sigmoid_stable(z)
+        return float(terms.mean()), (w * y * (s - 1.0) + (1.0 - y) * s) / z.size
+
+    if logits.ndim == 1:
+        return one(logits, labels)
+    losses = np.empty(logits.shape[0])
+    grad = np.empty_like(logits)
+    for n in range(logits.shape[0]):
+        losses[n], grad[n] = one(logits[n], labels[n])
+    grad /= logits.shape[0]
+    return float(losses.mean()), grad
 
 
 class TestWeightedSigmoidCE:
@@ -114,6 +135,31 @@ class TestWeightedSigmoidCE:
         per_sample = [weighted_sigmoid_ce(z[n], y[n], p)[0] for n in range(3)]
         assert node.item() == pytest.approx(np.mean(per_sample), abs=1e-12)
 
+    def test_matches_loop_reference_exactly(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            a = int(rng.integers(1, 12))
+            shape = (a,) if rng.random() < 0.3 else (int(rng.integers(1, 20)), a)
+            z = rng.normal(scale=4.0, size=shape)
+            y = rng.integers(0, 2, shape).astype(float)
+            p = rng.uniform(0, 1, a)
+            sigma = float(rng.uniform(0.5, 2.0))
+            loss, grad = weighted_sigmoid_ce(z, y, p, sigma)
+            want_loss, want_grad = _loop_weighted_sigmoid_ce(z, y, p, sigma)
+            assert loss == want_loss
+            assert np.array_equal(grad, want_grad)
+            logits = Tensor(z, requires_grad=True)
+            node = weighted_sigmoid_ce_node(logits, y, p, sigma)
+            node.backward()
+            assert node.item() == want_loss
+            assert np.array_equal(logits.grad, want_grad)
+
+    def test_rank_and_shape_checked(self):
+        with pytest.raises(ValueError):
+            weighted_sigmoid_ce(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros(2))
+        with pytest.raises(ValueError):
+            weighted_sigmoid_ce(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2))
+
 
 # -- metric oracles -------------------------------------------------------------
 
@@ -145,6 +191,40 @@ def _oracle_example_metrics(scores, labels, threshold=0.5):
         recs.append(1.0 if not y else len(p & y) / len(y))
     acc, prec, rec = np.mean(accs), np.mean(precs), np.mean(recs)
     f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+    return acc, prec, rec, f1
+
+
+def _loop_mean_accuracy(scores, labels, threshold=0.5):
+    """Attribute loop with numpy counts: the reference for the vectorized
+    mean_accuracy, which must match it bit for bit."""
+    preds = _sigmoid_stable(scores) > threshold
+    total = 0.0
+    for i in range(labels.shape[1]):
+        y = labels[:, i] == 1
+        pos = int(y.sum())
+        neg = int((~y).sum())
+        tpr = float(np.logical_and(y, preds[:, i]).sum()) / pos if pos else 0.0
+        tnr = float(np.logical_and(~y, ~preds[:, i]).sum()) / neg if neg else 0.0
+        total += 0.5 * (tpr + tnr)
+    return total / labels.shape[1]
+
+
+def _loop_example_metrics(scores, labels, threshold=0.5):
+    """Sample loop with numpy counts: the reference for the vectorized
+    example_based_metrics, which must match it bit for bit."""
+    preds = _sigmoid_stable(scores) > threshold
+    labels = labels.astype(bool)
+    accs, precs, recs = [], [], []
+    for n in range(labels.shape[0]):
+        p, y = preds[n], labels[n]
+        inter = int(np.logical_and(p, y).sum())
+        union = int(np.logical_or(p, y).sum())
+        np_, ny = int(p.sum()), int(y.sum())
+        accs.append(1.0 if union == 0 else inter / union)
+        precs.append(0.0 if np_ == 0 else inter / np_)
+        recs.append(1.0 if ny == 0 else inter / ny)
+    acc, prec, rec = float(np.mean(accs)), float(np.mean(precs)), float(np.mean(recs))
+    f1 = 2.0 * prec * rec / (prec + rec) if prec + rec > 0.0 else 0.0
     return acc, prec, rec, f1
 
 
@@ -225,6 +305,26 @@ class TestAgainstOracles:
                 warnings.simplefilter("ignore")
                 assert mean_accuracy(scores, labels) == _oracle_mean_accuracy(scores, labels)
             assert example_based_metrics(scores, labels) == _oracle_example_metrics(scores, labels)
+
+    def test_3000_random_matrices_match_loop_versions_exactly(self):
+        import warnings
+
+        rng = np.random.default_rng(13)
+        for _ in range(3000):
+            n = int(rng.integers(1, 40))
+            a = int(rng.integers(1, 30))
+            labels = rng.integers(0, 2, (n, a))
+            scores = rng.normal(scale=3.0, size=(n, a))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert mean_accuracy(scores, labels) == _loop_mean_accuracy(scores, labels)
+            assert example_based_metrics(scores, labels) == _loop_example_metrics(scores, labels)
+
+    def test_warns_once_per_one_sided_attribute(self):
+        labels = np.array([[1, 0, 1], [1, 1, 0]])
+        with pytest.warns(UserWarning) as record:
+            mean_accuracy(np.zeros((2, 3)), labels)
+        assert [str(w.message).split(" in ")[0] for w in record] == ["attribute 0 has no negatives"]
 
     def test_sample_permutation_invariance(self, rng):
         labels = rng.integers(0, 2, (10, 5))

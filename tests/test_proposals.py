@@ -196,6 +196,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_proposals(path)
 
+    @pytest.mark.parametrize("line", ["0 0 inf 20 1", "0 0 10 20 nan", "-inf 0 10 20 1", "0 0 10 20 inf"])
+    def test_non_finite_value_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.proposals"
+        path.write_text(f"0 0 4 4 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":2: non-finite"):
+            load_proposals(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.proposals"
         path.write_text("", encoding="utf-8")

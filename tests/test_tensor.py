@@ -1,9 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from lgnet.boxes import Box
 from lgnet.tensor import (
     Tensor,
+    _bin_edges,
+    _quantize_roi,
     affine,
     check_gradients,
     conv2d,
@@ -11,11 +16,86 @@ from lgnet.tensor import (
     global_avg_pool,
     matmul,
     relu,
-    roi_max_pool,
     roi_max_pool_batch,
     sigmoid,
-    stack,
 )
+
+
+def _reference_conv2d(x, kernels, bias, stride=1, dilation=1, padding=0):
+    """Index-array im2col convolution with an ``np.add.at`` col2im: the
+    slow reference for :func:`conv2d`."""
+    squeezed = x.data.ndim == 3
+    xd = x.data[None] if squeezed else x.data
+    wd = kernels.data
+    n, c, h, w = xd.shape
+    k, _, kh, kw = wd.shape
+    out_h = conv_output_extent(h, kh, stride, dilation, padding)
+    out_w = conv_output_extent(w, kw, stride, dilation, padding)
+    p = padding
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+    i0 = np.tile(np.repeat(np.arange(kh) * dilation, kw), c)
+    j0 = np.tile(np.tile(np.arange(kw) * dilation, kh), c)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    ii = i0[:, None] + i1[None, :]
+    jj = j0[:, None] + j1[None, :]
+    kk = np.repeat(np.arange(c), kh * kw)[:, None]
+    cols = xp[:, kk, ii, jj]  # [N, C*kh*kw, out_h*out_w]
+    wmat = wd.reshape(k, -1)
+    data = (np.matmul(wmat, cols) + bias.data[None, :, None]).reshape(n, k, out_h, out_w)
+    if squeezed:
+        data = data[0]
+
+    def backward(g):
+        gmat = (g[None] if squeezed else g).reshape(n, k, -1)
+        if kernels.requires_grad:
+            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+            kernels._accumulate(dw.reshape(wd.shape))
+        if bias.requires_grad:
+            bias._accumulate(gmat.sum(axis=(0, 2)))
+        if x.requires_grad:
+            dcols = np.matmul(wmat.T, gmat)  # [N, C*kh*kw, L]
+            dxp = np.zeros_like(xp)
+            np.add.at(dxp, (slice(None), kk, ii, jj), dcols)
+            dx = dxp[:, :, p : p + h, p : p + w] if p else dxp
+            x._accumulate(dx[0] if squeezed else dx)
+
+    return Tensor._make(data, (x, kernels, bias), backward, "reference_conv2d")
+
+
+def _pool_rect(data, rect, out_h, out_w, chans):
+    """Max and row-major argmax (flat spatial index) per bin of one rect."""
+    c = data.shape[0]
+    fw = data.shape[2]
+    ix0, iy0, ix1, iy1 = rect
+    pooled = np.empty((c, out_h, out_w))
+    argpos = np.empty((c, out_h, out_w), dtype=np.intp)
+    for bi, (r0, r1) in enumerate(_bin_edges(iy0, iy1 - iy0, out_h)):
+        for bj, (c0, c1) in enumerate(_bin_edges(ix0, ix1 - ix0, out_w)):
+            block = data[:, r0:r1, c0:c1].reshape(c, -1)
+            idx = block.argmax(axis=1)
+            pooled[:, bi, bj] = block[chans, idx]
+            width = c1 - c0
+            argpos[:, bi, bj] = (r0 + idx // width) * fw + (c0 + idx % width)
+    return pooled, argpos
+
+
+def roi_max_pool(x, box, out_h, out_w, image_w, image_h):
+    """Single-box ROI max pooling, one bin at a time: the slow reference
+    for :func:`roi_max_pool_batch`."""
+    c, fh, fw = x.data.shape
+    rect = _quantize_roi(box, fh, fw, image_w, image_h)
+    chans = np.arange(c)
+    data, argpos = _pool_rect(x.data, rect, out_h, out_w, chans)
+
+    def backward(g):
+        if x.requires_grad:
+            dx = np.zeros((c, fh * fw))
+            ch_idx = np.broadcast_to(chans[:, None, None], argpos.shape)
+            np.add.at(dx, (ch_idx, argpos), g)
+            x._accumulate(dx.reshape(c, fh, fw))
+
+    return Tensor._make(data, (x,), backward, "reference_roi_max_pool")
 
 
 class TestElementwise:
@@ -73,6 +153,33 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(2, 5, 5)))
         with pytest.raises(ValueError):
             conv2d(x, Tensor(rng.normal(size=(1, 3, 3, 3))), Tensor(np.zeros(1)))
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_reference_bit_for_bit(self, rng, stride, dilation, padding, rank):
+        shape = (3, 7, 8) if rank == 3 else (2, 3, 7, 8)
+        x_data = rng.normal(size=shape)
+        k_data = rng.normal(size=(4, 3, 3, 3))
+        b_data = rng.normal(size=4)
+        results = []
+        for op in (conv2d, _reference_conv2d):
+            x = Tensor(x_data, requires_grad=True)
+            k = Tensor(k_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = op(x, k, b, stride=stride, dilation=dilation, padding=padding)
+            out.backward(np.random.default_rng(5).normal(size=out.data.shape))
+            results.append((out.data, x.grad, k.grad, b.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_bad_geometry_rejected(self, rng):
+        x = Tensor(rng.normal(size=(1, 5, 5)))
+        k, b = Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1))
+        for kwargs in ({"stride": 0}, {"dilation": 0}, {"padding": -1}):
+            with pytest.raises(ValueError):
+                conv2d(x, k, b, **kwargs)
 
     def test_batched_matches_per_sample(self, rng):
         x = rng.normal(size=(3, 2, 6, 6))
@@ -227,13 +334,21 @@ class TestBackwardMachinery:
         (x + x).sum().backward()
         assert np.all(x.grad == 2.0)
 
-    def test_stack_splits_gradient(self, rng):
-        parts = [Tensor(rng.normal(size=(2, 2)), requires_grad=True) for _ in range(3)]
-        out = stack(parts)
-        seed = rng.normal(size=out.data.shape)
-        out.backward(seed)
-        for i, p in enumerate(parts):
-            assert np.array_equal(p.grad, seed[i])
+    def test_graph_is_freed_without_the_cycle_collector(self, rng):
+        x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        gc.disable()
+        try:
+            hidden = relu(conv2d(x, k, b, padding=1))
+            ref = weakref.ref(hidden.data)
+            loss = global_avg_pool(hidden).sum()
+            loss.backward()
+            del hidden, loss
+            # freed by reference counting alone: no result refers to itself
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_non_finite_result_is_an_error(self):
         big = Tensor([1e308])

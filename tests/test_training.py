@@ -7,7 +7,7 @@ import pytest
 from lgnet.backbone import BackboneConfig, init_backbone_params
 from lgnet.boxes import Box
 from lgnet.loss_metrics import weighted_sigmoid_ce_node
-from lgnet.proposals import propose_for_image
+from lgnet.proposals import ProposalSet, propose_for_image
 from lgnet.synthdata import DataError, Sample, _sample_rng, default_spec, render_sample
 from lgnet.tensor import check_gradients
 from lgnet.training import (
@@ -15,6 +15,7 @@ from lgnet.training import (
     TrainConfig,
     _epoch_permutation,
     _lg_forward,
+    _prepare_proposals,
     _sgd_step,
     build_lg_model,
     evaluate,
@@ -182,6 +183,18 @@ class TestStage2:
         train, _, _ = tiny_data
         with pytest.raises(DataError, match=train[0].image_id):
             load_proposal_dir(tmp_path, [train[0].image_id])
+
+    def test_proposal_outside_image_is_an_error(self, tiny_data):
+        train, _, proposals = tiny_data
+        sample = train[0]
+        h, w = sample.image.shape[1:]
+        inside = proposals[sample.image_id].boxes
+        edge = Box(w - 1, h - 1, w + 5, h + 5, 1.0)  # overlaps one corner pixel
+        assert _prepare_proposals([sample], {sample.image_id: ProposalSet(inside + (edge,), "loaded")}, 4)
+        for outside in (Box(w, 0, w + 4, 4, 1.0), Box(0, -9, 4, 0, 1.0), Box(500, 500, 600, 600, 9.0)):
+            bad = {sample.image_id: ProposalSet(inside + (outside,), "loaded")}
+            with pytest.raises(DataError, match=sample.image_id):
+                _prepare_proposals([sample], bad, 4)
 
     def test_checkpoint_round_trip(self, tmp_path, tiny_data, stage1):
         train, val, proposals = tiny_data
