@@ -310,11 +310,19 @@ def save_stage1_checkpoint(
 
 def load_stage1_checkpoint(path, trainable: bool = False) -> tuple[BackboneConfig, BackboneParams, dict]:
     meta, tensors = checkpoint.load_container(path)
-    if meta.get("kind") != "global":
-        raise checkpoint.CheckpointError(f"{path}: not a stage-1 checkpoint")
-    config = _config_from_dict(meta["backbone"])
-    params = _params_from_tensors(config, tensors, trainable, with_head=True)
+    config, params = _stage1_from_container(path, meta, tensors, trainable)
     return config, params, meta
+
+
+def _stage1_from_container(
+    path, meta: dict, tensors: dict[str, np.ndarray], trainable: bool = False
+) -> tuple[BackboneConfig, BackboneParams]:
+    with checkpoint.metadata_errors(path):
+        if meta["kind"] != "global":
+            raise checkpoint.CheckpointError(f"{path}: not a stage-1 checkpoint ({meta['kind']!r})")
+        config = _config_from_dict(meta["backbone"])
+    params = _params_from_tensors(config, tensors, trainable, with_head=True)
+    return config, params
 
 
 def _params_from_tensors(

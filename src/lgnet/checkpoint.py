@@ -8,19 +8,34 @@ name order so the file is a pure function of its contents.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 MAGIC = b"LGN1"
 
-__all__ = ["save_container", "load_container", "CheckpointError"]
+__all__ = ["save_container", "load_container", "metadata_errors", "CheckpointError"]
 
 
 class CheckpointError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def metadata_errors(path: str | Path) -> Iterator[None]:
+    """Report a missing or malformed metadata field as CheckpointError."""
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: metadata lacks {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad metadata: {exc}") from exc
 
 
 def save_container(path: str | Path, config: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -56,6 +71,8 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
     (cfg_len,) = struct.unpack("<I", take(4))
     config = json.loads(bytes(take(cfg_len)).decode("utf-8"))
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     tensors: dict[str, np.ndarray] = {}
     while pos < len(view):
         (name_len,) = struct.unpack("<I", take(4))

@@ -13,18 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import load_stage1_checkpoint, save_stage1_checkpoint
-from .checkpoint import CheckpointError
+from .backbone import _stage1_from_container, load_stage1_checkpoint, save_stage1_checkpoint
+from .checkpoint import CheckpointError, load_container
 from .guidance import iou
 from .ppm import write_pgm, write_ppm
-from .synthdata import DataError, default_spec, generate_dataset, load_dataset
+from .synthdata import DataError, default_spec, generate_dataset, load_dataset, load_split
 from .proposals import CandidateConfig, propose_for_image, save_proposals
 from .training import (
     ABLATIONS,
     GlobalModel,
     TrainConfig,
-    _lg_forward,
-    _prepare_proposals,
+    _guidance_for,
+    _stage2_from_container,
     evaluate,
     load_proposal_dir,
     load_stage2_checkpoint,
@@ -169,6 +169,8 @@ def _train_config(args) -> TrainConfig:
 
 def _cmd_gen_data(args) -> int:
     cfg = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise DataError(f"{args.config}: config must be a JSON object")
     spec = default_spec(
         num_attributes=cfg.get("num_attributes", args.num_attributes),
         image_size=cfg.get("image_size", args.image_size),
@@ -249,24 +251,22 @@ def _cmd_train_stage2(args) -> int:
 
 
 def _load_any_model(path: Path):
-    try:
-        bb, params, meta = load_stage1_checkpoint(path)
-        return GlobalModel(bb, params), meta
-    except CheckpointError:
-        model, meta = load_stage2_checkpoint(path)
-        return model, meta
+    meta, tensors = load_container(path)
+    if meta.get("kind") == "lg":
+        return _stage2_from_container(path, meta, tensors)
+    return GlobalModel(*_stage1_from_container(path, meta, tensors))
 
 
 def _cmd_eval(args) -> int:
-    model, _ = _load_any_model(args.model)
-    splits, _ = load_dataset(args.data)
-    samples = splits[args.split]
-    proposals = None
+    model = _load_any_model(args.model)
+    samples = load_split(args.data / args.split)
+    guides = None
     if not isinstance(model, GlobalModel):
         if args.proposals is None:
             raise DataError("stage-2 model evaluation needs --proposals")
         proposals = load_proposal_dir(args.proposals, [s.image_id for s in samples])
-    report = evaluate(model, samples, proposals=proposals, threshold=args.threshold)
+        guides = _guidance_for(model, samples, proposals)
+    report = evaluate(model, samples, proposals=guides, threshold=args.threshold)
     print("mA\tAcc\tPrec\tRec\tF1")
     print(report.tsv_line())
     if args.out:
@@ -274,19 +274,17 @@ def _cmd_eval(args) -> int:
         args.out.write_text(report.to_json() + "\n", encoding="utf-8")
         args.out.with_suffix(".tsv").write_text(report.tsv_line() + "\n", encoding="utf-8")
     if args.dump_affinity is not None:
-        if isinstance(model, GlobalModel):
+        if guides is None:
             raise DataError("--dump-affinity needs a stage-2 model")
-        _dump_affinity(model, samples, proposals, args.dump_affinity)
+        _dump_affinity(guides, args.dump_affinity)
     return 0
 
 
-def _dump_affinity(model, samples, proposals, out_dir: Path) -> None:
+def _dump_affinity(guides, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    prepared = _prepare_proposals(samples, proposals, model.top_k)
-    for sample in samples:
-        _, extras = _lg_forward(model, sample, prepared[sample.image_id], with_extras=True)
-        rows = "\n".join(",".join(f"{v:.6f}" for v in row) for row in extras["affinity"])
-        (out_dir / f"{sample.image_id}_affinity.csv").write_text(rows + "\n", encoding="utf-8")
+    for image_id, guide in guides.items():
+        rows = "\n".join(",".join(f"{v:.6f}" for v in row) for row in guide.affinity)
+        (out_dir / f"{image_id}_affinity.csv").write_text(rows + "\n", encoding="utf-8")
 
 
 def _draw_box_outline(image: np.ndarray, box, color) -> None:
@@ -306,10 +304,9 @@ def _cmd_localize(args) -> int:
     model, _ = load_stage2_checkpoint(args.model)
     if model.affinity_mode == "uniform":
         raise DataError("model was trained without localization guidance; nothing to localize")
-    splits, _ = load_dataset(args.data)
-    samples = splits[args.split]
+    samples = load_split(args.data / args.split)
     proposals = load_proposal_dir(args.proposals, [s.image_id for s in samples])
-    prepared = _prepare_proposals(samples, proposals, model.top_k)
+    guides = _guidance_for(model, samples, proposals)
     args.out.mkdir(parents=True, exist_ok=True)
     overlays = args.out / "overlays"
     overlays.mkdir(exist_ok=True)
@@ -318,17 +315,17 @@ def _cmd_localize(args) -> int:
 
     records = []
     for sample in samples:
-        boxes = prepared[sample.image_id]
-        _, extras = _lg_forward(model, sample, boxes, with_extras=True)
+        guide = guides[sample.image_id]
+        boxes = guide.boxes
         overlay = sample.image.copy()
-        for i, cam_box in enumerate(extras["cam_boxes"]):
-            affinity_row = extras["affinity_raw"][i]
+        for i, cam_box in enumerate(guide.cam_boxes):
+            affinity_row = guide.affinity_raw[i]
             top = np.argsort(-affinity_row, kind="stable")[: args.top_n]
             record = {
                 "image_id": sample.image_id,
                 "attribute_id": i,
                 "box": [cam_box.x_min, cam_box.y_min, cam_box.x_max, cam_box.y_max],
-                "degenerate": extras["degenerate"][i],
+                "degenerate": guide.degenerate[i],
                 "top_proposals": [
                     {
                         "box": [boxes[j].x_min, boxes[j].y_min, boxes[j].x_max, boxes[j].y_max],
@@ -340,11 +337,11 @@ def _cmd_localize(args) -> int:
             if i in sample.gt_boxes:
                 record["iou_gt"] = iou(cam_box, sample.gt_boxes[i])
             records.append(record)
-            if not extras["degenerate"][i]:
+            if not guide.degenerate[i]:
                 _draw_box_outline(overlay, cam_box, _OVERLAY_COLORS[i % len(_OVERLAY_COLORS)])
             if args.heatmaps:
                 write_pgm(args.out / "heatmaps" / f"{sample.image_id}_attr{i}.pgm",
-                          extras["cams"][i])
+                          guide.cams[i])
         write_ppm(overlays / f"{sample.image_id}.ppm", overlay)
 
     jsonl = args.out / "localizations.jsonl"

@@ -340,11 +340,16 @@ def load_split(split_dir: str | Path) -> list[Sample]:
         gt_boxes: dict[int, Box] = {}
         gt_file = gt_dir / f"{image_id}.txt"
         if gt_dir.is_dir() and gt_file.exists():
-            for line in gt_file.read_text(encoding="utf-8").splitlines():
+            for lineno, line in enumerate(gt_file.read_text(encoding="utf-8").splitlines(), 1):
                 if not line.strip():
                     continue
                 parts = line.split()
-                gt_boxes[int(parts[0])] = Box(*map(float, parts[1:5]))
+                if len(parts) < 5:
+                    raise DataError(f"{gt_file}:{lineno}: {len(parts)} fields, expected 5")
+                try:
+                    gt_boxes[int(parts[0])] = Box(*map(float, parts[1:5]))
+                except ValueError as exc:
+                    raise DataError(f"{gt_file}:{lineno}: {exc}") from exc
         samples.append(Sample(image_id, image, labels, gt_boxes))
     return samples
 

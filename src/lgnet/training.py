@@ -42,6 +42,7 @@ __all__ = [
     "TrainConfig",
     "GlobalModel",
     "LGModel",
+    "Guidance",
     "Stage1Result",
     "Stage2Result",
     "learning_rate",
@@ -100,6 +101,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Build from parsed JSON; every key must name a field of a fitting type."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, not {type(d).__name__}")
+        defaults = cls().__dict__
+        for key, value in d.items():
+            if key not in defaults:
+                raise ValueError(f"unknown config field {key!r}")
+            if not _fits(value, defaults[key]):
+                raise ValueError(f"config field {key!r} cannot be {value!r}")
         d = dict(d)
         if "roi_out" in d:
             d["roi_out"] = tuple(d["roi_out"])
@@ -107,7 +117,21 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
+def _fits(value, default) -> bool:
+    """Whether a parsed JSON value can stand in a field with this default."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:
@@ -286,12 +310,6 @@ def train_stage1(
 # -- stage 2 ---------------------------------------------------------------------
 
 
-def _normalize_proposals(proposals: ProposalSet, k: int, image_w: int, image_h: int) -> list[Box]:
-    """Clamp a loaded proposal set to exactly k boxes, best first."""
-    boxes = sorted(proposals.boxes, key=lambda b: b.score or 0.0, reverse=True)[:k]
-    return list(top_k(boxes, image_w, image_h, k).boxes)
-
-
 def build_lg_model(stage1: GlobalModel, config: TrainConfig) -> LGModel:
     """Assemble the stage-2 model: freeze the global branch, fork its trunk
     into the local branch, start the guidance head at zero so the fused
@@ -312,67 +330,52 @@ def build_lg_model(stage1: GlobalModel, config: TrainConfig) -> LGModel:
     )
 
 
-def _lg_forward(
-    model: LGModel,
-    sample: Sample,
-    prop_boxes: list[Box],
-    with_extras: bool = False,
-):
-    """One sample through the full pipeline; returns (fused logits, extras).
+@dataclass(frozen=True)
+class Guidance:
+    """The frozen branch's output for one image; fixed through stage 2, so
+    computed once. The CAM fields stay empty under uniform affinity."""
 
-    The global branch runs gradient-free; only the local trunk and the
-    guidance head build a graph.
-    """
+    boxes: Sequence[Box]  # the k proposals, best first
+    global_logits: np.ndarray  # [c]
+    affinity: np.ndarray  # [c, k], rows normalized
+    cams: np.ndarray | None = None  # [c, h, w]
+    cam_boxes: tuple[Box, ...] = ()
+    degenerate: tuple[bool, ...] = ()
+    affinity_raw: np.ndarray | None = None  # [c, k]
+
+
+def _guidance(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> Guidance:
+    """Run the frozen half of the stage-2 model on one image, gradient-free."""
     image_h, image_w = sample.image.shape[1:]
-    image = Tensor(sample.image)
-    featmap, logits_g = forward_global(model.global_params, model.backbone, image)
-    yg = logits_g.data
-    c, d = model.backbone.num_attributes, len(prop_boxes)
-
-    cam_boxes: list[Box] = []
-    degenerate: list[bool] = []
-    raw = None
+    featmap, logits_g = forward_global(model.global_params, model.backbone, Tensor(sample.image))
     if model.affinity_mode == "uniform":
-        values = np.full((c, d), 1.0 / d)
-    else:
-        cams = class_activation_maps(featmap.data, model.cam_weights)
-        for i in range(c):
-            box, degen = activation_box(cams[i], image_w, image_h, model.cam_threshold)
-            cam_boxes.append(box)
-            degenerate.append(degen)
-        raw = affinity_map(cam_boxes, prop_boxes, model.affinity_mode)
-        values = normalize_affinity(raw).values
+        c, d = model.backbone.num_attributes, len(boxes)
+        return Guidance(boxes, logits_g.data, np.full((c, d), 1.0 / d))
+    cams = class_activation_maps(featmap.data, model.cam_weights)
+    found = [activation_box(cam, image_w, image_h, model.cam_threshold) for cam in cams]
+    cam_boxes = tuple(box for box, _ in found)
+    raw = affinity_map(cam_boxes, boxes, model.affinity_mode)
+    return Guidance(
+        boxes, logits_g.data, normalize_affinity(raw).values,
+        cams, cam_boxes, tuple(degen for _, degen in found), raw.values,
+    )
 
-    stem = forward_local_stem(model.local_params, model.backbone, image)
+
+def _fused_logits(model: LGModel, sample: Sample, guide: Guidance) -> Tensor:
+    """Run the trainable half: local trunk, ROI pooling, tail and fusion."""
+    image_h, image_w = sample.image.shape[1:]
+    stem = forward_local_stem(model.local_params, model.backbone, Tensor(sample.image))
     oh, ow = model.roi_out
-    pooled = roi_max_pool_batch(stem, prop_boxes, oh, ow, image_w, image_h)
+    pooled = roi_max_pool_batch(stem, guide.boxes, oh, ow, image_w, image_h)
     local_feats = forward_local_tail(model.local_params, model.backbone, pooled)
-    fused, local_logits = guided_fusion(values, local_feats, model.head, yg)
-    extras = None
-    if with_extras:
-        extras = {
-            "global_logits": yg,
-            "local_logits": local_logits.data,
-            "cam_boxes": cam_boxes,
-            "degenerate": degenerate,
-            "affinity_raw": None if raw is None else raw.values,
-            "affinity": values,
-            "cams": None if model.affinity_mode == "uniform" else cams,
-        }
-    return fused, extras
+    fused, _ = guided_fusion(guide.affinity, local_feats, model.head, guide.global_logits)
+    return fused
 
 
-def _lg_scores(
-    model: LGModel,
-    samples: Sequence[Sample],
-    proposals: Mapping[str, list[Box]],
-) -> np.ndarray:
-    scores = np.empty((len(samples), model.backbone.num_attributes))
-    eval_model = _eval_copy(model)
-    for n, sample in enumerate(samples):
-        fused, _ = _lg_forward(eval_model, sample, proposals[sample.image_id])
-        scores[n] = fused.data
-    return scores
+def _lg_forward(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> tuple[Tensor, Guidance]:
+    """One sample through the full pipeline; returns (fused logits, guidance)."""
+    guide = _guidance(model, sample, boxes)
+    return _fused_logits(model, sample, guide), guide
 
 
 def _eval_copy(model: LGModel) -> LGModel:
@@ -390,7 +393,8 @@ def _prepare_proposals(
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet],
     k: int,
-) -> dict[str, list[Box]]:
+) -> dict[str, tuple[Box, ...]]:
+    """Each image's k best proposals, padded with full-image boxes."""
     ready = {}
     for s in samples:
         if s.image_id not in proposals:
@@ -402,8 +406,18 @@ def _prepare_proposals(
                     f"proposal ({b.x_min:g}, {b.y_min:g}, {b.x_max:g}, {b.y_max:g}) "
                     f"for image {s.image_id!r} lies outside the {w}x{h} image"
                 )
-        ready[s.image_id] = _normalize_proposals(proposals[s.image_id], k, w, h)
+        ready[s.image_id] = top_k(proposals[s.image_id].boxes, w, h, k).boxes
     return ready
+
+
+def _guidance_for(
+    model: LGModel,
+    samples: Sequence[Sample],
+    proposals: Mapping[str, ProposalSet],
+) -> dict[str, Guidance]:
+    """The guidance of every sample, keyed by image id."""
+    boxes = _prepare_proposals(samples, proposals, model.top_k)
+    return {s.image_id: _guidance(model, s, boxes[s.image_id]) for s in samples}
 
 
 def train_stage2(
@@ -422,13 +436,12 @@ def train_stage2(
     model = build_lg_model(stage1, config)
     named = model.trainable()
     pos = positive_ratio(_label_matrix(train))
-    k = config.top_k_proposals
-    train_props = _prepare_proposals(train, proposals, k)
-    val_props = _prepare_proposals(val, proposals, k)
+    train_guides = _guidance_for(model, train, proposals)
+    val_guides = _guidance_for(model, val, proposals)
 
     digest = model.frozen_digest()
     velocity: dict[str, np.ndarray] = {}
-    best_ma = evaluate(model, val, proposals=val_props).ma
+    best_ma = evaluate(model, val, proposals=val_guides).ma
     best_epoch = -1
     best_arrays = {n: t.data.copy() for n, t in named.items()}
     log_rows: list[dict] = []
@@ -444,7 +457,7 @@ def train_stage2(
             for i in batch_idx:
                 sample = train[i]
                 try:
-                    fused, _ = _lg_forward(model, sample, train_props[sample.image_id])
+                    fused = _fused_logits(model, sample, train_guides[sample.image_id])
                     loss = weighted_sigmoid_ce_node(fused, sample.labels, pos, config.loss_sigma)
                 except FloatingPointError as exc:
                     raise RuntimeError(
@@ -457,7 +470,7 @@ def train_stage2(
             seen += len(batch_idx)
         if model.frozen_digest() != digest:
             raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
-        val_ma = evaluate(model, val, proposals=val_props).ma
+        val_ma = evaluate(model, val, proposals=val_guides).ma
         log_rows.append({"epoch": epoch, "lr": lr, "train_loss": total_loss / seen, "val_mA": val_ma})
         if val_ma > best_ma:
             best_ma, best_epoch = val_ma, epoch
@@ -474,7 +487,7 @@ def train_stage2(
 def evaluate(
     model: GlobalModel | LGModel,
     samples: Sequence[Sample],
-    proposals: Mapping[str, ProposalSet] | Mapping[str, list[Box]] | None = None,
+    proposals: Mapping[str, ProposalSet] | Mapping[str, Guidance] | None = None,
     threshold: float = 0.5,
 ) -> MetricsReport:
     """Score a split and compute the five metrics at the given threshold."""
@@ -486,8 +499,9 @@ def evaluate(
             raise DataError("stage-2 evaluation requires proposals")
         first = next(iter(proposals.values()))
         if isinstance(first, ProposalSet):
-            proposals = _prepare_proposals(samples, proposals, model.top_k)
-        scores = _lg_scores(model, samples, proposals)
+            proposals = _guidance_for(model, samples, proposals)
+        eval_model = _eval_copy(model)
+        scores = np.stack([_fused_logits(eval_model, s, proposals[s.image_id]).data for s in samples])
     return MetricsReport.from_scores(scores, labels, threshold)
 
 
@@ -534,11 +548,26 @@ def save_stage2_checkpoint(path: str | Path, model: LGModel, extra: dict | None 
 
 def load_stage2_checkpoint(path: str | Path, trainable: bool = False) -> tuple[LGModel, dict]:
     meta, tensors = checkpoint.load_container(path)
-    if meta.get("kind") != "lg":
-        raise checkpoint.CheckpointError(f"{path}: not a stage-2 checkpoint")
-    bb = _config_from_dict(meta["backbone"])
+    return _stage2_from_container(path, meta, tensors, trainable), meta
+
+
+def _stage2_from_container(
+    path: str | Path, meta: dict, tensors: dict[str, np.ndarray], trainable: bool = False
+) -> LGModel:
+    with checkpoint.metadata_errors(path):
+        if meta["kind"] != "lg":
+            raise checkpoint.CheckpointError(f"{path}: not a stage-2 checkpoint ({meta['kind']!r})")
+        bb = _config_from_dict(meta["backbone"])
+        # the stage-2 settings are training-config fields; check them as such
+        settings = TrainConfig.from_dict({
+            "affinity_mode": meta["affinity_mode"], "cam_threshold": meta["cam_threshold"],
+            "roi_out": meta["roi_out"], "top_k_proposals": meta["top_k"],
+        })
     global_params = _params_from_tensors(bb, tensors, trainable=False, with_head=True, prefix="global/")
     local_params = _params_from_tensors(bb, tensors, trainable=trainable, with_head=False, prefix="local/")
+    missing = [name for name in ("cam/weight", "head/weight", "head/bias") if name not in tensors]
+    if missing:
+        raise checkpoint.CheckpointError(f"{path}: missing tensor {missing[0]!r}")
     cam_w = tensors["cam/weight"]
     if cam_w.shape != (bb.num_attributes, bb.final_channels):
         raise checkpoint.CheckpointError(f"{path}: cam weight shape {cam_w.shape}")
@@ -550,18 +579,19 @@ def load_stage2_checkpoint(path: str | Path, trainable: bool = False) -> tuple[L
     )
     if head.weight.data.shape != (bb.num_attributes, bb.final_channels):
         raise checkpoint.CheckpointError(f"{path}: head weight shape {head.weight.data.shape}")
-    model = LGModel(
+    if head.bias.data.shape != (bb.num_attributes,):
+        raise checkpoint.CheckpointError(f"{path}: head bias shape {head.bias.data.shape}")
+    return LGModel(
         backbone=bb,
         global_params=global_params,
         cam_weights=cam_w,
         local_params=local_params,
         head=head,
-        affinity_mode=meta["affinity_mode"],
-        cam_threshold=meta["cam_threshold"],
-        roi_out=tuple(meta["roi_out"]),
-        top_k=meta["top_k"],
+        affinity_mode=settings.affinity_mode,
+        cam_threshold=settings.cam_threshold,
+        roi_out=settings.roi_out,
+        top_k=settings.top_k_proposals,
     )
-    return model, meta
 
 
 # -- ablations --------------------------------------------------------------------

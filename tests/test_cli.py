@@ -2,6 +2,7 @@ import json
 import shutil
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from lgnet.cli import main
@@ -87,6 +88,83 @@ class TestErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestMalformedInput:
+    """Malformed external input exits 2 with an error line, never a traceback."""
+
+    @staticmethod
+    def _assert_data_error(argv, capsys):
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("model, change, named", [
+        ("stage2.lgn", lambda meta: ["kind", "lg"], "not a JSON object"),
+        ("stage2.lgn", lambda meta: {k: v for k, v in meta.items() if k != "kind"}, "'kind'"),
+        ("stage2.lgn", lambda meta: {k: v for k, v in meta.items() if k != "backbone"}, "'backbone'"),
+        ("stage2.lgn", lambda meta: {**meta, "backbone": "base"}, "bad metadata"),
+        ("stage2.lgn", lambda meta: {k: v for k, v in meta.items() if k != "roi_out"}, "'roi_out'"),
+        ("stage2.lgn", lambda meta: {k: v for k, v in meta.items() if k != "top_k"}, "'top_k'"),
+        ("stage2.lgn", lambda meta: {**meta, "top_k": "16"}, "'top_k_proposals'"),
+        ("stage1.lgn", lambda meta: {k: v for k, v in meta.items() if k != "backbone"}, "'backbone'"),
+    ], ids=["list", "no-kind", "no-backbone", "bad-backbone", "no-roi_out", "no-top_k",
+            "string-top_k", "stage1-no-backbone"])
+    def test_bad_checkpoint_metadata(self, workspace, tmp_path, capsys, model, change, named):
+        from lgnet import checkpoint
+
+        meta, tensors = checkpoint.load_container(workspace / model)
+        bad = tmp_path / "bad.lgn"
+        checkpoint.save_container(bad, change(meta), tensors)
+        err = self._assert_data_error(["eval", "--model", bad, "--data", workspace / "data",
+                                       "--proposals", workspace / "props"], capsys)
+        assert named in err
+
+    @pytest.mark.parametrize("bias", [None, np.zeros(3)], ids=["missing", "mis-shaped"])
+    def test_bad_head_bias(self, workspace, tmp_path, capsys, bias):
+        from lgnet import checkpoint
+
+        meta, tensors = checkpoint.load_container(workspace / "stage2.lgn")
+        if bias is None:
+            del tensors["head/bias"]
+        else:
+            tensors["head/bias"] = bias
+        bad = tmp_path / "bad.lgn"
+        checkpoint.save_container(bad, meta, tensors)
+        err = self._assert_data_error(["eval", "--model", bad, "--data", workspace / "data",
+                                       "--proposals", workspace / "props"], capsys)
+        assert "head/bias" in err or "head bias" in err
+
+    @pytest.mark.parametrize("config", [
+        [1, 2], {"bogus": 1}, {"roi_out": 3}, {"epochs": 1.5}, {"epochs": "2"},
+    ])
+    def test_bad_train_config(self, workspace, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        err = self._assert_data_error(["train-stage1", "--data", workspace / "data",
+                                       "--out", tmp_path / "s1.lgn", "--config", path], capsys)
+        assert str(path) in err
+
+    def test_gen_data_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path], capsys)
+
+    def test_short_ground_truth_line(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        gt_file = sorted((data / "test" / "gt_boxes").glob("*.txt"))[0]
+        gt_file.write_text("0 1 2 30\n")
+        err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
+                                      capsys)
+        assert f"{gt_file}:1" in err
+
+    def test_missing_split(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        shutil.rmtree(data / "test")
+        self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data], capsys)
+
+
 class TestEval:
     def test_prints_percent_tsv(self, workspace, capsys):
         assert main([
@@ -165,6 +243,30 @@ class TestLocalize:
                     == ((record["image_id"], record["attribute_id"]) in gt))
         assert len(list((out / "overlays").glob("*.ppm"))) == 6
         assert len(list((out / "heatmaps").glob("*.pgm"))) == 6 * 8
+
+
+class TestFrozenBranchReuse:
+    def test_localize_and_dump_affinity_do_not_rerun_either_branch(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        from lgnet import training
+
+        counts = {"forward_global": 0, "forward_local_stem": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(training, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+        common = ["--model", str(workspace / "stage2.lgn"), "--data", str(workspace / "data"),
+                  "--split", "val", "--proposals", str(workspace / "props")]
+        assert main(["localize", *common, "--out", str(tmp_path / "loc")]) == 0
+        assert counts == {"forward_global": 6, "forward_local_stem": 0}
+        counts.update(forward_global=0, forward_local_stem=0)
+        # scoring runs each half once per image; the dump reuses its guidance
+        assert main(["eval", *common, "--dump-affinity", str(tmp_path / "affinity")]) == 0
+        capsys.readouterr()
+        assert counts == {"forward_global": 6, "forward_local_stem": 6}
 
 
 class TestLocalizeUniformModel:

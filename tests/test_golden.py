@@ -20,6 +20,8 @@ GOLDEN = {
     "stage2": "2257276532cf50b5dea38737edcf03f2476d180c09241448e58323a54b993b23",
     "stage2_log": "622c28b241a7405cf246d84d746f135e1a2940dbb95f181bcd7ec9e2cd4e5a89",
     "eval_report": "f272c47bd69659011c3bf0e8f79555d1f633b980c9ed5919db0156ed43a6dae7",
+    "localize": "1fa0734d2421752a9d99e989e342778401df536ca881aaa8958d1522c699f61f",
+    "dump_affinity": "edd63574565faa807ec212b50ebf6235f4637ffdb1ee50b1285dcad5bfcc0b5c",
 }
 
 
@@ -29,8 +31,8 @@ def _file_digest(path: Path) -> str:
 
 def _dir_digest(root: Path) -> str:
     h = hashlib.sha256()
-    for path in sorted(root.iterdir()):
-        h.update(path.name.encode())
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode())
         h.update(path.read_bytes())
     return h.hexdigest()
 
@@ -41,6 +43,7 @@ def outputs(tmp_path_factory):
     data, props = root / "data", root / "props"
     stage1, stage2 = root / "stage1.lgn", root / "stage2.lgn"
     stage2_log, report = root / "stage2.log.csv", root / "report.json"
+    localized, affinity = root / "localize", root / "affinity"
     for argv in (
         ["gen-data", "--out", data, "--seed", "11",
          "--n-train", "32", "--n-val", "16", "--n-test", "16"],
@@ -51,6 +54,10 @@ def outputs(tmp_path_factory):
          "--out", stage2, "--log", stage2_log,
          "--seed", "11", "--epochs", "2", "--batch-size", "8", "--lr", "0.3", "--top-k", "12"],
         ["eval", "--model", stage2, "--data", data, "--proposals", props, "--out", report],
+        ["localize", "--model", stage2, "--data", data, "--proposals", props,
+         "--out", localized, "--heatmaps"],
+        ["eval", "--model", stage2, "--data", data, "--split", "val", "--proposals", props,
+         "--dump-affinity", affinity],
     ):
         assert main([str(a) for a in argv]) == 0, argv[0]
     return {
@@ -59,6 +66,8 @@ def outputs(tmp_path_factory):
         "stage2": _file_digest(stage2),
         "stage2_log": _file_digest(stage2_log),
         "eval_report": _file_digest(report),
+        "localize": _dir_digest(localized),
+        "dump_affinity": _dir_digest(affinity),
     }
 
 

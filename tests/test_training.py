@@ -153,6 +153,24 @@ class TestStage2:
         for name, t in result.model.global_params.named().items():
             assert np.array_equal(t.data, stage1.model.params.named()[name].data)
 
+    def test_frozen_branch_runs_once_per_image(self, tiny_data, stage1, monkeypatch):
+        from lgnet import training
+
+        train, val, proposals = tiny_data
+        real = training.forward_global
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward_global", counted)
+        for epochs in (1, 2):
+            calls.clear()
+            config = TrainConfig(seed=2, **dict(FAST, epochs=epochs))
+            train_stage2(train, val, stage1.model, proposals, config)
+            assert len(calls) == len(train) + len(val)
+
     def test_global_branch_receives_no_gradients(self, tiny_data, stage1):
         train, val, proposals = tiny_data
         config = TrainConfig(seed=2, **FAST)
@@ -337,8 +355,8 @@ class TestAblations:
         model = build_lg_model(result.model, config)
         sample = val[0]
         boxes = list(proposals[sample.image_id].boxes)
-        _, extras = _lg_forward(model, sample, boxes, with_extras=True)
-        assert np.all(extras["affinity"] == 1.0 / len(boxes))
+        _, guide = _lg_forward(model, sample, boxes)
+        assert np.all(guide.affinity == 1.0 / len(boxes))
 
     def test_arm_configs_differ_only_in_affinity_field(self, tiny_data):
         from lgnet.training import ABLATIONS
