@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Iterator
@@ -55,6 +56,8 @@ def save_container(path: str | Path, config: dict, tensors: dict[str, np.ndarray
 
 
 def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container; any malformed content raises CheckpointError
+    naming the file."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
@@ -69,20 +72,33 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         pos += n
         return chunk
 
+    def text(n: int) -> str:
+        try:
+            return bytes(take(n)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: text is not UTF-8: {exc}") from None
+
     (cfg_len,) = struct.unpack("<I", take(4))
-    config = json.loads(bytes(take(cfg_len)).decode("utf-8"))
+    blob = text(cfg_len)
+    try:
+        config = json.loads(blob)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: metadata is not JSON: {exc}") from None
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: metadata is not a JSON object")
     tensors: dict[str, np.ndarray] = {}
     while pos < len(view):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        name = text(name_len)
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        payload = take(8 * count)
-        arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-        if arr.shape != tuple(shape):
-            raise CheckpointError(f"{path}: tensor {name!r} shape mismatch")
+        # exact integer product: a payload this long must follow
+        payload = take(8 * math.prod(shape))
+        try:
+            arr = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError:  # an empty tensor with an extent numpy cannot hold
+            raise CheckpointError(f"{path}: tensor {name!r} has bad extents {shape}") from None
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
         tensors[name] = arr
     return config, tensors

@@ -17,12 +17,15 @@ from .backbone import _stage1_from_container, load_stage1_checkpoint, save_stage
 from .checkpoint import CheckpointError, load_container
 from .guidance import iou
 from .ppm import write_pgm, write_ppm
-from .synthdata import DataError, default_spec, generate_dataset, load_dataset, load_split
+from .synthdata import (
+    DataError, SynthSpec, default_spec, generate_dataset, load_dataset, load_split,
+)
 from .proposals import CandidateConfig, propose_for_image, save_proposals
 from .training import (
     ABLATIONS,
     GlobalModel,
     TrainConfig,
+    _fits,
     _guidance_for,
     _stage2_from_container,
     evaluate,
@@ -171,21 +174,29 @@ def _cmd_gen_data(args) -> int:
     cfg = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(cfg, dict):
         raise DataError(f"{args.config}: config must be a JSON object")
-    spec = default_spec(
-        num_attributes=cfg.get("num_attributes", args.num_attributes),
-        image_size=cfg.get("image_size", args.image_size),
+    defaults = {
+        "num_attributes": args.num_attributes, "image_size": args.image_size,
+        "n_train": args.n_train, "n_val": args.n_val, "n_test": args.n_test,
+        **{key: getattr(SynthSpec, key)
+           for key in ("positive_rate", "noise_sigma", "background", "clutter_range")},
+    }
+    for key, value in cfg.items():
+        if key in defaults and not _fits(value, defaults[key]):
+            raise DataError(f"{args.config}: config field {key!r} cannot be {value!r}")
+    cfg = {**defaults, **cfg}
+    spec = dataclasses.replace(
+        default_spec(num_attributes=cfg["num_attributes"], image_size=cfg["image_size"]),
+        positive_rate=cfg["positive_rate"],
+        noise_sigma=cfg["noise_sigma"],
+        background=cfg["background"],
+        clutter_range=tuple(cfg["clutter_range"]),
     )
-    for key in ("positive_rate", "noise_sigma", "background"):
-        if key in cfg:
-            spec = dataclasses.replace(spec, **{key: cfg[key]})
-    if "clutter_range" in cfg:
-        spec = dataclasses.replace(spec, clutter_range=tuple(cfg["clutter_range"]))
     generate_dataset(
         spec,
         seed=args.seed,
-        n_train=cfg.get("n_train", args.n_train),
-        n_val=cfg.get("n_val", args.n_val),
-        n_test=cfg.get("n_test", args.n_test),
+        n_train=cfg["n_train"],
+        n_val=cfg["n_val"],
+        n_test=cfg["n_test"],
         out_dir=args.out,
     )
     print(f"wrote dataset to {args.out}")

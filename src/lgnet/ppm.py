@@ -30,7 +30,9 @@ def _read_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
         if raw[pos : pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+            pos = raw.find(b"\n", pos) + 1
+            if pos == 0:
+                raise ValueError(f"{path}: corrupt header, unterminated comment")
             continue
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
@@ -49,6 +51,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
     w, h, maxval, offset = _read_header(raw, b"P6", path)
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported")
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image size {w}x{h} is not positive")
     body = raw[offset : offset + 3 * w * h]
     if len(body) != 3 * w * h:
         raise ValueError(f"{path}: truncated pixel data")

@@ -235,18 +235,24 @@ def load_proposals(path: str | Path) -> ProposalSet:
     """Read a file written by :func:`save_proposals`; raises ValueError on a
     malformed line, a non-finite value or a degenerate box."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     boxes = []
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
-        values = [float(v) for v in parts]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{path}:{ln}: non-finite value in {line.strip()!r}")
-        x0, y0, x1, y1, score = values
-        boxes.append(Box(x0, y0, x1, y1, score))
+        try:
+            values = [float(v) for v in parts]
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"non-finite value in {line.strip()!r}")
+            boxes.append(Box(*values))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
     if not boxes:
         raise ValueError(f"{path}: no proposals")
     return ProposalSet(tuple(boxes), source="loaded")

@@ -441,77 +441,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), backward, "global_avg_pool")
 
 
-def _bin_edges(start: int, count: int, bins: int) -> list[tuple[int, int]]:
-    # Near-equal integer partition of [start, start+count) into `bins`
-    # pieces; every piece is forced to span at least one cell, so pieces
-    # overlap when count < bins.
-    edges = []
-    for b in range(bins):
-        lo = start + (b * count) // bins
-        hi = start + ((b + 1) * count) // bins
-        if hi <= lo:
-            hi = lo + 1
-        edges.append((lo, hi))
-    return edges
-
-
-def _quantize_roi(box, fh: int, fw: int, image_w: int, image_h: int) -> tuple[int, int, int, int]:
-    """Scale a pixel-space box onto the cell grid, round, and repair boxes
-    that collapse under quantization to a single cell."""
-    sx = fw / float(image_w)
-    sy = fh / float(image_h)
-    ix0 = min(max(int(round(box.x_min * sx)), 0), fw - 1)
-    iy0 = min(max(int(round(box.y_min * sy)), 0), fh - 1)
-    ix1 = min(max(int(round(box.x_max * sx)), 0), fw)
-    iy1 = min(max(int(round(box.y_max * sy)), 0), fh)
-    if ix1 <= ix0:
-        ix1 = ix0 + 1
-    if iy1 <= iy0:
-        iy1 = iy0 + 1
-    return ix0, iy0, ix1, iy1
-
-
-def _merge_max(v1, i1, v2, i2):
-    # combine (max, first-argmax) summaries of two cell sets; on value ties
-    # the smaller flat index (earlier in row-major order) wins
-    greater = v2 > v1
-    v = np.where(greater, v2, v1)
-    if i1 is None:
-        return v, None
-    i = np.where(greater, i2, np.where(v1 == v2, np.minimum(i1, i2), i1))
-    return v, i
-
-
-def _sparse_max_tables(data: np.ndarray, kr_max: int, kc_max: int, track_argmax: bool):
-    """2-D sparse tables for O(1) range-max queries.
-
-    tables[(kr, kc)] holds, for every valid start cell, the (max, argmax)
-    summary of the 2^kr x 2^kc block anchored there.
-    """
-    c, h, w = data.shape
-    idx0 = None
-    if track_argmax:
-        flat = (np.arange(h, dtype=np.intp)[:, None] * w + np.arange(w, dtype=np.intp)[None, :])
-        idx0 = np.broadcast_to(flat, data.shape)
-    tables = {(0, 0): (data, idx0)}
-    for kc in range(1, kc_max + 1):
-        v, i = tables[(0, kc - 1)]
-        half = 1 << (kc - 1)
-        tables[(0, kc)] = _merge_max(
-            v[:, :, :-half], None if i is None else i[:, :, :-half],
-            v[:, :, half:], None if i is None else i[:, :, half:],
-        )
-    for kr in range(1, kr_max + 1):
-        for kc in range(0, kc_max + 1):
-            v, i = tables[(kr - 1, kc)]
-            half = 1 << (kr - 1)
-            tables[(kr, kc)] = _merge_max(
-                v[:, :-half, :], None if i is None else i[:, :-half, :],
-                v[:, half:, :], None if i is None else i[:, half:, :],
-            )
-    return tables
-
-
 def roi_max_pool_batch(
     x: Tensor,
     boxes: Sequence,
@@ -523,14 +452,19 @@ def roi_max_pool_batch(
     """Quantized max pooling of many boxes from one feature map into
     out_h x out_w grids: returns [d, C, out_h, out_w].
 
-    Box coordinates live in image pixel space; they are scaled onto the
-    feature map's cell grid and rounded. Each region is split into
-    near-equal integer bins (each at least one cell), the maximum of each
-    bin is taken per channel, and gradients flow to the argmax cell, with
-    ties resolved to the first cell in row-major order. Bins are answered
-    as O(1) range-max queries against sparse tables and the whole gradient
-    scatter is one ``np.bincount``, so the per-proposal cost is a few
-    gathers.
+    Box coordinates live in image pixel space. They are scaled onto the
+    feature map's cell grid, rounded half to even and clipped to it, and
+    a box that collapses is widened to one cell. Each region is split
+    into near-equal integer bins, every bin at least one cell, so bins
+    overlap when a box spans fewer cells than the grid. The maximum of
+    each bin is taken per channel, and gradients flow to its argmax
+    cell, ties going to the first cell in row-major order.
+
+    All bins are answered by one gather: every bin's cells are listed in
+    row-major order in a window padded to the largest bin, the padding
+    points at an appended ``-inf`` column, and the first argmax along
+    the window picks the cell. The gradient scatter is one
+    ``np.bincount`` in output order.
     """
     if x.data.ndim != 3:
         raise ValueError(f"roi_max_pool_batch: feature map must be rank 3, got {x.data.ndim}")
@@ -539,63 +473,37 @@ def roi_max_pool_batch(
     if out_h < 1 or out_w < 1:
         raise ValueError("roi_max_pool_batch: output grid must be at least 1x1")
     c, fh, fw = x.data.shape
-    track = x.requires_grad
+    d = len(boxes)
+    corners = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes])
+    corners = np.rint(corners * np.array([fw / image_w, fh / image_h] * 2))
+    x0, y0, x1, y1 = corners.T.clip(0, [[fw - 1], [fh - 1], [fw], [fh]]).astype(np.intp)
 
-    # unique quantized rects; duplicate proposals share everything
-    rect_of_box: list[int] = []
-    rect_index: dict[tuple[int, int, int, int], int] = {}
-    rects: list[tuple[int, int, int, int]] = []
-    for box in boxes:
-        rect = _quantize_roi(box, fh, fw, image_w, image_h)
-        if rect not in rect_index:
-            rect_index[rect] = len(rects)
-            rects.append(rect)
-        rect_of_box.append(rect_index[rect])
+    def bins(start, stop, n):
+        # [d, n] bin starts and spans, then [d, n, span_max] cell coordinates
+        # with a validity mask; spans are at least one cell
+        edges = start[:, None] + (np.arange(n + 1) * np.maximum(stop - start, 1)[:, None]) // n
+        lo = edges[:, :-1]
+        span = np.maximum(edges[:, 1:] - lo, 1)
+        step = np.arange(span.max())
+        return lo[:, :, None] + step, step < span[:, :, None]
 
-    # one query per (unique rect, output bin)
-    u = len(rects)
-    n_bins = out_h * out_w
-    q_r0 = np.empty(u * n_bins, dtype=np.intp)
-    q_r1 = np.empty_like(q_r0)
-    q_c0 = np.empty_like(q_r0)
-    q_c1 = np.empty_like(q_r0)
-    for ri, (ix0, iy0, ix1, iy1) in enumerate(rects):
-        rows = _bin_edges(iy0, iy1 - iy0, out_h)
-        cols = _bin_edges(ix0, ix1 - ix0, out_w)
-        base = ri * n_bins
-        for bi, (r0, r1) in enumerate(rows):
-            for bj, (c0, c1) in enumerate(cols):
-                q = base + bi * out_w + bj
-                q_r0[q], q_r1[q], q_c0[q], q_c1[q] = r0, r1, c0, c1
+    rows, row_ok = bins(y0, y1, out_h)
+    cols, col_ok = bins(x0, x1, out_w)
+    # one window per bin, its cells in row-major order so that the first
+    # argmax is the first cell; positions past the bin read the -inf column
+    cell = rows[:, :, None, :, None] * fw + cols[:, None, :, None, :]
+    ok = row_ok[:, :, None, :, None] & col_ok[:, None, :, None, :]
+    cell = np.where(ok, cell, fh * fw).reshape(d * out_h * out_w, -1)
 
-    # level = floor(log2(span)), via an exact small lookup table
-    lut = np.array([0] + [n.bit_length() - 1 for n in range(1, max(fh, fw) + 1)], dtype=np.intp)
-    kr_all = lut[q_r1 - q_r0]
-    kc_all = lut[q_c1 - q_c0]
-    tables = _sparse_max_tables(x.data, int(kr_all.max()), int(kc_all.max()), track)
-
-    pooled_u = np.empty((c, u * n_bins))
-    argpos_u = np.empty((c, u * n_bins), dtype=np.intp) if track else None
-    for kr, kc in {(int(a), int(b)) for a, b in zip(kr_all, kc_all)}:
-        sel = np.flatnonzero((kr_all == kr) & (kc_all == kc))
-        v_tab, i_tab = tables[(kr, kc)]
-        r0, c0 = q_r0[sel], q_c0[sel]
-        r1, c1 = q_r1[sel] - (1 << kr), q_c1[sel] - (1 << kc)
-        v, i = v_tab[:, r0, c0], None if i_tab is None else i_tab[:, r0, c0]
-        for rr, cc in ((r0, c1), (r1, c0), (r1, c1)):
-            v, i = _merge_max(v, i, v_tab[:, rr, cc], None if i_tab is None else i_tab[:, rr, cc])
-        pooled_u[:, sel] = v
-        if track:
-            argpos_u[:, sel] = i
-
-    gather = np.asarray(rect_of_box, dtype=np.intp)
-    data = (
-        pooled_u.reshape(c, u, out_h, out_w).transpose(1, 0, 2, 3)[gather].copy()
-    )
-    if track:
-        argpos = argpos_u.reshape(c, u, out_h, out_w).transpose(1, 0, 2, 3)[gather]
-        # flat (channel, cell) target of every pooled value, in output order
-        target = (np.arange(c)[None, :, None, None] * (fh * fw) + argpos).ravel()
+    flat = np.concatenate([x.data.reshape(c, fh * fw), np.full((c, 1), -np.inf)], axis=1)
+    window = np.take(flat, cell, axis=1)  # [C, bins, window]
+    argpos = cell[np.arange(len(cell)), window.argmax(axis=-1)]
+    # flat (channel, cell) source of every pooled value, in output order
+    target = (
+        argpos.reshape(c, d, out_h, out_w).transpose(1, 0, 2, 3)
+        + np.arange(c)[:, None, None] * (fh * fw)
+    ).ravel()
+    data = x.data.ravel()[target].reshape(d, c, out_h, out_w)
 
     def backward(g):
         if x.requires_grad:

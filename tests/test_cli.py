@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -53,6 +54,22 @@ class TestParsing:
 
     def test_missing_required_flag_is_usage_error(self):
         assert main(["eval", "--model", "m.lgn"]) == 1
+
+
+class TestGenDataConfig:
+    def test_gen_data_config_of_right_types_is_applied(self, tmp_path):
+        config = {"num_attributes": 3, "image_size": 48, "positive_rate": 0.4, "noise_sigma": 0,
+                  "background": 0.1, "clutter_range": [1, 3], "n_train": 2, "n_val": 1, "n_test": 1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), "--config", str(path)]) == 0
+        written = json.loads((out / "spec.json").read_text())
+        spec = written["spec"]
+        assert (written["n_train"], written["n_val"], written["n_test"]) == (2, 1, 1)
+        assert len(spec["attributes"]) == 3 and spec["image_size"] == 48
+        assert spec["clutter_range"] == [1, 3] and spec["noise_sigma"] == 0
+        assert (spec["positive_rate"], spec["background"]) == (0.4, 0.1)
 
 
 class TestErrors:
@@ -144,10 +161,53 @@ class TestMalformedInput:
                                        "--out", tmp_path / "s1.lgn", "--config", path], capsys)
         assert str(path) in err
 
+    def test_non_finite_checkpoint_tensor(self, workspace, tmp_path, capsys):
+        from lgnet import checkpoint
+
+        meta, tensors = checkpoint.load_container(workspace / "stage1.lgn")
+        tensors["stage0/kernel"] = tensors["stage0/kernel"].copy()
+        tensors["stage0/kernel"].flat[0] = np.nan
+        bad = tmp_path / "bad.lgn"
+        checkpoint.save_container(bad, meta, tensors)
+        err = self._assert_data_error(["eval", "--model", bad, "--data", workspace / "data"], capsys)
+        assert str(bad) in err and "'stage0/kernel'" in err
+
+    @pytest.mark.parametrize("meta, body", [
+        (b'{"kind": "global"}', struct.pack("<I", 1) + b"w" + struct.pack("<I2Q", 2, 2**32, 2**32)),
+        (b"\xff\xfe{}", b""),
+        (b"{not json", b""),
+    ], ids=["extents-overflow-int64", "metadata-not-utf8", "metadata-not-json"])
+    def test_corrupt_container(self, workspace, tmp_path, capsys, meta, body):
+        bad = tmp_path / "bad.lgn"
+        bad.write_bytes(b"LGN1" + struct.pack("<I", len(meta)) + meta + body)
+        err = self._assert_data_error(["eval", "--model", bad, "--data", workspace / "data"], capsys)
+        assert str(bad) in err
+
+    @pytest.mark.parametrize("raw", [
+        b"P6\n0 4\n255\n",
+        b"P6\n-2 -2\n255\n" + bytes(12),
+        b"P6\n# no newline",
+    ], ids=["zero-width", "negative-size", "unterminated-comment"])
+    def test_corrupt_ppm(self, tmp_path, capsys, raw):
+        images = tmp_path / "images"
+        images.mkdir()
+        bad = images / "bad.ppm"
+        bad.write_bytes(raw)
+        err = self._assert_data_error(["propose", "--images", images, "--out", tmp_path / "p"], capsys)
+        assert str(bad) in err
+
     def test_gen_data_config_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1]")
         self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path], capsys)
+
+    @pytest.mark.parametrize("config", [{"n_train": "5"}, {"num_attributes": 2.5}])
+    def test_gen_data_config_wrong_type(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        err = self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path],
+                                      capsys)
+        assert str(path) in err and repr(next(iter(config))) in err
 
     def test_short_ground_truth_line(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"

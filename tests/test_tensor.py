@@ -7,8 +7,6 @@ import pytest
 from lgnet.boxes import Box
 from lgnet.tensor import (
     Tensor,
-    _bin_edges,
-    _quantize_roi,
     affine,
     check_gradients,
     conv2d,
@@ -61,6 +59,36 @@ def _reference_conv2d(x, kernels, bias, stride=1, dilation=1, padding=0):
             x._accumulate(dx[0] if squeezed else dx)
 
     return Tensor._make(data, (x, kernels, bias), backward, "reference_conv2d")
+
+
+def _bin_edges(start: int, count: int, bins: int) -> list[tuple[int, int]]:
+    # Near-equal integer partition of [start, start+count) into `bins`
+    # pieces; every piece is forced to span at least one cell, so pieces
+    # overlap when count < bins.
+    edges = []
+    for b in range(bins):
+        lo = start + (b * count) // bins
+        hi = start + ((b + 1) * count) // bins
+        if hi <= lo:
+            hi = lo + 1
+        edges.append((lo, hi))
+    return edges
+
+
+def _quantize_roi(box, fh: int, fw: int, image_w: int, image_h: int) -> tuple[int, int, int, int]:
+    """Scale a pixel-space box onto the cell grid, round, and repair boxes
+    that collapse under quantization to a single cell."""
+    sx = fw / float(image_w)
+    sy = fh / float(image_h)
+    ix0 = min(max(int(round(box.x_min * sx)), 0), fw - 1)
+    iy0 = min(max(int(round(box.y_min * sy)), 0), fh - 1)
+    ix1 = min(max(int(round(box.x_max * sx)), 0), fw)
+    iy1 = min(max(int(round(box.y_max * sy)), 0), fh)
+    if ix1 <= ix0:
+        ix1 = ix0 + 1
+    if iy1 <= iy0:
+        iy1 = iy0 + 1
+    return ix0, iy0, ix1, iy1
 
 
 def _pool_rect(data, rect, out_h, out_w, chans):
@@ -321,6 +349,42 @@ class TestRoiMaxPool:
             # integer-valued seeds make the scatter order irrelevant
             assert np.array_equal(batch_grad, x.grad)
             x.zero_grad()
+
+    @pytest.mark.parametrize("requires_grad", [True, False], ids=["grad", "no-grad"])
+    def test_batch_matches_singles_at_borders_and_overlapping_bins(self, rng, requires_grad):
+        # boxes straddling or beyond the border, boxes narrower than the bin
+        # grid (overlapping bins), non-square grids, and integer corners that
+        # land on half cells, where rounding goes to even
+        for _ in range(20):
+            fh, fw = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+            image_w, image_h = 4 * fw, 4 * fh
+            c = int(rng.integers(1, 4))
+            data = rng.integers(0, 3, size=(c, fh, fw)).astype(float)
+            x = Tensor(data, requires_grad=requires_grad)
+            boxes = []
+            for _ in range(23):
+                x0, y0 = rng.uniform(-30, 70, 2)
+                w, h = rng.choice([0.3, 2.0, 9.0, 40.0, 120.0], 2) * rng.uniform(0.5, 1.0, 2)
+                if rng.random() < 0.5:
+                    x0, y0, w, h = np.floor([x0, y0, w + 1, h + 1])
+                boxes.append(Box(x0, y0, x0 + w, y0 + h))
+            oh, ow = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            if oh == ow:
+                ow += 1
+            batch = roi_max_pool_batch(x, boxes, oh, ow, image_w, image_h)
+            assert batch.data.shape == (len(boxes), c, oh, ow)
+            seed = rng.integers(-3, 4, size=batch.data.shape).astype(float)
+            if requires_grad:
+                batch.backward(seed)
+                batch_grad = x.grad.copy()
+                x.zero_grad()
+            for i, box in enumerate(boxes):
+                single = roi_max_pool(x, box, oh, ow, image_w, image_h)
+                assert np.array_equal(batch.data[i], single.data), (box, oh, ow)
+                if requires_grad:
+                    single.backward(seed[i])
+            if requires_grad:
+                assert np.array_equal(batch_grad, x.grad)
 
 
 class TestBackwardMachinery:
