@@ -171,7 +171,10 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
+    try:
+        cfg = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DataError(f"{args.config}: config must be a JSON object")
     defaults = {
@@ -181,7 +184,9 @@ def _cmd_gen_data(args) -> int:
            for key in ("positive_rate", "noise_sigma", "background", "clutter_range")},
     }
     for key, value in cfg.items():
-        if key in defaults and not _fits(value, defaults[key]):
+        if key not in defaults:
+            raise DataError(f"{args.config}: unknown config field {key!r}")
+        if not _fits(value, defaults[key]):
             raise DataError(f"{args.config}: config field {key!r} cannot be {value!r}")
     cfg = {**defaults, **cfg}
     spec = dataclasses.replace(

@@ -4,6 +4,9 @@ A Sobel edge map scores deterministic sliding-window candidates: a box is
 good when edge mass concentrates in a thin band just inside its border
 and its interior stays clean. Greedy NMS and top-k selection (padded with
 full-image boxes so the proposal count is constant) finish the pipeline.
+The candidate grid and each box's suppression list depend only on the
+image size, so they are computed once per size and reused; per image,
+only the window scores and the greedy walk are new work.
 Externally computed proposals can be dropped in through the same file
 format.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +96,15 @@ def generate_candidates(
     config: CandidateConfig = CandidateConfig(),
 ) -> list[Box]:
     """Deterministic sliding-window pyramid over scales and aspect ratios."""
+    return [Box(*row) for row in _candidate_grid(image_w, image_h, config).tolist()]
+
+
+@lru_cache(maxsize=8)
+def _candidate_grid(image_w: int, image_h: int, config: CandidateConfig) -> np.ndarray:
+    """The candidates of one image size as a read-only [n, 4] array of
+    (x_min, y_min, x_max, y_max); the grid depends on nothing else."""
     seen: set[tuple[int, int, int, int]] = set()
-    out: list[Box] = []
+    out: list[tuple[int, int, int, int]] = []
     scale = float(config.min_scale)
     limit = min(image_w, image_h)
     while scale <= limit:
@@ -109,9 +120,16 @@ def generate_candidates(
                     key = (x0, y0, x0 + w, y0 + h)
                     if key not in seen:
                         seen.add(key)
-                        out.append(Box(*map(float, key)))
+                        out.append(key)
         scale *= config.scale_ratio
-    return out
+    grid = np.array(out, dtype=np.float64).reshape(-1, 4)
+    grid.flags.writeable = False  # shared by every caller of the cache
+    return grid
+
+
+def _coords(boxes: list[Box]) -> np.ndarray:
+    corners = [[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes]
+    return np.array(corners, dtype=np.float64).reshape(-1, 4)
 
 
 def _integral(edges: np.ndarray) -> np.ndarray:
@@ -120,8 +138,30 @@ def _integral(edges: np.ndarray) -> np.ndarray:
     return ii
 
 
-def _rect_mass(ii: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> float:
-    return float(ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0])
+def _window_scores(edges: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Scores of the [n, 4] windows ``coords``, corners rounded to pixels."""
+    eh, ew = edges.shape
+    x0, y0, x1, y1 = np.rint(coords).T
+    outside = ~((0 <= x0) & (x0 < x1) & (x1 <= ew) & (0 <= y0) & (y0 < y1) & (y1 <= eh))
+    if outside.any():
+        box = Box(*coords[np.argmax(outside)].tolist())
+        raise ValueError(f"candidate outside edge map bounds: {box}")
+    x0, y0, x1, y1 = (v.astype(np.intp) for v in (x0, y0, x1, y1))
+    w, h = x1 - x0, y1 - y0
+    scores = np.zeros(len(coords))
+    big = (w >= MIN_SIDE) & (h >= MIN_SIDE)  # smaller boxes score 0
+    x0, y0, x1, y1, w, h = (v[big] for v in (x0, y0, x1, y1, w, h))
+    ii = _integral(edges)
+    b = BAND_WIDTH
+    # the four-corner sums keep the scalar ((a - b) - c) + d order, so the
+    # scores are the bits a per-box loop produces
+    total = ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0]
+    interior = ii[y1 - b, x1 - b] - ii[y0 + b, x1 - b] - ii[y1 - b, x0 + b] + ii[y0 + b, x0 + b]
+    band = total - interior
+    perimeter = 2.0 * (w + h)
+    interior_area = (w - 2 * b) * (h - 2 * b)
+    scores[big] = band / perimeter - INTERIOR_PENALTY * interior / interior_area
+    return scores
 
 
 def score_windows(edges: np.ndarray, candidates: list[Box]) -> list[Box]:
@@ -132,58 +172,62 @@ def score_windows(edges: np.ndarray, candidates: list[Box]) -> list[Box]:
     the interior is everything the band encloses. Boxes under 5x5 pixels
     score 0.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    ii = _integral(edges)
-    eh, ew = edges.shape
-    scored = []
-    for box in candidates:
-        x0, y0 = int(round(box.x_min)), int(round(box.y_min))
-        x1, y1 = int(round(box.x_max)), int(round(box.y_max))
-        if not (0 <= x0 < x1 <= ew and 0 <= y0 < y1 <= eh):
-            raise ValueError(f"candidate outside edge map bounds: {box}")
-        w, h = x1 - x0, y1 - y0
-        if w < MIN_SIDE or h < MIN_SIDE:
-            scored.append(box.with_score(0.0))
+    scores = _window_scores(np.asarray(edges, dtype=np.float64), _coords(candidates))
+    return [box.with_score(s) for box, s in zip(candidates, scores.tolist())]
+
+
+def _suppression_rows(coords: np.ndarray, iou_threshold: float) -> tuple[np.ndarray, ...]:
+    """For each box, the indices of the other boxes whose IoU with it
+    exceeds the threshold. Built one row at a time, never as an n x n matrix."""
+    if not (0.0 < iou_threshold < 1.0):
+        raise ValueError(f"iou threshold {iou_threshold} outside (0, 1)")
+    areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
+    rows = []
+    for i in range(len(coords)):
+        iw = np.minimum(coords[i, 2], coords[:, 2]) - np.maximum(coords[i, 0], coords[:, 0])
+        ih = np.minimum(coords[i, 3], coords[:, 3]) - np.maximum(coords[i, 1], coords[:, 1])
+        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+        hit = inter / (areas[i] + areas - inter) > iou_threshold
+        hit[i] = False
+        row = np.flatnonzero(hit)
+        row.flags.writeable = False  # cached rows are shared by every caller
+        rows.append(row)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=8)
+def _grid_suppression_rows(
+    image_w: int, image_h: int, config: CandidateConfig, iou_threshold: float
+) -> tuple[np.ndarray, ...]:
+    return _suppression_rows(_candidate_grid(image_w, image_h, config), iou_threshold)
+
+
+def _greedy(scores: np.ndarray, rows: tuple[np.ndarray, ...], k: int | None = None) -> list[int]:
+    """Indices greedy NMS keeps, best first, stopping once ``k`` are kept.
+
+    The best remaining box is kept and the boxes in its suppression row
+    are dropped; ties in score go to the lower index.
+    """
+    order = np.lexsort((np.arange(len(scores)), -scores))  # score desc, then index asc
+    alive = np.ones(len(scores), dtype=bool)
+    kept: list[int] = []
+    for i in order.tolist():
+        if not alive[i]:
             continue
-        total = _rect_mass(ii, x0, y0, x1, y1)
-        b = BAND_WIDTH
-        interior = _rect_mass(ii, x0 + b, y0 + b, x1 - b, y1 - b)
-        band = total - interior
-        perimeter = 2.0 * (w + h)
-        interior_area = (w - 2 * b) * (h - 2 * b)
-        score = band / perimeter - INTERIOR_PENALTY * interior / interior_area
-        scored.append(box.with_score(score))
-    return scored
+        kept.append(i)
+        if len(kept) == k:
+            break
+        if rows[i].size:
+            alive[rows[i]] = False
+    return kept
 
 
 def nms(boxes: list[Box], iou_threshold: float = 0.7) -> list[Box]:
     """Greedy suppression: keep the best remaining box, drop boxes whose
     IoU with it exceeds the threshold. Ties go to the lower index."""
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError(f"iou threshold {iou_threshold} outside (0, 1)")
-    n = len(boxes)
-    if n == 0:
-        return []
-    coords = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes])
+    rows = _suppression_rows(_coords(boxes), iou_threshold)
     scores = np.array([_score(b) for b in boxes])
-    areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
-    order = np.lexsort((np.arange(n), -scores))  # score desc, then index asc
-    alive = np.ones(n, dtype=bool)
-    kept: list[Box] = []
-    for i in order:
-        if not alive[i]:
-            continue
-        kept.append(boxes[i])
-        alive[i] = False
-        rest = np.flatnonzero(alive)
-        if rest.size == 0:
-            break
-        iw = np.minimum(coords[i, 2], coords[rest, 2]) - np.maximum(coords[i, 0], coords[rest, 0])
-        ih = np.minimum(coords[i, 3], coords[rest, 3]) - np.maximum(coords[i, 1], coords[rest, 1])
-        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-        overlap = inter / (areas[i] + areas[rest] - inter)
-        alive[rest[overlap > iou_threshold]] = False
-    return kept
+    return [boxes[i] for i in _greedy(scores, rows)]
 
 
 def _score(box: Box) -> float:
@@ -215,11 +259,19 @@ def propose_for_image(
     iou_threshold: float = 0.7,
     config: CandidateConfig = CandidateConfig(),
 ) -> ProposalSet:
-    """Full pipeline: edges, candidates, scoring, NMS, top-k."""
+    """Full pipeline: edges, candidates, scoring, NMS, top-k.
+
+    The candidate grid and its suppression rows are cached per image
+    size, and NMS stops at the k-th kept box: its output is already in
+    top-k order, so the boxes after it could never be picked.
+    """
     h, w = image.shape[1:]
     edges = edge_map(image)
-    scored = score_windows(edges, generate_candidates(w, h, config))
-    return top_k(nms(scored, iou_threshold), w, h, k)
+    grid = _candidate_grid(w, h, config)
+    scores = _window_scores(edges, grid)
+    kept = _greedy(scores, _grid_suppression_rows(w, h, config, iou_threshold), k)
+    boxes = [Box(*c, s) for c, s in zip(grid[kept].tolist(), scores[kept].tolist())]
+    return top_k(boxes, w, h, k)
 
 
 def save_proposals(path: str | Path, proposals: ProposalSet) -> None:

@@ -209,6 +209,22 @@ class TestMalformedInput:
                                       capsys)
         assert str(path) in err and repr(next(iter(config))) in err
 
+    def test_gen_data_config_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_trian": 1, "n_train": 1, "n_val": 1, "n_test": 1}))
+        err = self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path],
+                                      capsys)
+        assert str(path) in err and "'n_trian'" in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("raw", [b"{n_train: 1}", b'{"n_train": 1\xff}'], ids=["not-json", "not-utf8"])
+    def test_gen_data_config_not_json(self, tmp_path, capsys, raw):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        err = self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path],
+                                      capsys)
+        assert str(path) in err
+
     def test_short_ground_truth_line(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)

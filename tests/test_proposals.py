@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from lgnet import proposals
 from lgnet.boxes import Box
 from lgnet.guidance import iou
 from lgnet.proposals import (
+    INTERIOR_PENALTY,
+    MIN_SIDE,
     CandidateConfig,
     ProposalSet,
     edge_map,
@@ -45,6 +48,65 @@ class TestEdgeMap:
             edge_map(np.zeros((3, 2, 5)))
 
 
+def _reference_score_windows(edges, candidates):
+    """Per-box scoring loop: two four-corner integral-image sums per box."""
+    edges = np.asarray(edges, dtype=np.float64)
+    ii = np.zeros((edges.shape[0] + 1, edges.shape[1] + 1))
+    ii[1:, 1:] = edges.cumsum(axis=0).cumsum(axis=1)
+
+    def rect_mass(x0, y0, x1, y1):
+        return float(ii[y1, x1] - ii[y0, x1] - ii[y1, x0] + ii[y0, x0])
+
+    eh, ew = edges.shape
+    scored = []
+    for box in candidates:
+        x0, y0 = int(round(box.x_min)), int(round(box.y_min))
+        x1, y1 = int(round(box.x_max)), int(round(box.y_max))
+        if not (0 <= x0 < x1 <= ew and 0 <= y0 < y1 <= eh):
+            raise ValueError(f"candidate outside edge map bounds: {box}")
+        w, h = x1 - x0, y1 - y0
+        if w < MIN_SIDE or h < MIN_SIDE:
+            scored.append(box.with_score(0.0))
+            continue
+        total = rect_mass(x0, y0, x1, y1)
+        b = proposals.BAND_WIDTH
+        interior = rect_mass(x0 + b, y0 + b, x1 - b, y1 - b)
+        band = total - interior
+        perimeter = 2.0 * (w + h)
+        interior_area = (w - 2 * b) * (h - 2 * b)
+        scored.append(box.with_score(band / perimeter - INTERIOR_PENALTY * interior / interior_area))
+    return scored
+
+
+def _reference_candidates(image_w, image_h, config):
+    """The sliding-window pyramid enumerated box by box, with no cache."""
+    seen, out = set(), []
+    scale = float(config.min_scale)
+    while scale <= min(image_w, image_h):
+        for ratio in config.aspect_ratios:
+            w = int(round(scale * np.sqrt(ratio)))
+            h = int(round(scale / np.sqrt(ratio)))
+            if w < 1 or h < 1 or w > image_w or h > image_h:
+                continue
+            sx = max(1, int(round(config.stride_fraction * w)))
+            sy = max(1, int(round(config.stride_fraction * h)))
+            for y0 in range(0, image_h - h + 1, sy):
+                for x0 in range(0, image_w - w + 1, sx):
+                    key = (x0, y0, x0 + w, y0 + h)
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(Box(*map(float, key)))
+        scale *= config.scale_ratio
+    return out
+
+
+def _reference_propose(image, k, iou_threshold, config):
+    """The Box-list pipeline: every candidate scored, full NMS, then top-k."""
+    h, w = image.shape[1:]
+    scored = _reference_score_windows(edge_map(image), _reference_candidates(w, h, config))
+    return top_k(nms(scored, iou_threshold), w, h, k)
+
+
 class TestScoreWindows:
     def test_zero_edge_map_scores_zero(self):
         scored = score_windows(np.zeros((20, 20)), [Box(2, 2, 16, 16)])
@@ -76,6 +138,21 @@ class TestScoreWindows:
         scored = score_windows(edges, [Box(0, 0, 4, 12), Box(0, 0, 12, 4)])
         assert scored[0].score == 0.0 and scored[1].score == 0.0
 
+    def test_matches_reference_loop_bit_for_bit(self, rng):
+        # corners off the pixel grid, including halves, exercise the rounding
+        edges = rng.uniform(size=(30, 41))
+        boxes = []
+        for _ in range(300):
+            x0, y0 = rng.integers(0, 68), rng.integers(0, 46)
+            w, h = rng.integers(4, 24, size=2)
+            boxes.append(Box(x0 / 2, y0 / 2, min(x0 + w, 81) / 2, min(y0 + h, 59) / 2,
+                             score=None if rng.uniform() < 0.5 else 1.0))
+        assert score_windows(edges, boxes) == _reference_score_windows(edges, boxes)
+
+    def test_box_outside_edge_map_rejected(self):
+        with pytest.raises(ValueError, match="outside edge map bounds"):
+            score_windows(np.zeros((10, 10)), [Box(0, 0, 5, 5), Box(4, 4, 11, 9)])
+
 
 class TestGenerateCandidates:
     def test_all_within_bounds_32(self):
@@ -96,6 +173,13 @@ class TestGenerateCandidates:
         a = generate_candidates(48, 40)
         b = generate_candidates(48, 40)
         assert a == b
+
+    def test_matches_reference_loop_across_sizes_and_configs(self):
+        # sizes and configs interleaved, so a grid cached under the wrong key shows
+        for w, h, config in [(64, 64, CandidateConfig()), (80, 48, CandidateConfig()),
+                             (64, 64, CandidateConfig(stride_fraction=0.5)), (48, 80, CandidateConfig()),
+                             (5, 7, CandidateConfig(min_scale=3)), (64, 64, CandidateConfig())]:
+            assert generate_candidates(w, h, config) == _reference_candidates(w, h, config)
 
 
 def _reference_nms(boxes, threshold):
@@ -210,7 +294,66 @@ class TestSerialization:
             load_proposals(path)
 
 
+def _reference_images():
+    """Images of interleaved sizes, each with the candidate config it runs under."""
+    from lgnet.synthdata import _sample_rng, default_spec, render_sample
+
+    rng = np.random.default_rng(77)
+    default, small = CandidateConfig(), CandidateConfig(min_scale=3)
+    synthetic = [render_sample(default_spec(), _sample_rng(5, "train", i), "x").image for i in range(3)]
+    return [
+        (synthetic[0], default),
+        (rng.uniform(size=(3, 48, 80)), default),
+        (np.full((3, 64, 64), 0.3), default),  # every score ties at 0
+        (rng.uniform(size=(3, 7, 5)), small),
+        (synthetic[1], default),
+        (rng.uniform(size=(3, 80, 48)), default),
+        (rng.uniform(size=(3, 7, 5)), default),  # no candidate fits: padding only
+        (synthetic[2], default),
+        (rng.uniform(size=(3, 48, 80)), default),
+    ]
+
+
 class TestPipeline:
+    @pytest.mark.parametrize("k, iou_threshold", [(100, 0.7), (100, 0.3), (20, 0.5), (700, 0.5), (1, 0.9)])
+    def test_matches_reference_pipeline(self, k, iou_threshold):
+        # 0.3 and 0.5 suppress boxes on these grids, 0.7 does not; k = 700
+        # exceeds every candidate count, so the walk runs to the end
+        for image, config in _reference_images():
+            expected = _reference_propose(image, k, iou_threshold, config)
+            assert propose_for_image(image, k, iou_threshold, config) == expected
+
+    def test_suppression_lists_built_once_per_size(self, monkeypatch, rng):
+        builds = []
+        build = proposals._suppression_rows
+
+        def counting(coords, iou_threshold):
+            builds.append(len(coords))
+            return build(coords, iou_threshold)
+
+        proposals._grid_suppression_rows.cache_clear()
+        monkeypatch.setattr(proposals, "_suppression_rows", counting)
+        for _ in range(6):
+            propose_for_image(rng.uniform(size=(3, 40, 56)), k=10)
+        assert len(builds) == 1
+        for _ in range(2):
+            propose_for_image(rng.uniform(size=(3, 56, 40)), k=10)
+        propose_for_image(rng.uniform(size=(3, 40, 56)), k=10)
+        assert len(builds) == 2
+
+    def test_default_grid_never_suppresses_at_0_7(self):
+        config = CandidateConfig()
+        grid = proposals._candidate_grid(64, 64, config)
+        assert grid.shape == (611, 4)
+        x0, y0, x1, y1 = (grid[:, j] for j in range(4))
+        iw = np.clip(np.minimum.outer(x1, x1) - np.maximum.outer(x0, x0), 0, None)
+        ih = np.clip(np.minimum.outer(y1, y1) - np.maximum.outer(y0, y0), 0, None)
+        area = (x1 - x0) * (y1 - y0)
+        pair_iou = iw * ih / (area[:, None] + area[None, :] - iw * ih)
+        np.fill_diagonal(pair_iou, 0.0)
+        assert round(float(pair_iou.max()), 3) == 0.619
+        assert all(row.size == 0 for row in proposals._grid_suppression_rows(64, 64, config, 0.7))
+
     def test_propose_on_synthetic_image(self):
         from lgnet.synthdata import _sample_rng, default_spec, render_sample
 
