@@ -175,7 +175,6 @@ def init_backbone_params(
     config: BackboneConfig,
     rng: np.random.Generator,
     trainable: bool = True,
-    with_head: bool = True,
 ) -> BackboneParams:
     """He-style kernel init (with a fixed gain), zero biases, small head."""
     kernels, biases = [], []
@@ -190,14 +189,12 @@ def init_backbone_params(
         )
         kernels.append(Tensor(rng.normal(0.0, scale, shape), requires_grad=trainable))
         biases.append(Tensor(np.zeros(config.stage_channels[i]), requires_grad=trainable))
-    head_w = head_b = None
-    if with_head:
-        scale = np.sqrt(1.0 / config.final_channels)
-        head_w = Tensor(
-            rng.normal(0.0, scale, (config.num_attributes, config.final_channels)),
-            requires_grad=trainable,
-        )
-        head_b = Tensor(np.zeros(config.num_attributes), requires_grad=trainable)
+    scale = np.sqrt(1.0 / config.final_channels)
+    head_w = Tensor(
+        rng.normal(0.0, scale, (config.num_attributes, config.final_channels)),
+        requires_grad=trainable,
+    )
+    head_b = Tensor(np.zeros(config.num_attributes), requires_grad=trainable)
     params = BackboneParams(kernels, biases, head_w, head_b)
     params.validate(config)
     return params
@@ -308,43 +305,36 @@ def save_stage1_checkpoint(
     checkpoint.save_container(path, meta, params.named_arrays())
 
 
-def load_stage1_checkpoint(path, trainable: bool = False) -> tuple[BackboneConfig, BackboneParams, dict]:
+def load_stage1_checkpoint(path) -> tuple[BackboneConfig, BackboneParams, dict]:
     meta, tensors = checkpoint.load_container(path)
-    config, params = _stage1_from_container(path, meta, tensors, trainable)
+    config, params = _stage1_from_container(path, meta, tensors)
     return config, params, meta
 
 
 def _stage1_from_container(
-    path, meta: dict, tensors: dict[str, np.ndarray], trainable: bool = False
+    path, meta: dict, tensors: dict[str, np.ndarray]
 ) -> tuple[BackboneConfig, BackboneParams]:
     with checkpoint.metadata_errors(path):
         if meta["kind"] != "global":
             raise checkpoint.CheckpointError(f"{path}: not a stage-1 checkpoint ({meta['kind']!r})")
         config = _config_from_dict(meta["backbone"])
-    params = _params_from_tensors(config, tensors, trainable, with_head=True)
+    params = _params_from_tensors(config, tensors, with_head=True)
     return config, params
 
 
 def _params_from_tensors(
     config: BackboneConfig,
     tensors: dict[str, np.ndarray],
-    trainable: bool,
     with_head: bool,
     prefix: str = "",
 ) -> BackboneParams:
     try:
-        kernels = [
-            Tensor(tensors[f"{prefix}stage{i}/kernel"], requires_grad=trainable)
-            for i in range(config.num_stages)
-        ]
-        biases = [
-            Tensor(tensors[f"{prefix}stage{i}/bias"], requires_grad=trainable)
-            for i in range(config.num_stages)
-        ]
+        kernels = [Tensor(tensors[f"{prefix}stage{i}/kernel"]) for i in range(config.num_stages)]
+        biases = [Tensor(tensors[f"{prefix}stage{i}/bias"]) for i in range(config.num_stages)]
         head_w = head_b = None
         if with_head:
-            head_w = Tensor(tensors[f"{prefix}head/weight"], requires_grad=trainable)
-            head_b = Tensor(tensors[f"{prefix}head/bias"], requires_grad=trainable)
+            head_w = Tensor(tensors[f"{prefix}head/weight"])
+            head_b = Tensor(tensors[f"{prefix}head/bias"])
     except KeyError as exc:
         raise checkpoint.CheckpointError(f"missing tensor {exc.args[0]!r} in checkpoint") from exc
     params = BackboneParams(kernels, biases, head_w, head_b)

@@ -404,7 +404,14 @@ def _cmd_plot(args) -> int:
     if len(lines) < 2:
         raise DataError(f"{args.log}: log has no data rows")
     header = lines[0].split(",")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError as exc:
+            raise DataError(f"{args.log}:{lineno}: {exc}") from exc
+        if len(rows[-1]) != len(header) or not np.isfinite(rows[-1]).all():
+            raise DataError(f"{args.log}:{lineno}: want {len(header)} finite numbers")
     data = np.array(rows)
     svg = _render_svg(header[0], data[:, 0], header[1:], data[:, 1:].T)
     args.out.write_text(svg, encoding="utf-8")

@@ -318,6 +318,9 @@ def load_split(split_dir: str | Path) -> list[Sample]:
         if not header or header[0] != "image_id":
             raise DataError(f"{labels_path}: malformed header")
         rows = list(reader)
+        for lineno, row in enumerate(rows, 2):
+            if len(row) != len(header) or not set(row[1:]) <= {"0", "1"}:
+                raise DataError(f"{labels_path}:{lineno}: want an id and {len(header) - 1} labels of 0 or 1")
 
     image_files = {p.stem for p in (split_dir / "images").glob("*.ppm")}
     listed = {row[0] for row in rows}

@@ -1,7 +1,7 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
 A tiny eager autodiff engine: every operation computes its result
-immediately and, when any input participates in gradient tracking,
+immediately and, when an input tracks gradients outside :func:`no_grad`,
 records a closure that routes the output gradient back to its inputs.
 Gradients are accumulated by calling :meth:`Tensor.backward` on a
 result, optionally seeding it with an externally computed gradient.
@@ -13,12 +13,14 @@ value to propagate.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "relu",
     "sigmoid",
     "affine",
@@ -29,6 +31,20 @@ __all__ = [
     "check_gradients",
     "conv_output_extent",
 ]
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block; nests, and restores the mode on any exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
@@ -66,7 +82,7 @@ class Tensor:
         op: str,
     ) -> "Tensor":
         """Internal constructor for op results; drops the graph when no
-        parent tracks gradients.
+        parent tracks gradients or grad mode is off.
 
         ``backward`` receives the result's gradient as its argument and
         must not refer to the result itself: a graph then holds no
@@ -75,7 +91,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward

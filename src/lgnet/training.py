@@ -36,7 +36,7 @@ from .guidance import GuidanceHead, affinity_map, guided_fusion, normalize_affin
 from .loss_metrics import MetricsReport, positive_ratio, weighted_sigmoid_ce_node
 from .proposals import ProposalSet, load_proposals, top_k
 from .synthdata import DataError, Sample
-from .tensor import Tensor, roi_max_pool_batch
+from .tensor import Tensor, no_grad, roi_max_pool_batch
 
 __all__ = [
     "TrainConfig",
@@ -303,7 +303,7 @@ def train_stage1(
             best_ma, best_epoch = val_ma, epoch
             best_arrays = {n: t.data.copy() for n, t in named.items()}
 
-    best_params = _params_from_tensors(bb, best_arrays, trainable=False, with_head=True)
+    best_params = _params_from_tensors(bb, best_arrays, with_head=True)
     return Stage1Result(GlobalModel(bb, best_params), pos, log_rows, best_ma, best_epoch, step_losses)
 
 
@@ -347,7 +347,8 @@ class Guidance:
 def _guidance(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> Guidance:
     """Run the frozen half of the stage-2 model on one image, gradient-free."""
     image_h, image_w = sample.image.shape[1:]
-    featmap, logits_g = forward_global(model.global_params, model.backbone, Tensor(sample.image))
+    with no_grad():
+        featmap, logits_g = forward_global(model.global_params, model.backbone, Tensor(sample.image))
     if model.affinity_mode == "uniform":
         c, d = model.backbone.num_attributes, len(boxes)
         return Guidance(boxes, logits_g.data, np.full((c, d), 1.0 / d))
@@ -376,17 +377,6 @@ def _lg_forward(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> tuple[T
     """One sample through the full pipeline; returns (fused logits, guidance)."""
     guide = _guidance(model, sample, boxes)
     return _fused_logits(model, sample, guide), guide
-
-
-def _eval_copy(model: LGModel) -> LGModel:
-    """Gradient-free clone sharing nothing mutable; evaluation builds no graph."""
-    return replace(
-        model,
-        local_params=model.local_params.copy(requires_grad=False, with_head=False),
-        head=GuidanceHead(
-            Tensor(model.head.weight.data.copy()), Tensor(model.head.bias.data.copy())
-        ),
-    )
 
 
 def _prepare_proposals(
@@ -492,16 +482,16 @@ def evaluate(
 ) -> MetricsReport:
     """Score a split and compute the five metrics at the given threshold."""
     labels = _label_matrix(samples)
-    if isinstance(model, GlobalModel):
-        scores = _global_scores(model, samples)
-    else:
-        if not proposals:
-            raise DataError("stage-2 evaluation requires proposals")
-        first = next(iter(proposals.values()))
-        if isinstance(first, ProposalSet):
-            proposals = _guidance_for(model, samples, proposals)
-        eval_model = _eval_copy(model)
-        scores = np.stack([_fused_logits(eval_model, s, proposals[s.image_id]).data for s in samples])
+    with no_grad():
+        if isinstance(model, GlobalModel):
+            scores = _global_scores(model, samples)
+        else:
+            if not proposals:
+                raise DataError("stage-2 evaluation requires proposals")
+            first = next(iter(proposals.values()))
+            if isinstance(first, ProposalSet):
+                proposals = _guidance_for(model, samples, proposals)
+            scores = np.stack([_fused_logits(model, s, proposals[s.image_id]).data for s in samples])
     return MetricsReport.from_scores(scores, labels, threshold)
 
 
@@ -546,14 +536,12 @@ def save_stage2_checkpoint(path: str | Path, model: LGModel, extra: dict | None 
     checkpoint.save_container(path, meta, tensors)
 
 
-def load_stage2_checkpoint(path: str | Path, trainable: bool = False) -> tuple[LGModel, dict]:
+def load_stage2_checkpoint(path: str | Path) -> tuple[LGModel, dict]:
     meta, tensors = checkpoint.load_container(path)
-    return _stage2_from_container(path, meta, tensors, trainable), meta
+    return _stage2_from_container(path, meta, tensors), meta
 
 
-def _stage2_from_container(
-    path: str | Path, meta: dict, tensors: dict[str, np.ndarray], trainable: bool = False
-) -> LGModel:
+def _stage2_from_container(path: str | Path, meta: dict, tensors: dict[str, np.ndarray]) -> LGModel:
     with checkpoint.metadata_errors(path):
         if meta["kind"] != "lg":
             raise checkpoint.CheckpointError(f"{path}: not a stage-2 checkpoint ({meta['kind']!r})")
@@ -563,8 +551,8 @@ def _stage2_from_container(
             "affinity_mode": meta["affinity_mode"], "cam_threshold": meta["cam_threshold"],
             "roi_out": meta["roi_out"], "top_k_proposals": meta["top_k"],
         })
-    global_params = _params_from_tensors(bb, tensors, trainable=False, with_head=True, prefix="global/")
-    local_params = _params_from_tensors(bb, tensors, trainable=trainable, with_head=False, prefix="local/")
+    global_params = _params_from_tensors(bb, tensors, with_head=True, prefix="global/")
+    local_params = _params_from_tensors(bb, tensors, with_head=False, prefix="local/")
     missing = [name for name in ("cam/weight", "head/weight", "head/bias") if name not in tensors]
     if missing:
         raise checkpoint.CheckpointError(f"{path}: missing tensor {missing[0]!r}")
@@ -573,10 +561,7 @@ def _stage2_from_container(
         raise checkpoint.CheckpointError(f"{path}: cam weight shape {cam_w.shape}")
     if not np.array_equal(cam_w, global_params.head_weight.data):
         raise checkpoint.CheckpointError(f"{path}: cam weights diverge from the frozen classifier")
-    head = GuidanceHead(
-        Tensor(tensors["head/weight"], requires_grad=trainable),
-        Tensor(tensors["head/bias"], requires_grad=trainable),
-    )
+    head = GuidanceHead(Tensor(tensors["head/weight"]), Tensor(tensors["head/bias"]))
     if head.weight.data.shape != (bb.num_attributes, bb.final_channels):
         raise checkpoint.CheckpointError(f"{path}: head weight shape {head.weight.data.shape}")
     if head.bias.data.shape != (bb.num_attributes,):

@@ -234,6 +234,24 @@ class TestMalformedInput:
                                       capsys)
         assert f"{gt_file}:1" in err
 
+    # each edit maps the second data row (line 3) to the lines put in its place
+    @pytest.mark.parametrize("edit", [
+        lambda row: ["", row],
+        lambda row: [row.rsplit(",", 1)[0]],
+        lambda row: [row[:-1] + "2"],
+        lambda row: [row[:-1] + "x"],
+    ], ids=["blank-row", "short-row", "label-2", "label-x"])
+    def test_bad_labels_row(self, workspace, tmp_path, capsys, edit):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        labels = data / "test" / "labels.csv"
+        lines = labels.read_text().splitlines()
+        lines[2:3] = edit(lines[2])
+        labels.write_text("\n".join(lines) + "\n")
+        err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
+                                      capsys)
+        assert f"{labels}:3" in err
+
     def test_missing_split(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
@@ -390,6 +408,16 @@ class TestPlot:
         polylines = tree.getroot().findall(".//svg:polyline", ns)
         header = log.read_text().splitlines()[0].split(",")
         assert len(polylines) == len(header) - 1
+
+    @pytest.mark.parametrize("row", ["1,0.1,oops,0.5", "1,0.1,0.6", "1,0.1,nan,0.5"],
+                             ids=["non-numeric", "short-row", "nan"])
+    def test_malformed_row_names_the_log_line(self, tmp_path, capsys, row):
+        log = tmp_path / "train.log.csv"
+        log.write_text(f"epoch,lr,train_loss,val_mA\n0,0.1,0.7,0.4\n{row}\n")
+        assert main(["plot", "--log", str(log), "--out", str(tmp_path / "x.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{log}:3" in err and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_empty_log_is_data_error(self, tmp_path):
         log = tmp_path / "empty.csv"

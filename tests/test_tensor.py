@@ -13,6 +13,7 @@ from lgnet.tensor import (
     conv_output_extent,
     global_avg_pool,
     matmul,
+    no_grad,
     relu,
     roi_max_pool_batch,
     sigmoid,
@@ -423,6 +424,37 @@ class TestBackwardMachinery:
     def test_non_finite_construction_is_an_error(self):
         with pytest.raises(FloatingPointError):
             Tensor([np.nan])
+
+
+class TestNoGrad:
+    def test_results_inside_record_no_graph(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            y = relu(x * 2.0).sum()
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert y.item() == 6.0
+
+    def test_nests_and_restores_the_outer_mode(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (x + x).requires_grad
+        assert (x + x).requires_grad
+
+    def test_restores_grad_mode_when_the_block_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert (x + x).requires_grad
+
+    def test_backward_works_after_the_block(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        with no_grad():
+            frozen = x * 3.0
+        (x * x + frozen).sum().backward()
+        assert np.array_equal(x.grad, 2.0 * np.arange(3.0))
 
 
 class TestCheckGradients:

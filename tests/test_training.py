@@ -4,16 +4,17 @@ import time
 import numpy as np
 import pytest
 
-from lgnet.backbone import BackboneConfig, init_backbone_params
+from lgnet.backbone import BackboneConfig, init_backbone_params, preset_config
 from lgnet.boxes import Box
 from lgnet.loss_metrics import weighted_sigmoid_ce_node
 from lgnet.proposals import ProposalSet, propose_for_image
 from lgnet.synthdata import DataError, Sample, _sample_rng, default_spec, render_sample
-from lgnet.tensor import check_gradients
+from lgnet.tensor import Tensor, check_gradients
 from lgnet.training import (
     GlobalModel,
     TrainConfig,
     _epoch_permutation,
+    _global_scores,
     _lg_forward,
     _prepare_proposals,
     _sgd_step,
@@ -291,6 +292,34 @@ class TestEvaluate:
         train, val, _ = tiny_data
         result = train_stage1(train, val, TrainConfig(seed=3, **dict(FAST, epochs=1)))
         assert evaluate(result.model, val) == evaluate(result.model, val)
+
+    @pytest.mark.parametrize("kind", ["global", "lg"])
+    def test_builds_no_graph(self, tiny_data, stage1, monkeypatch, kind):
+        """No op result made during evaluation requires a gradient, even
+        though the evaluated parameters do (as in per-epoch validation)."""
+        train, val, proposals = tiny_data
+        if kind == "global":
+            bb = preset_config("base", 8)
+            model = GlobalModel(bb, init_backbone_params(bb, np.random.default_rng(0), trainable=True))
+        else:
+            model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
+        real = Tensor.__dict__["_make"].__func__
+        made = []
+
+        def counted(cls, *args, **kwargs):
+            out = real(cls, *args, **kwargs)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", classmethod(counted))
+        evaluate(model, val, proposals=proposals)
+        assert made and not any(made)
+        # outside evaluate the same forward does build a graph, and is counted
+        if kind == "global":
+            _global_scores(model, val[:1])
+        else:
+            _lg_forward(model, val[0], proposals[val[0].image_id].boxes)
+        assert any(made)
 
     def test_stage2_requires_proposals(self, tiny_data):
         train, val, proposals = tiny_data
