@@ -318,12 +318,16 @@ def load_split(split_dir: str | Path) -> list[Sample]:
         if not header or header[0] != "image_id":
             raise DataError(f"{labels_path}: malformed header")
         rows = list(reader)
+        first_line: dict[str, int] = {}
         for lineno, row in enumerate(rows, 2):
             if len(row) != len(header) or not set(row[1:]) <= {"0", "1"}:
                 raise DataError(f"{labels_path}:{lineno}: want an id and {len(header) - 1} labels of 0 or 1")
+            if row[0] in first_line:
+                raise DataError(f"{labels_path}:{lineno}: {row[0]!r} repeats line {first_line[row[0]]}")
+            first_line[row[0]] = lineno
 
     image_files = {p.stem for p in (split_dir / "images").glob("*.ppm")}
-    listed = {row[0] for row in rows}
+    listed = set(first_line)
     missing = sorted(listed - image_files)
     if missing:
         raise DataError(f"{split_dir}: missing image file for {missing[0]!r}"
@@ -347,10 +351,10 @@ def load_split(split_dir: str | Path) -> list[Sample]:
                 if not line.strip():
                     continue
                 parts = line.split()
-                if len(parts) < 5:
+                if len(parts) != 5:
                     raise DataError(f"{gt_file}:{lineno}: {len(parts)} fields, expected 5")
                 try:
-                    gt_boxes[int(parts[0])] = Box(*map(float, parts[1:5]))
+                    gt_boxes[int(parts[0])] = Box(*map(float, parts[1:]))
                 except ValueError as exc:
                     raise DataError(f"{gt_file}:{lineno}: {exc}") from exc
         samples.append(Sample(image_id, image, labels, gt_boxes))

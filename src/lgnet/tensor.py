@@ -14,6 +14,7 @@ value to propagate.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -365,6 +366,26 @@ def conv_output_extent(extent: int, kernel: int, stride: int, dilation: int, pad
     return out
 
 
+@lru_cache(maxsize=16)
+def _conv_gather_index(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, dilation: int, padding: int
+) -> np.ndarray:
+    """Read-only [C*kh*kw, out_h*out_w] im2col index into an input
+    flattened to C*H*W cells plus one zero cell, at which taps landing in
+    the padding point. It depends on no batch size, so one entry serves
+    every batch of a geometry."""
+    out_h = conv_output_extent(h, kh, stride, dilation, padding)
+    out_w = conv_output_extent(w, kw, stride, dilation, padding)
+    ys = (np.arange(kh) * dilation)[:, None] + stride * np.arange(out_h) - padding  # [kh, out_h]
+    xs = (np.arange(kw) * dilation)[:, None] + stride * np.arange(out_w) - padding  # [kw, out_w]
+    inside = ((ys >= 0) & (ys < h))[:, None, :, None] & ((xs >= 0) & (xs < w))[None, :, None, :]
+    spatial = ys[:, None, :, None] * w + xs[None, :, None, :]  # [kh, kw, out_h, out_w]
+    idx = np.where(inside, np.arange(c)[:, None, None, None, None] * (h * w) + spatial, c * h * w)
+    idx = idx.reshape(c * kh * kw, out_h * out_w)
+    idx.flags.writeable = False  # shared by every caller of the cache
+    return idx
+
+
 def conv2d(
     x: Tensor,
     kernels: Tensor,
@@ -378,6 +399,11 @@ def conv2d(
     ``x`` is [C, H, W] or batched [N, C, H, W]; ``kernels`` is
     [K, C, kh, kw]; ``bias`` is [K]. The output has the matching rank.
     Differentiable with respect to all three tensor arguments.
+
+    The columns are one gather, ``np.take`` of the flattened input with
+    a cached index (:func:`_conv_gather_index`), followed by one batched
+    matmul. The input gradient is one ``np.bincount`` over the same
+    index, so every input cell sums its taps in row-major tap order.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ValueError(f"bad conv spec: stride={stride} dilation={dilation} padding={padding}")
@@ -397,19 +423,14 @@ def conv2d(
     out_h = conv_output_extent(h, kh, stride, dilation, padding)
     out_w = conv_output_extent(w, kw, stride, dilation, padding)
 
-    p = padding
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-    span = (dilation * (kh - 1) + 1, dilation * (kw - 1) + 1)
-    # [N, C, out_h, out_w, kh, kw] view of every kernel placement
-    windows = np.lib.stride_tricks.sliding_window_view(xp, span, axis=(2, 3))[
-        :, :, ::stride, ::stride, ::dilation, ::dilation
-    ]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
+    idx = _conv_gather_index(c, h, w, kh, kw, stride, dilation, padding)
+    cells = c * h * w + 1  # the last cell is the zero that padding taps read
+    flat = np.concatenate([xd.reshape(n, cells - 1), np.zeros((n, 1))], axis=1)
+    cols = np.take(flat, idx, axis=1)  # [N, C*kh*kw, out_h*out_w]
     wmat = wd.reshape(k, -1)
     data = (np.matmul(wmat, cols) + bias.data[None, :, None]).reshape(n, k, out_h, out_w)
     if squeezed:
         data = data[0]
-    padded_shape = xp.shape
 
     def backward(g):
         gmat = (g[None] if squeezed else g).reshape(n, k, -1)
@@ -419,15 +440,11 @@ def conv2d(
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, out_h, out_w)
-            dxp = np.zeros(padded_shape)
-            # one strided slice-add per kernel tap, in row-major tap order
-            for i in range(kh):
-                for j in range(kw):
-                    ys = slice(i * dilation, i * dilation + stride * out_h, stride)
-                    xs = slice(j * dilation, j * dilation + stride * out_w, stride)
-                    dxp[:, :, ys, xs] += dcols[:, :, i, j]
-            dx = dxp[:, :, p : p + h, p : p + w] if p else dxp
+            dcols = np.matmul(wmat.T, gmat)
+            # each cell sums its taps from 0 in row-major tap order
+            scatter = idx + (np.arange(n) * cells)[:, None, None]
+            dx = np.bincount(scatter.ravel(), weights=dcols.ravel(), minlength=n * cells)
+            dx = dx.reshape(n, cells)[:, :-1].reshape(xd.shape)
             x._accumulate(dx[0] if squeezed else dx)
 
     return Tensor._make(data, (x, kernels, bias), backward, "conv2d")
@@ -476,10 +493,10 @@ def roi_max_pool_batch(
     each bin is taken per channel, and gradients flow to its argmax
     cell, ties going to the first cell in row-major order.
 
-    All bins are answered by one gather: every bin's cells are listed in
-    row-major order in a window padded to the largest bin, the padding
-    points at an appended ``-inf`` column, and the first argmax along
-    the window picks the cell. The gradient scatter is one
+    The bins are grouped by their (rows, columns) span, and each group
+    is answered by one gather through a window of exactly that size that
+    lists every bin's cells in row-major order, so the first argmax
+    along the window is the first cell. The gradient scatter is one
     ``np.bincount`` in output order.
     """
     if x.data.ndim != 3:
@@ -495,25 +512,28 @@ def roi_max_pool_batch(
     x0, y0, x1, y1 = corners.T.clip(0, [[fw - 1], [fh - 1], [fw], [fh]]).astype(np.intp)
 
     def bins(start, stop, n):
-        # [d, n] bin starts and spans, then [d, n, span_max] cell coordinates
-        # with a validity mask; spans are at least one cell
+        # [d, n] bin starts and spans; spans are at least one cell
         edges = start[:, None] + (np.arange(n + 1) * np.maximum(stop - start, 1)[:, None]) // n
-        lo = edges[:, :-1]
-        span = np.maximum(edges[:, 1:] - lo, 1)
-        step = np.arange(span.max())
-        return lo[:, :, None] + step, step < span[:, :, None]
+        return edges[:, :-1], np.maximum(edges[:, 1:] - edges[:, :-1], 1)
 
-    rows, row_ok = bins(y0, y1, out_h)
-    cols, col_ok = bins(x0, x1, out_w)
-    # one window per bin, its cells in row-major order so that the first
-    # argmax is the first cell; positions past the bin read the -inf column
-    cell = rows[:, :, None, :, None] * fw + cols[:, None, :, None, :]
-    ok = row_ok[:, :, None, :, None] & col_ok[:, None, :, None, :]
-    cell = np.where(ok, cell, fh * fw).reshape(d * out_h * out_w, -1)
+    top, span_h = bins(y0, y1, out_h)
+    left, span_w = bins(x0, x1, out_w)
+    # every bin in output order: its first cell and its span
+    shape = (d, out_h, out_w)
+    first = (top[:, :, None] * fw + left[:, None, :]).ravel()
+    span_h = np.broadcast_to(span_h[:, :, None], shape).ravel()
+    span_w = np.broadcast_to(span_w[:, None, :], shape).ravel()
+    key = span_h * (fw + 1) + span_w
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
 
-    flat = np.concatenate([x.data.reshape(c, fh * fw), np.full((c, 1), -np.inf)], axis=1)
-    window = np.take(flat, cell, axis=1)  # [C, bins, window]
-    argpos = cell[np.arange(len(cell)), window.argmax(axis=-1)]
+    flat = x.data.reshape(c, fh * fw)
+    argpos = np.empty((c, len(first)), dtype=np.intp)
+    for members in np.split(order, starts[1:]):
+        sh, sw = span_h[members[0]], span_w[members[0]]
+        cell = first[members, None] + (np.arange(sh)[:, None] * fw + np.arange(sw)).ravel()
+        window = np.take(flat, cell, axis=1)  # [C, bins, sh*sw]
+        argpos[:, members] = cell[np.arange(len(members)), window.argmax(axis=-1)]
     # flat (channel, cell) source of every pooled value, in output order
     target = (
         argpos.reshape(c, d, out_h, out_w).transpose(1, 0, 2, 3)

@@ -234,6 +234,15 @@ class TestMalformedInput:
                                       capsys)
         assert f"{gt_file}:1" in err
 
+    def test_extra_fields_in_ground_truth_line(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        gt_file = sorted((data / "test" / "gt_boxes").glob("*.txt"))[0]
+        gt_file.write_text("1 2 3 14 28\n2 3 14 17 28 99 junk\n")
+        err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
+                                      capsys)
+        assert f"{gt_file}:2" in err
+
     # each edit maps the second data row (line 3) to the lines put in its place
     @pytest.mark.parametrize("edit", [
         lambda row: ["", row],
@@ -251,6 +260,16 @@ class TestMalformedInput:
         err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
                                       capsys)
         assert f"{labels}:3" in err
+
+    def test_repeated_labels_row(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        labels = data / "test" / "labels.csv"
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join(lines + [lines[1]]) + "\n")
+        err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
+                                      capsys)
+        assert f"{labels}:{len(lines) + 1}" in err and "line 2" in err
 
     def test_missing_split(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"

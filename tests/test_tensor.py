@@ -18,6 +18,7 @@ from lgnet.tensor import (
     roi_max_pool_batch,
     sigmoid,
 )
+from lgnet.tensor import _conv_gather_index
 
 
 def _reference_conv2d(x, kernels, bias, stride=1, dilation=1, padding=0):
@@ -60,6 +61,52 @@ def _reference_conv2d(x, kernels, bias, stride=1, dilation=1, padding=0):
             x._accumulate(dx[0] if squeezed else dx)
 
     return Tensor._make(data, (x, kernels, bias), backward, "reference_conv2d")
+
+
+def _sliding_window_conv2d(x, kernels, bias, stride=1, dilation=1, padding=0):
+    """``sliding_window_view`` im2col with one strided slice-add per kernel
+    tap in the backward: the previous :func:`conv2d`, kept as the
+    bit-for-bit reference for the cached-index version."""
+    squeezed = x.data.ndim == 3
+    xd = x.data[None] if squeezed else x.data
+    wd = kernels.data
+    n, c, h, w = xd.shape
+    k, _, kh, kw = wd.shape
+    out_h = conv_output_extent(h, kh, stride, dilation, padding)
+    out_w = conv_output_extent(w, kw, stride, dilation, padding)
+    p = padding
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+    span = (dilation * (kh - 1) + 1, dilation * (kw - 1) + 1)
+    # [N, C, out_h, out_w, kh, kw] view of every kernel placement
+    windows = np.lib.stride_tricks.sliding_window_view(xp, span, axis=(2, 3))[
+        :, :, ::stride, ::stride, ::dilation, ::dilation
+    ]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
+    wmat = wd.reshape(k, -1)
+    data = (np.matmul(wmat, cols) + bias.data[None, :, None]).reshape(n, k, out_h, out_w)
+    if squeezed:
+        data = data[0]
+
+    def backward(g):
+        gmat = (g[None] if squeezed else g).reshape(n, k, -1)
+        if kernels.requires_grad:
+            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+            kernels._accumulate(dw.reshape(wd.shape))
+        if bias.requires_grad:
+            bias._accumulate(gmat.sum(axis=(0, 2)))
+        if x.requires_grad:
+            dcols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, out_h, out_w)
+            dxp = np.zeros(xp.shape)
+            # one strided slice-add per kernel tap, in row-major tap order
+            for i in range(kh):
+                for j in range(kw):
+                    ys = slice(i * dilation, i * dilation + stride * out_h, stride)
+                    xs = slice(j * dilation, j * dilation + stride * out_w, stride)
+                    dxp[:, :, ys, xs] += dcols[:, :, i, j]
+            dx = dxp[:, :, p : p + h, p : p + w] if p else dxp
+            x._accumulate(dx[0] if squeezed else dx)
+
+    return Tensor._make(data, (x, kernels, bias), backward, "sliding_window_conv2d")
 
 
 def _bin_edges(start: int, count: int, bins: int) -> list[tuple[int, int]]:
@@ -202,6 +249,41 @@ class TestConv2d:
             results.append((out.data, x.grad, k.grad, b.grad))
         for got, want in zip(*results):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("x_shape, k_out, stride, dilation, padding", [
+        ((16, 3, 64, 64), 8, 2, 1, 1),  # stage-1 batch, first stage
+        ((8, 32, 32), 16, 2, 1, 1),  # stem 8 -> 16
+        ((100, 16, 3, 3), 32, 2, 1, 1),  # tail over 100 pooled regions
+        *[((2, 3, 9, 8), 4, s, d, p) for s in (1, 2) for d in (1, 2) for p in (0, 1)],
+    ])
+    def test_matches_sliding_window_conv_bit_for_bit(self, rng, x_shape, k_out, stride, dilation, padding):
+        x_data = rng.normal(size=x_shape)
+        k_data = rng.normal(size=(k_out, x_shape[-3], 3, 3))
+        b_data = rng.normal(size=k_out)
+        results = []
+        for op in (conv2d, _sliding_window_conv2d):
+            x = Tensor(x_data, requires_grad=True)
+            k = Tensor(k_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = op(x, k, b, stride=stride, dilation=dilation, padding=padding)
+            out.backward(np.random.default_rng(5).normal(size=out.data.shape))
+            results.append((out.data, x.grad, k.grad, b.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_gather_index_built_once_per_geometry(self, rng):
+        _conv_gather_index.cache_clear()
+        k, b = Tensor(rng.normal(size=(4, 3, 3, 3))), Tensor(np.zeros(4))
+        for shape in ((2, 3, 9, 8), (5, 3, 9, 8), (3, 9, 8)):
+            conv2d(Tensor(rng.normal(size=shape)), k, b, padding=1)
+        assert _conv_gather_index.cache_info().misses == 1
+        conv2d(Tensor(rng.normal(size=(2, 3, 9, 8))), k, b, padding=0)
+        assert _conv_gather_index.cache_info().misses == 2
+
+    def test_gather_index_is_read_only(self):
+        idx = _conv_gather_index(3, 9, 8, 3, 3, 1, 1, 1)
+        with pytest.raises(ValueError):
+            idx[0, 0] = 0
 
     def test_bad_geometry_rejected(self, rng):
         x = Tensor(rng.normal(size=(1, 5, 5)))
@@ -386,6 +468,40 @@ class TestRoiMaxPool:
                     single.backward(seed[i])
             if requires_grad:
                 assert np.array_equal(batch_grad, x.grad)
+
+
+    def test_batch_matches_singles_over_many_span_groups(self, rng):
+        # one call whose bins fall into many (rows, columns) span groups:
+        # boxes from one cell to the whole map, many narrower than the bin
+        # grid, on a map of small integers so that bins hold ties
+        fh, fw, c, oh, ow = 20, 18, 3, 3, 4
+        data = rng.integers(0, 3, size=(c, fh, fw)).astype(float)
+        x = Tensor(data, requires_grad=True)
+        boxes = []
+        for _ in range(120):
+            w, h = 4 * rng.integers(1, fw + 1), 4 * rng.integers(1, fh + 1)
+            x0, y0 = 4 * rng.integers(0, fw - w // 4 + 1), 4 * rng.integers(0, fh - h // 4 + 1)
+            boxes.append(Box(x0, y0, x0 + w, y0 + h))
+        rects = [_quantize_roi(box, fh, fw, 4 * fw, 4 * fh) for box in boxes]
+        spans = {
+            (r1 - r0, c1 - c0)
+            for ix0, iy0, ix1, iy1 in rects
+            for r0, r1 in _bin_edges(iy0, iy1 - iy0, oh)
+            for c0, c1 in _bin_edges(ix0, ix1 - ix0, ow)
+        }
+        assert len(spans) >= 30
+        assert any(ix1 - ix0 < ow or iy1 - iy0 < oh for ix0, iy0, ix1, iy1 in rects)
+        batch = roi_max_pool_batch(x, boxes, oh, ow, 4 * fw, 4 * fh)
+        seed = rng.integers(-3, 4, size=batch.data.shape).astype(float)
+        batch.backward(seed)
+        batch_grad = x.grad.copy()
+        x.zero_grad()
+        for i, box in enumerate(boxes):
+            single = roi_max_pool(x, box, oh, ow, 4 * fw, 4 * fh)
+            assert np.array_equal(batch.data[i], single.data), box
+            single.backward(seed[i])
+        # integer-valued seeds make the scatter order irrelevant
+        assert np.array_equal(batch_grad, x.grad)
 
 
 class TestBackwardMachinery:
