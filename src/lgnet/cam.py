@@ -41,10 +41,11 @@ def activation_box(
     """Bounding box of the dominant activated region of one map.
 
     Cells with value strictly greater than tau * max(cam) are activated;
-    the largest 4-connected component of activated cells (ties broken
-    toward the component holding the global maximum) is boxed tightly and
-    scaled from cell coordinates to image pixels, each cell covering its
-    full stride footprint.
+    the largest 4-connected component of activated cells is boxed tightly
+    and scaled from cell coordinates to image pixels, each cell covering
+    its full stride footprint. Among components of the largest size the
+    one holding the global maximum wins, else the one whose first cell
+    comes first in row-major order. Only the activated cells are walked.
 
     Returns (box, degenerate). A map with no usable response (all cells
     equal, or a non-positive maximum, which empties the activated set) is
@@ -63,19 +64,27 @@ def activation_box(
     if peak <= 0.0 or peak == cam.min():
         return full_image_box(image_w, image_h), True
 
-    activated = cam > tau * peak
-    labels, count = _label_components(activated)
-    sizes = np.bincount(labels.reshape(-1), minlength=count + 1)
-    sizes[0] = 0
-    best = int(sizes.argmax())
-    top = sizes[best]
-    tied = np.flatnonzero(sizes == top)
-    if len(tied) > 1:
-        peak_label = labels[np.unravel_index(cam.argmax(), cam.shape)]
-        if peak_label in tied:
-            best = int(peak_label)
+    # 4-connected components over the activated cells only, discovered
+    # in row-major order of their first cell
+    cells = np.flatnonzero(cam > tau * peak).tolist()
+    peak_cell = int(cam.argmax())
+    unseen = set(cells)
+    best: list[int] = []
+    for start_cell in cells:
+        if start_cell not in unseen:
+            continue
+        unseen.remove(start_cell)
+        component = [start_cell]
+        for cell in component:  # grows while it is walked: breadth first
+            col = cell % w
+            for nb in (cell - w, cell + w, cell - 1 if col else -1, cell + 1 if col + 1 < w else -1):
+                if nb in unseen:
+                    unseen.remove(nb)
+                    component.append(nb)
+        if len(component) > len(best) or (len(component) == len(best) and peak_cell in component):
+            best = component
 
-    rows, cols = np.nonzero(labels == best)
+    rows, cols = np.divmod(np.array(best), w)
     sx = image_w / float(w)
     sy = image_h / float(h)
     box = Box(
@@ -85,24 +94,3 @@ def activation_box(
         (rows.max() + 1) * sy,
     )
     return box, False
-
-
-def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected component labelling; labels start at 1, 0 is background."""
-    h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    current = 0
-    for sr in range(h):
-        for sc in range(w):
-            if not mask[sr, sc] or labels[sr, sc]:
-                continue
-            current += 1
-            frontier = [(sr, sc)]
-            labels[sr, sc] = current
-            while frontier:
-                r, c = frontier.pop()
-                for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not labels[nr, nc]:
-                        labels[nr, nc] = current
-                        frontier.append((nr, nc))
-    return labels, current

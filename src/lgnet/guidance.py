@@ -62,23 +62,20 @@ def affinity_map(cam_boxes: list[Box], proposals: list[Box], mode: str = "iou") 
     """Raw affinity values[i, j] between activation box i and proposal j.
 
     Matches elementwise application of :func:`iou` / :func:`overlap_area`;
-    the proposal axis is vectorized.
+    both axes are broadcast.
     """
     if mode not in AFFINITY_MODES:
         raise ValueError(f"unknown affinity mode {mode!r}")
     if not cam_boxes or not proposals:
         raise ValueError("need at least one activation box and one proposal")
-    p = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in proposals])
-    p_areas = (p[:, 2] - p[:, 0]) * (p[:, 3] - p[:, 1])
-    values = np.empty((len(cam_boxes), len(proposals)))
-    for i, ci in enumerate(cam_boxes):
-        iw = np.minimum(ci.x_max, p[:, 2]) - np.maximum(ci.x_min, p[:, 0])
-        ih = np.minimum(ci.y_max, p[:, 3]) - np.maximum(ci.y_min, p[:, 1])
-        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-        if mode == "iou":
-            values[i] = inter / (ci.area + p_areas - inter)
-        else:
-            values[i] = inter
+    c = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in cam_boxes])[:, :, None]  # [a, 4, 1]
+    p = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in proposals]).T  # [4, d]
+    iw = np.minimum(c[:, 2], p[2]) - np.maximum(c[:, 0], p[0])
+    ih = np.minimum(c[:, 3], p[3]) - np.maximum(c[:, 1], p[1])
+    values = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    if mode == "iou":
+        c_areas = (c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1])
+        values = values / (c_areas + (p[2] - p[0]) * (p[3] - p[1]) - values)
     return AffinityMatrix(values, mode)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
+    "is_grad_enabled",
     "relu",
     "sigmoid",
     "affine",
@@ -46,6 +47,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def is_grad_enabled() -> bool:
+    """Whether op results currently record a graph (false inside :func:`no_grad`)."""
+    return _grad_enabled
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
@@ -482,8 +488,12 @@ def roi_max_pool_batch(
     image_w: int,
     image_h: int,
 ) -> Tensor:
-    """Quantized max pooling of many boxes from one feature map into
-    out_h x out_w grids: returns [d, C, out_h, out_w].
+    """Quantized max pooling of many boxes from a feature map into
+    out_h x out_w grids: returns [len(boxes), C, out_h, out_w].
+
+    ``x`` is one map [C, H, W] or a batch [N, C, H, W] of maps of images
+    of one size. A batch takes its boxes image by image, the same number
+    k for each: boxes[i*k:(i+1)*k] are pooled from map i.
 
     Box coordinates live in image pixel space. They are scaled onto the
     feature map's cell grid, rounded half to even and clipped to it, and
@@ -493,58 +503,65 @@ def roi_max_pool_batch(
     each bin is taken per channel, and gradients flow to its argmax
     cell, ties going to the first cell in row-major order.
 
-    The bins are grouped by their (rows, columns) span, and each group
-    is answered by one gather through a window of exactly that size that
-    lists every bin's cells in row-major order, so the first argmax
-    along the window is the first cell. The gradient scatter is one
-    ``np.bincount`` in output order.
+    The bins of every map are grouped by their (rows, columns) span, and
+    each group is answered by one gather, channels last, through a window
+    of exactly that size that lists every bin's cells in row-major order.
+    A bin's argmax is the smallest window offset whose value equals the
+    window's maximum, found by one masked max; that is the first cell.
+    The gradient scatter is one ``np.bincount`` in output order.
     """
-    if x.data.ndim != 3:
-        raise ValueError(f"roi_max_pool_batch: feature map must be rank 3, got {x.data.ndim}")
+    if x.data.ndim not in (3, 4):
+        raise ValueError(f"roi_max_pool_batch: feature map must be rank 3 or 4, got {x.data.ndim}")
     if not boxes:
         raise ValueError("roi_max_pool_batch: need at least one box")
     if out_h < 1 or out_w < 1:
         raise ValueError("roi_max_pool_batch: output grid must be at least 1x1")
-    c, fh, fw = x.data.shape
-    d = len(boxes)
+    n, c, fh, fw = x.data.shape if x.data.ndim == 4 else (1, *x.data.shape)
+    if len(boxes) % n:
+        raise ValueError(f"roi_max_pool_batch: {len(boxes)} boxes do not split evenly over {n} maps")
+    d, hw = len(boxes), fh * fw
     corners = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes])
     corners = np.rint(corners * np.array([fw / image_w, fh / image_h] * 2))
     x0, y0, x1, y1 = corners.T.clip(0, [[fw - 1], [fh - 1], [fw], [fh]]).astype(np.intp)
 
-    def bins(start, stop, n):
-        # [d, n] bin starts and spans; spans are at least one cell
-        edges = start[:, None] + (np.arange(n + 1) * np.maximum(stop - start, 1)[:, None]) // n
+    def bins(start, stop, parts):
+        # [d, parts] bin starts and spans; spans are at least one cell
+        edges = start[:, None] + (np.arange(parts + 1) * np.maximum(stop - start, 1)[:, None]) // parts
         return edges[:, :-1], np.maximum(edges[:, 1:] - edges[:, :-1], 1)
 
     top, span_h = bins(y0, y1, out_h)
     left, span_w = bins(x0, x1, out_w)
-    # every bin in output order: its first cell and its span
+    # every bin in output order: its map, its first cell among the maps'
+    # cells laid end to end, and its span
     shape = (d, out_h, out_w)
-    first = (top[:, :, None] * fw + left[:, None, :]).ravel()
+    owner = np.repeat(np.arange(n), d // n * out_h * out_w)
+    first = owner * hw + (top[:, :, None] * fw + left[:, None, :]).ravel()
     span_h = np.broadcast_to(span_h[:, :, None], shape).ravel()
     span_w = np.broadcast_to(span_w[:, None, :], shape).ravel()
     key = span_h * (fw + 1) + span_w
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
 
-    flat = x.data.reshape(c, fh * fw)
-    argpos = np.empty((c, len(first)), dtype=np.intp)
+    # channels last: row r holds cell r of the maps laid end to end
+    rows = x.data.reshape(n, c, hw).transpose(0, 2, 1).reshape(n * hw, c)
+    argpos = np.empty((len(first), c), dtype=np.intp)
     for members in np.split(order, starts[1:]):
         sh, sw = span_h[members[0]], span_w[members[0]]
-        cell = first[members, None] + (np.arange(sh)[:, None] * fw + np.arange(sw)).ravel()
-        window = np.take(flat, cell, axis=1)  # [C, bins, sh*sw]
-        argpos[:, members] = cell[np.arange(len(members)), window.argmax(axis=-1)]
-    # flat (channel, cell) source of every pooled value, in output order
-    target = (
-        argpos.reshape(c, d, out_h, out_w).transpose(1, 0, 2, 3)
-        + np.arange(c)[:, None, None] * (fh * fw)
-    ).ravel()
+        offset = (np.arange(sh)[:, None] * fw + np.arange(sw)).ravel()  # row-major, increasing
+        corner = first[members]
+        window = rows[offset[:, None] + corner]  # [sh*sw, bins, C]
+        # the first cell holding the maximum has the largest hw - offset
+        hit = (window == window.max(axis=0)) * (hw - offset)[:, None, None]
+        argpos[members] = corner[:, None] + (hw - hit.max(axis=0))
+    # flat (map, channel, cell) source of every pooled value, in output order
+    argpos += (owner * (c - 1) * hw)[:, None] + np.arange(c) * hw
+    target = argpos.reshape(d, out_h, out_w, c).transpose(0, 3, 1, 2).ravel()
     data = x.data.ravel()[target].reshape(d, c, out_h, out_w)
 
     def backward(g):
         if x.requires_grad:
-            dx = np.bincount(target, weights=g.ravel(), minlength=c * fh * fw)
-            x._accumulate(dx.reshape(c, fh, fw))
+            dx = np.bincount(target, weights=g.ravel(), minlength=x.data.size)
+            x._accumulate(dx.reshape(x.data.shape))
 
     return Tensor._make(data, (x,), backward, "roi_max_pool_batch")
 

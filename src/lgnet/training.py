@@ -36,7 +36,7 @@ from .guidance import GuidanceHead, affinity_map, guided_fusion, normalize_affin
 from .loss_metrics import MetricsReport, positive_ratio, weighted_sigmoid_ce_node
 from .proposals import ProposalSet, load_proposals, top_k
 from .synthdata import DataError, Sample
-from .tensor import Tensor, no_grad, roi_max_pool_batch
+from .tensor import Tensor, is_grad_enabled, no_grad, roi_max_pool_batch
 
 __all__ = [
     "TrainConfig",
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 AFFINITY_CHOICES = ("iou", "overlap_area", "uniform")
+# images per stage-2 scoring pass; chunks of 64 were measured slower than 8-16
+SCORE_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -249,10 +251,21 @@ def _label_matrix(samples: Sequence[Sample]) -> np.ndarray:
     return np.stack([s.labels for s in samples]).astype(np.float64)
 
 
+def _same_size_chunks(samples: Sequence[Sample], size: int):
+    """Runs of at most ``size`` consecutive samples whose images share a shape."""
+    chunk: list[Sample] = []
+    for s in samples:
+        if chunk and (len(chunk) == size or s.image.shape != chunk[0].image.shape):
+            yield chunk
+            chunk = []
+        chunk.append(s)
+    if chunk:
+        yield chunk
+
+
 def _global_scores(model: GlobalModel, samples: Sequence[Sample], batch_size: int = 64) -> np.ndarray:
     rows = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
+    for chunk in _same_size_chunks(samples, batch_size):
         images = Tensor(np.stack([s.image for s in chunk]))
         _, logits = forward_global(model.params, model.backbone, images)
         rows.append(logits.data)
@@ -362,21 +375,36 @@ def _guidance(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> Guidance:
     )
 
 
-def _fused_logits(model: LGModel, sample: Sample, guide: Guidance) -> Tensor:
-    """Run the trainable half: local trunk, ROI pooling, tail and fusion."""
-    image_h, image_w = sample.image.shape[1:]
-    stem = forward_local_stem(model.local_params, model.backbone, Tensor(sample.image))
+def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Sequence[Guidance]) -> list[Tensor]:
+    """Run the trainable half on images of one size: the local trunk, ROI
+    pooling and tail once for the batch, then the fusion per image.
+
+    A batch of several images splits its region features per image
+    without a gradient path, so it must run under ``no_grad``.
+    """
+    if len(samples) > 1 and is_grad_enabled():
+        raise RuntimeError("a batch of several images can only be scored under no_grad")
+    d = len(guides[0].boxes)
+    if any(len(g.boxes) != d for g in guides):
+        raise ValueError("every image of a batch needs the same number of proposals")
+    image_h, image_w = samples[0].image.shape[1:]
+    images = Tensor(np.stack([s.image for s in samples]))
+    stem = forward_local_stem(model.local_params, model.backbone, images)
     oh, ow = model.roi_out
-    pooled = roi_max_pool_batch(stem, guide.boxes, oh, ow, image_w, image_h)
-    local_feats = forward_local_tail(model.local_params, model.backbone, pooled)
-    fused, _ = guided_fusion(guide.affinity, local_feats, model.head, guide.global_logits)
-    return fused
+    boxes = [b for g in guides for b in g.boxes]
+    pooled = roi_max_pool_batch(stem, boxes, oh, ow, image_w, image_h)
+    feats = forward_local_tail(model.local_params, model.backbone, pooled)
+    per_image = [feats] if len(samples) == 1 else [Tensor(f) for f in np.split(feats.data, len(samples))]
+    return [
+        guided_fusion(g.affinity, f, model.head, g.global_logits)[0]
+        for g, f in zip(guides, per_image)
+    ]
 
 
 def _lg_forward(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> tuple[Tensor, Guidance]:
     """One sample through the full pipeline; returns (fused logits, guidance)."""
     guide = _guidance(model, sample, boxes)
-    return _fused_logits(model, sample, guide), guide
+    return _fused_logits(model, [sample], [guide])[0], guide
 
 
 def _prepare_proposals(
@@ -431,7 +459,7 @@ def train_stage2(
 
     digest = model.frozen_digest()
     velocity: dict[str, np.ndarray] = {}
-    best_ma = evaluate(model, val, proposals=val_guides).ma
+    best_ma = _untrained_report(val, val_guides).ma
     best_epoch = -1
     best_arrays = {n: t.data.copy() for n, t in named.items()}
     log_rows: list[dict] = []
@@ -447,7 +475,7 @@ def train_stage2(
             for i in batch_idx:
                 sample = train[i]
                 try:
-                    fused = _fused_logits(model, sample, train_guides[sample.image_id])
+                    fused = _fused_logits(model, [sample], [train_guides[sample.image_id]])[0]
                     loss = weighted_sigmoid_ce_node(fused, sample.labels, pos, config.loss_sigma)
                 except FloatingPointError as exc:
                     raise RuntimeError(
@@ -474,13 +502,26 @@ def train_stage2(
 # -- evaluation -------------------------------------------------------------------
 
 
+def _untrained_report(samples: Sequence[Sample], guides: Mapping[str, Guidance]) -> MetricsReport:
+    """What :func:`evaluate` reports for a freshly built stage-2 model: its
+    zero head makes the fused logits exactly the global ones, which the
+    guidance records already hold."""
+    scores = np.stack([guides[s.image_id].global_logits for s in samples])
+    return MetricsReport.from_scores(scores, _label_matrix(samples))
+
+
 def evaluate(
     model: GlobalModel | LGModel,
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet] | Mapping[str, Guidance] | None = None,
     threshold: float = 0.5,
 ) -> MetricsReport:
-    """Score a split and compute the five metrics at the given threshold."""
+    """Score a split and compute the five metrics at the given threshold.
+
+    Scoring is gradient-free and runs over consecutive images of one
+    size, in chunks of up to 64 for a stage-1 model and ``SCORE_BATCH``
+    for a stage-2 one.
+    """
     labels = _label_matrix(samples)
     with no_grad():
         if isinstance(model, GlobalModel):
@@ -491,7 +532,11 @@ def evaluate(
             first = next(iter(proposals.values()))
             if isinstance(first, ProposalSet):
                 proposals = _guidance_for(model, samples, proposals)
-            scores = np.stack([_fused_logits(model, s, proposals[s.image_id]).data for s in samples])
+            scores = np.stack([
+                fused.data
+                for chunk in _same_size_chunks(samples, SCORE_BATCH)
+                for fused in _fused_logits(model, chunk, [proposals[s.image_id] for s in chunk])
+            ])
     return MetricsReport.from_scores(scores, labels, threshold)
 
 

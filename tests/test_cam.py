@@ -2,9 +2,63 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from lgnet.boxes import Box
+from lgnet.backbone import forward_global, init_backbone_params, preset_config
+from lgnet.boxes import Box, full_image_box
 from lgnet.cam import activation_box, class_activation_maps
+from lgnet.synthdata import _sample_rng, default_spec, render_sample
 from lgnet.tensor import Tensor, affine, global_avg_pool
+
+
+def _label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Reference: 4-connected component labelling by a scan of the full
+    grid; labels start at 1 in row-major order of each component's first
+    cell, 0 is background."""
+    h, w = mask.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    current = 0
+    for sr in range(h):
+        for sc in range(w):
+            if not mask[sr, sc] or labels[sr, sc]:
+                continue
+            current += 1
+            frontier = [(sr, sc)]
+            labels[sr, sc] = current
+            while frontier:
+                r, c = frontier.pop()
+                for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not labels[nr, nc]:
+                        labels[nr, nc] = current
+                        frontier.append((nr, nc))
+    return labels, current
+
+
+def _reference_activation_box(cam, image_w, image_h, tau=0.2):
+    """Reference: activation_box through the full-grid labelling above."""
+    cam = np.asarray(cam, dtype=np.float64)
+    h, w = cam.shape
+    peak = cam.max()
+    if peak <= 0.0 or peak == cam.min():
+        return full_image_box(image_w, image_h), True
+    labels, count = _label_components(cam > tau * peak)
+    sizes = np.bincount(labels.reshape(-1), minlength=count + 1)
+    sizes[0] = 0
+    best = int(sizes.argmax())
+    tied = np.flatnonzero(sizes == sizes[best])
+    if len(tied) > 1:
+        peak_label = labels[np.unravel_index(cam.argmax(), cam.shape)]
+        if peak_label in tied:
+            best = int(peak_label)
+    rows, cols = np.nonzero(labels == best)
+    sx, sy = image_w / float(w), image_h / float(h)
+    box = Box(cols.min() * sx, rows.min() * sy, (cols.max() + 1) * sx, (rows.max() + 1) * sy)
+    return box, False
+
+
+def _assert_matches_reference(cam, image_w, image_h, tau=0.2):
+    got = activation_box(cam, image_w, image_h, tau)
+    want = _reference_activation_box(cam, image_w, image_h, tau)
+    assert got == want, (cam, tau)
+    assert [type(v) for v in vars(got[0]).values()] == [type(v) for v in vars(want[0]).values()]
 
 
 class TestClassActivationMaps:
@@ -127,3 +181,53 @@ class TestActivationBox:
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             activation_box(np.ones((2, 2)), 4, 4, tau=1.5)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 9), (9, 5), (1, 7), (7, 1), (1, 1), (16, 12)])
+    def test_matches_full_grid_labelling_on_random_maps(self, rng, shape):
+        for _ in range(150):
+            kind = rng.integers(4)
+            if kind == 0:  # small integers: ties, plateaus, equal-size components
+                cam = rng.integers(-1, 3, size=shape).astype(float)
+            elif kind == 1:  # a plateau at the peak beside noise
+                cam = rng.normal(size=shape)
+                cam[rng.random(shape) < 0.3] = cam.max()
+            elif kind == 2:  # single activated cells, all of one size
+                cam = np.where(rng.random(shape) < 0.3, rng.integers(1, 3, size=shape), 0).astype(float)
+            else:
+                cam = rng.normal(size=shape)
+            tau = float(rng.choice([0.05, 0.2, 0.5, 0.9]))
+            _assert_matches_reference(cam, 4 * shape[1], 3 * shape[0], tau)
+
+    def test_matches_full_grid_labelling_on_equal_components(self):
+        # two blobs of three cells; the peak sits in the later one, then in
+        # neither of the tied ones, then in a smaller one
+        cam = np.zeros((6, 6))
+        cam[0, 0:3] = 1.0
+        cam[4, 3:6] = 1.0
+        for peak_at in [(4, 5), (0, 1)]:
+            peaked = cam.copy()
+            peaked[peak_at] = 2.0
+            _assert_matches_reference(peaked, 24, 24)
+        cam[2, 1] = 5.0
+        _assert_matches_reference(cam, 24, 24)
+        # a checkerboard: every activated cell is its own component
+        board = np.indices((5, 7)).sum(axis=0) % 2 * 1.0
+        board[3, 4] = 1.5
+        _assert_matches_reference(board, 28, 20)
+
+    @pytest.mark.parametrize("cam", [np.zeros((4, 4)), np.full((2, 5), 3.0), -np.ones((3, 1)),
+                                     np.array([[0.0, -1.0, 0.0]])])
+    def test_degenerate_maps_match_full_grid_labelling(self, cam):
+        _assert_matches_reference(cam, 16, 16)
+
+    def test_matches_full_grid_labelling_on_real_maps(self):
+        spec = default_spec()
+        config = preset_config("base", spec.num_attributes)
+        params = init_backbone_params(config, np.random.default_rng(5))
+        for i in range(6):
+            sample = render_sample(spec, _sample_rng(9, "test", i), f"cam_{i}")
+            featmap, _ = forward_global(params, config, Tensor(sample.image))
+            cams = class_activation_maps(featmap.data, params.head_weight.data)
+            for cam in cams:
+                for tau in (0.2, 0.5):
+                    _assert_matches_reference(cam, 64, 64, tau)

@@ -364,11 +364,12 @@ class TestFrozenBranchReuse:
     ):
         from lgnet import training
 
+        # images through each branch: a call takes one image or a batch
         counts = {"forward_global": 0, "forward_local_stem": 0}
         for name in counts:
-            def counted(*args, _name=name, _real=getattr(training, name), **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
+            def counted(params, config, image, _name=name, _real=getattr(training, name)):
+                counts[_name] += image.data.shape[0] if image.data.ndim == 4 else 1
+                return _real(params, config, image)
 
             monkeypatch.setattr(training, name, counted)
         common = ["--model", str(workspace / "stage2.lgn"), "--data", str(workspace / "data"),
@@ -380,6 +381,49 @@ class TestFrozenBranchReuse:
         assert main(["eval", *common, "--dump-affinity", str(tmp_path / "affinity")]) == 0
         capsys.readouterr()
         assert counts == {"forward_global": 6, "forward_local_stem": 6}
+
+
+class TestMixedSizeSplit:
+    @pytest.mark.parametrize("kind", ["stage1", "stage2"])
+    def test_eval_scores_a_split_holding_a_wider_image(self, workspace, tmp_path, capsys, kind):
+        from lgnet.backbone import load_stage1_checkpoint
+        from lgnet.loss_metrics import MetricsReport
+        from lgnet.ppm import read_ppm, write_ppm
+        from lgnet.proposals import propose_for_image, save_proposals
+        from lgnet.synthdata import load_split
+        from lgnet.tensor import no_grad
+        from lgnet.training import (
+            GlobalModel, _fused_logits, _global_scores, _guidance_for, _label_matrix,
+            load_proposal_dir, load_stage2_checkpoint,
+        )
+
+        data, props = tmp_path / "data", tmp_path / "props"
+        shutil.copytree(workspace / "data", data)
+        shutil.copytree(workspace / "props", props)
+        # the third of six test images becomes 64 rows by 128 columns
+        wide = sorted((data / "test" / "images").glob("*.ppm"))[2]
+        write_ppm(wide, np.random.default_rng(0).uniform(0, 1, size=(3, 64, 128)))
+        save_proposals(props / f"{wide.stem}.proposals", propose_for_image(read_ppm(wide), k=16))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--model", str(workspace / f"{kind}.lgn"), "--data", str(data),
+                     "--split", "test", "--proposals", str(props), "--out", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
+
+        samples = load_split(data / "test")
+        assert {s.image.shape for s in samples} == {(3, 64, 64), (3, 64, 128)}
+        if kind == "stage1":
+            model = GlobalModel(*load_stage1_checkpoint(workspace / "stage1.lgn")[:2])
+            runs = [samples[:2], samples[2:3], samples[3:]]
+            scores = np.concatenate([_global_scores(model, run) for run in runs])
+        else:
+            model, _ = load_stage2_checkpoint(workspace / "stage2.lgn")
+            found = load_proposal_dir(props, [s.image_id for s in samples])
+            guides = _guidance_for(model, samples, found)
+            with no_grad():
+                scores = np.stack([_fused_logits(model, [s], [guides[s.image_id]])[0].data
+                                   for s in samples])
+        expected = MetricsReport.from_scores(scores, _label_matrix(samples))
+        assert json.loads(out.read_text()) == expected.as_dict()
 
 
 class TestLocalizeUniformModel:

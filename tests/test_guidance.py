@@ -33,6 +33,28 @@ def _random_int_box(rng, lim=64) -> Box:
     return Box(float(x0), float(y0), float(x1), float(y1))
 
 
+def _per_box_affinity(cam_boxes, proposals, mode):
+    """Reference: one vectorized row per activation box."""
+    p = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in proposals])
+    p_areas = (p[:, 2] - p[:, 0]) * (p[:, 3] - p[:, 1])
+    values = np.empty((len(cam_boxes), len(proposals)))
+    for i, ci in enumerate(cam_boxes):
+        iw = np.minimum(ci.x_max, p[:, 2]) - np.maximum(ci.x_min, p[:, 0])
+        ih = np.minimum(ci.y_max, p[:, 3]) - np.maximum(ci.y_min, p[:, 1])
+        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+        if mode == "iou":
+            values[i] = inter / (ci.area + p_areas - inter)
+        else:
+            values[i] = inter
+    return values
+
+
+def _grid_box(rng, grid: float) -> Box:
+    x0, y0 = grid * rng.integers(0, 8, 2)
+    w, h = grid * rng.integers(1, 5, 2)
+    return Box(x0, y0, x0 + w, y0 + h)
+
+
 boxes_strategy = st.builds(
     lambda x0, y0, w, h: Box(x0, y0, x0 + w, y0 + h),
     st.floats(0, 50), st.floats(0, 50), st.floats(0.5, 30), st.floats(0.5, 30),
@@ -98,6 +120,25 @@ class TestAffinityMap:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             affinity_map([Box(0, 0, 1, 1)], [Box(0, 0, 1, 1)], mode="cosine")
+
+    @pytest.mark.parametrize("mode", ["iou", "overlap_area"])
+    def test_matches_per_box_rows_bit_for_bit(self, rng, mode):
+        for _ in range(50):
+            # corners on a coarse grid: many touching, nested and shared edges
+            grid = rng.choice([2.0, 8.0, 0.37])
+            cams = [_grid_box(rng, grid) for _ in range(int(rng.integers(1, 9)))]
+            props = [_grid_box(rng, grid) for _ in range(int(rng.integers(1, 30)))]
+            got = affinity_map(cams, props, mode=mode).values
+            assert np.array_equal(got, _per_box_affinity(cams, props, mode))
+
+    @pytest.mark.parametrize("mode", ["iou", "overlap_area"])
+    def test_touching_and_disjoint_edges_match_per_box_rows(self, mode):
+        cams = [Box(0, 0, 4, 4), Box(4, 0, 8, 4), Box(10, 10, 12, 12)]
+        props = [Box(4, 4, 6, 6), Box(0, 4, 4, 8), Box(2, 2, 6, 6), Box(13, 13, 14, 14),
+                 Box(0.5, 0.5, 3.5, 3.5)]
+        got = affinity_map(cams, props, mode=mode).values
+        assert np.array_equal(got, _per_box_affinity(cams, props, mode))
+        assert got[0, 0] == got[0, 1] == got[0, 3] == got[2, 2] == 0.0
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):

@@ -503,6 +503,38 @@ class TestRoiMaxPool:
         # integer-valued seeds make the scatter order irrelevant
         assert np.array_equal(batch_grad, x.grad)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_batch_of_maps_matches_per_map_calls(self, rng, n):
+        # a rank-4 batch takes its boxes image by image; each map's values
+        # and gradients equal a rank-3 call on that map with its boxes
+        fh, fw, c, oh, ow, d = 13, 11, 3, 3, 2, 19
+        image_w, image_h = 4 * fw, 4 * fh
+        data = rng.integers(0, 3, size=(n, c, fh, fw)).astype(float)  # many ties
+        boxes = []
+        for _ in range(n * d):
+            x0, y0 = rng.uniform(-8, image_w - 1), rng.uniform(-8, image_h - 1)
+            w, h = rng.choice([0.4, 3.0, 10.0, 30.0, 60.0], 2) * rng.uniform(0.5, 1.0, 2)
+            boxes.append(Box(x0, y0, x0 + w, y0 + h))
+        x = Tensor(data, requires_grad=True)
+        batch = roi_max_pool_batch(x, boxes, oh, ow, image_w, image_h)
+        assert batch.data.shape == (n * d, c, oh, ow)
+        seed = rng.normal(size=batch.data.shape)  # not integers: the sum order must match too
+        batch.backward(seed)
+        for i in range(n):
+            xi = Tensor(data[i], requires_grad=True)
+            single = roi_max_pool_batch(xi, boxes[i * d : (i + 1) * d], oh, ow, image_w, image_h)
+            assert np.array_equal(batch.data[i * d : (i + 1) * d], single.data)
+            single.backward(seed[i * d : (i + 1) * d])
+            assert np.array_equal(x.grad[i], xi.grad)
+
+    def test_batch_of_maps_rejects_uneven_boxes_and_bad_ranks(self):
+        boxes = [Box(0, 0, 4, 4)] * 5
+        with pytest.raises(ValueError, match="split evenly"):
+            roi_max_pool_batch(Tensor(np.zeros((2, 1, 4, 4))), boxes, 2, 2, 8, 8)
+        for shape in [(4, 4), (1, 2, 1, 4, 4)]:
+            with pytest.raises(ValueError, match="rank 3 or 4"):
+                roi_max_pool_batch(Tensor(np.zeros(shape)), boxes, 2, 2, 8, 8)
+
 
 class TestBackwardMachinery:
     def test_backward_without_seed_needs_scalar(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -6,18 +7,23 @@ import pytest
 
 from lgnet.backbone import BackboneConfig, init_backbone_params, preset_config
 from lgnet.boxes import Box
-from lgnet.loss_metrics import weighted_sigmoid_ce_node
+from lgnet.loss_metrics import MetricsReport, weighted_sigmoid_ce_node
 from lgnet.proposals import ProposalSet, propose_for_image
 from lgnet.synthdata import DataError, Sample, _sample_rng, default_spec, render_sample
-from lgnet.tensor import Tensor, check_gradients
+from lgnet.tensor import Tensor, check_gradients, no_grad
 from lgnet.training import (
+    SCORE_BATCH,
     GlobalModel,
     TrainConfig,
     _epoch_permutation,
+    _fused_logits,
     _global_scores,
+    _guidance_for,
+    _label_matrix,
     _lg_forward,
     _prepare_proposals,
     _sgd_step,
+    _untrained_report,
     build_lg_model,
     evaluate,
     learning_rate,
@@ -327,6 +333,92 @@ class TestEvaluate:
         model = build_lg_model(result.model, TrainConfig(seed=3, **FAST))
         with pytest.raises(DataError):
             evaluate(model, val)
+
+
+def _random_head(model, seed):
+    rng = np.random.default_rng(seed)
+    model.head.weight.data[...] = rng.normal(size=model.head.weight.data.shape)
+    model.head.bias.data[...] = rng.normal(size=model.head.bias.data.shape)
+    return model
+
+
+def _odd_sized_sample(image_id, h, w, seed):
+    rng = np.random.default_rng(seed)
+    return Sample(image_id, rng.uniform(0, 1, size=(3, h, w)), rng.integers(0, 2, size=8), {})
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_batch_matches_per_image_calls(self, tiny_data, stage1, n):
+        train, _, proposals = tiny_data
+        model = _random_head(build_lg_model(stage1.model, TrainConfig(seed=2, **FAST)), 4)
+        samples = train[:n]
+        guides = _guidance_for(model, samples, proposals)
+        with no_grad():
+            batch = _fused_logits(model, samples, [guides[s.image_id] for s in samples])
+            singles = [_fused_logits(model, [s], [guides[s.image_id]])[0] for s in samples]
+        assert len(batch) == n
+        for got, want in zip(batch, singles):
+            assert np.array_equal(got.data, want.data)
+
+    def test_batch_outside_no_grad_is_refused(self, tiny_data, stage1):
+        train, _, proposals = tiny_data
+        model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
+        guides = _guidance_for(model, train[:2], proposals)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            _fused_logits(model, train[:2], [guides[s.image_id] for s in train[:2]])
+        fused, = _fused_logits(model, train[:1], [guides[train[0].image_id]])
+        assert fused.requires_grad
+
+    def test_batch_needs_one_proposal_count(self, tiny_data, stage1):
+        train, _, proposals = tiny_data
+        model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
+        guides = _guidance_for(model, train[:2], proposals)
+        short = dataclasses.replace(guides[train[1].image_id], boxes=guides[train[1].image_id].boxes[:-1])
+        with no_grad(), pytest.raises(ValueError, match="same number of proposals"):
+            _fused_logits(model, train[:2], [guides[train[0].image_id], short])
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 40])
+    def test_evaluate_runs_the_local_stem_once_per_chunk(self, tiny_data, stage1, monkeypatch, n):
+        from lgnet import training
+
+        train, _, proposals = tiny_data
+        model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
+        real = training.forward_local_stem
+        images = []
+
+        def counted(params, config, image):
+            images.append(image.data.shape[0])
+            return real(params, config, image)
+
+        monkeypatch.setattr(training, "forward_local_stem", counted)
+        evaluate(model, train[:n], proposals=proposals)
+        assert len(images) == math.ceil(n / SCORE_BATCH)
+        assert sum(images) == n
+
+    def test_untrained_score_is_the_fresh_model_evaluation(self, tiny_data, stage1):
+        _, val, proposals = tiny_data
+        for mode in ("iou", "uniform"):
+            model = build_lg_model(stage1.model, TrainConfig(seed=2, **dict(FAST, affinity_mode=mode)))
+            report = _untrained_report(val, _guidance_for(model, val, proposals))
+            assert report == evaluate(model, val, proposals=proposals)
+
+    def test_mixed_image_sizes_are_scored_in_same_size_runs(self, tiny_data, stage1):
+        train, _, proposals = tiny_data
+        odd = [_odd_sized_sample("wide", 64, 128, 1), _odd_sized_sample("tall", 96, 64, 2)]
+        samples = train[:3] + odd[:1] + train[3:5] + odd[1:] + odd[:1]
+        proposals = dict(proposals, **{s.image_id: propose_for_image(s.image, k=24) for s in odd})
+        # the classifier's batched affine may round differently from a
+        # single row's, so the stage-1 reference is one call per run
+        runs = [samples[:3], samples[3:4], samples[4:6], samples[6:7], samples[7:]]
+        rows = np.concatenate([_global_scores(stage1.model, run) for run in runs])
+        assert np.array_equal(_global_scores(stage1.model, samples), rows)
+        model = _random_head(build_lg_model(stage1.model, TrainConfig(seed=2, **FAST)), 5)
+        guides = _guidance_for(model, samples, proposals)
+        with no_grad():
+            scores = np.stack([_fused_logits(model, [s], [guides[s.image_id]])[0].data for s in samples])
+        assert evaluate(model, samples, proposals=proposals) == MetricsReport.from_scores(
+            scores, _label_matrix(samples))
 
 
 class TestSgdStep:
