@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Box:
@@ -56,3 +58,22 @@ def intersection_area(a: Box, b: Box) -> float:
 
 def full_image_box(image_w: float, image_h: float, score: float | None = None) -> Box:
     return Box(0.0, 0.0, float(image_w), float(image_h), score)
+
+
+def box_array(boxes, scored: bool = False) -> np.ndarray:
+    """Boxes as float64 rows (x_min, y_min, x_max, y_max), with the score
+    as a fifth column when ``scored``.
+
+    ``boxes`` is a sequence of :class:`Box` or a 2-D array of such rows;
+    an array is returned as a view of its first four or five columns.
+    """
+    width = 5 if scored else 4
+    if isinstance(boxes, np.ndarray):
+        if boxes.ndim != 2 or boxes.shape[1] < width:
+            raise ValueError(f"box rows need shape [n, {width}], got {boxes.shape}")
+        return boxes[:, :width].astype(np.float64, copy=False)
+    missing = [b for b in boxes if scored and b.score is None]
+    if missing:
+        raise ValueError(f"box has no score: {missing[0]}")
+    rows = [(b.x_min, b.y_min, b.x_max, b.y_max, b.score)[:width] for b in boxes]
+    return np.array(rows, dtype=np.float64).reshape(-1, width)

@@ -344,7 +344,7 @@ def _cmd_localize(args) -> int:
                 "degenerate": guide.degenerate[i],
                 "top_proposals": [
                     {
-                        "box": [boxes[j].x_min, boxes[j].y_min, boxes[j].x_max, boxes[j].y_max],
+                        "box": boxes[j].tolist(),
                         "affinity": float(affinity_row[j]),
                     }
                     for j in top

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, intersection_area
+from .boxes import Box, box_array, intersection_area
 from .tensor import Tensor, matmul
 
 __all__ = [
@@ -58,18 +58,19 @@ class AffinityMatrix:
         object.__setattr__(self, "values", v)
 
 
-def affinity_map(cam_boxes: list[Box], proposals: list[Box], mode: str = "iou") -> AffinityMatrix:
+def affinity_map(cam_boxes, proposals, mode: str = "iou") -> AffinityMatrix:
     """Raw affinity values[i, j] between activation box i and proposal j.
 
-    Matches elementwise application of :func:`iou` / :func:`overlap_area`;
-    both axes are broadcast.
+    Either side is a sequence of :class:`Box` or an array of rows whose
+    first four columns are the corners. Matches elementwise application
+    of :func:`iou` / :func:`overlap_area`; both axes are broadcast.
     """
     if mode not in AFFINITY_MODES:
         raise ValueError(f"unknown affinity mode {mode!r}")
-    if not cam_boxes or not proposals:
+    c, p = box_array(cam_boxes), box_array(proposals)
+    if not len(c) or not len(p):
         raise ValueError("need at least one activation box and one proposal")
-    c = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in cam_boxes])[:, :, None]  # [a, 4, 1]
-    p = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in proposals]).T  # [4, d]
+    c, p = c[:, :, None], p.T  # [a, 4, 1] and [4, d]
     iw = np.minimum(c[:, 2], p[2]) - np.maximum(c[:, 0], p[0])
     ih = np.minimum(c[:, 3], p[3]) - np.maximum(c[:, 1], p[1])
     values = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)

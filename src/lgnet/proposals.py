@@ -6,21 +6,22 @@ and its interior stays clean. Greedy NMS and top-k selection (padded with
 full-image boxes so the proposal count is constant) finish the pipeline.
 The candidate grid and each box's suppression list depend only on the
 image size, so they are computed once per size and reused; per image,
-only the window scores and the greedy walk are new work.
+only the window scores and the greedy walk are new work. A proposal set
+is one [k, 5] array of rows (x_min, y_min, x_max, y_max, score) from the
+walk to the file and back; ``Box`` objects are built only on request.
 Externally computed proposals can be dropped in through the same file
 format.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .boxes import Box, full_image_box
+from .boxes import Box, box_array
 
 __all__ = [
     "CandidateConfig",
@@ -48,17 +49,37 @@ class CandidateConfig:
     stride_fraction: float = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProposalSet:
-    boxes: tuple[Box, ...]
+    """Scored proposals, best first for a generated set.
+
+    ``rows`` is given as a sequence of scored :class:`Box` or as an
+    [n, 5] array, and is kept as a read-only float64 array of rows
+    (x_min, y_min, x_max, y_max, score).
+    """
+
+    rows: np.ndarray
     source: str  # "generated" | "loaded"
 
     def __post_init__(self):
         if self.source not in ("generated", "loaded"):
             raise ValueError(f"unknown proposal source {self.source!r}")
+        rows = box_array(self.rows, scored=True).view()
+        rows.flags.writeable = False  # a view, so the caller's array stays writeable
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def boxes(self) -> tuple[Box, ...]:
+        """The rows as :class:`Box` objects, built on each access."""
+        return tuple(Box(*row) for row in self.rows.tolist())
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProposalSet):
+            return NotImplemented
+        return self.source == other.source and np.array_equal(self.rows, other.rows)
 
 
 def edge_map(image: np.ndarray) -> np.ndarray:
@@ -127,11 +148,6 @@ def _candidate_grid(image_w: int, image_h: int, config: CandidateConfig) -> np.n
     return grid
 
 
-def _coords(boxes: list[Box]) -> np.ndarray:
-    corners = [[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes]
-    return np.array(corners, dtype=np.float64).reshape(-1, 4)
-
-
 def _integral(edges: np.ndarray) -> np.ndarray:
     ii = np.zeros((edges.shape[0] + 1, edges.shape[1] + 1))
     ii[1:, 1:] = edges.cumsum(axis=0).cumsum(axis=1)
@@ -172,7 +188,7 @@ def score_windows(edges: np.ndarray, candidates: list[Box]) -> list[Box]:
     the interior is everything the band encloses. Boxes under 5x5 pixels
     score 0.
     """
-    scores = _window_scores(np.asarray(edges, dtype=np.float64), _coords(candidates))
+    scores = _window_scores(np.asarray(edges, dtype=np.float64), box_array(candidates))
     return [box.with_score(s) for box, s in zip(candidates, scores.tolist())]
 
 
@@ -225,32 +241,30 @@ def _greedy(scores: np.ndarray, rows: tuple[np.ndarray, ...], k: int | None = No
 def nms(boxes: list[Box], iou_threshold: float = 0.7) -> list[Box]:
     """Greedy suppression: keep the best remaining box, drop boxes whose
     IoU with it exceeds the threshold. Ties go to the lower index."""
-    rows = _suppression_rows(_coords(boxes), iou_threshold)
-    scores = np.array([_score(b) for b in boxes])
-    return [boxes[i] for i in _greedy(scores, rows)]
+    rows = box_array(boxes, scored=True)
+    suppressed = _suppression_rows(rows[:, :4], iou_threshold)
+    return [boxes[i] for i in _greedy(rows[:, 4], suppressed)]
 
 
-def _score(box: Box) -> float:
-    if box.score is None:
-        raise ValueError(f"box has no score: {box}")
-    return box.score
-
-
-def top_k(boxes: list[Box], image_w: int, image_h: int, k: int = 100) -> ProposalSet:
+def top_k(boxes, image_w: int, image_h: int, k: int = 100) -> ProposalSet:
     """Highest-k scored boxes, padded with zero-score full-image boxes.
 
-    Padding keeps the proposal count constant across images, which the
-    affinity matrix shape depends on.
+    ``boxes`` is a sequence of scored :class:`Box` or an [n, 5] array of
+    rows. Padding keeps the proposal count constant across images, which
+    the affinity matrix shape depends on. Both sorts are stable: equal
+    scores keep their input order, and pads follow real zero scores.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    picked = sorted(boxes, key=_score, reverse=True)[:k]
-    while len(picked) < k:
-        picked.append(full_image_box(image_w, image_h, score=0.0))
-    # interior-penalized scores can go negative, so the zero-score pads
-    # are merged back into score order rather than appended
-    picked.sort(key=_score, reverse=True)
-    return ProposalSet(tuple(picked), source="generated")
+    rows = box_array(boxes, scored=True)
+    rows = rows[np.argsort(-rows[:, 4], kind="stable")[:k]]
+    if len(rows) < k:
+        pad = np.array([0.0, 0.0, float(image_w), float(image_h), 0.0])
+        rows = np.concatenate([rows, np.broadcast_to(pad, (k - len(rows), 5))])
+        # interior-penalized scores can go negative, so the zero-score pads
+        # are merged back into score order rather than appended
+        rows = rows[np.argsort(-rows[:, 4], kind="stable")]
+    return ProposalSet(rows, source="generated")
 
 
 def propose_for_image(
@@ -270,41 +284,53 @@ def propose_for_image(
     grid = _candidate_grid(w, h, config)
     scores = _window_scores(edges, grid)
     kept = _greedy(scores, _grid_suppression_rows(w, h, config, iou_threshold), k)
-    boxes = [Box(*c, s) for c, s in zip(grid[kept].tolist(), scores[kept].tolist())]
-    return top_k(boxes, w, h, k)
+    return top_k(np.column_stack([grid[kept], scores[kept]]), w, h, k)
 
 
 def save_proposals(path: str | Path, proposals: ProposalSet) -> None:
     """One line per box: `x_min y_min x_max y_max score`, 6 decimals."""
-    lines = [
-        f"{b.x_min:.6f} {b.y_min:.6f} {b.x_max:.6f} {b.y_max:.6f} {_score(b):.6f}"
-        for b in proposals.boxes
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = proposals.rows
+    text = "\n".join(["%.6f %.6f %.6f %.6f %.6f"] * len(rows)) % tuple(rows.ravel().tolist())
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_proposals(path: str | Path) -> ProposalSet:
-    """Read a file written by :func:`save_proposals`; raises ValueError on a
-    malformed line, a non-finite value or a degenerate box."""
+    """Read a file written by :func:`save_proposals`. Raises ValueError,
+    naming the first offending line, on a wrong field count, a token that
+    ``float`` rejects, a non-finite value or a degenerate box."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    boxes = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
+    lines = [(ln, line, line.split()) for ln, line in enumerate(text.splitlines(), start=1)]
+    lines = [entry for entry in lines if entry[2]]  # blank lines are skipped
+    # rows parse up to the first line with a wrong field count or a bad token
+    good = next((i for i, (_, _, parts) in enumerate(lines) if len(parts) != 5), len(lines))
+    fault = f"expected 5 fields, got {len(lines[good][2])}" if good < len(lines) else None
+    fields = [token for _, _, parts in lines[:good] for token in parts]
+    unread = iter(fields)
+    try:
+        values = np.fromiter(map(float, unread), np.float64, len(fields))
+    except ValueError as exc:
+        # the tokens left unread locate the one float rejected; the rows
+        # before its line are still checked first
+        good, fault = (len(fields) - sum(1 for _ in unread) - 1) // 5, str(exc)
+        values = np.fromiter(map(float, fields[: 5 * good]), np.float64, 5 * good)
+    rows = values.reshape(good, 5)
+    finite = np.isfinite(rows).all(axis=1)
+    bad = ~finite | ~((rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3]))
+    if bad.any():
+        i = int(bad.argmax())
+        ln, line, _ = lines[i]
+        if not finite[i]:
+            raise ValueError(f"{path}:{ln}: non-finite value in {line.strip()!r}")
         try:
-            values = [float(v) for v in parts]
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"non-finite value in {line.strip()!r}")
-            boxes.append(Box(*values))
+            Box(*rows[i].tolist())  # raises the degenerate-box error
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: {exc}") from None
-    if not boxes:
+    if fault is not None:
+        raise ValueError(f"{path}:{lines[good][0]}: {fault}")
+    if not good:
         raise ValueError(f"{path}: no proposals")
-    return ProposalSet(tuple(boxes), source="loaded")
+    return ProposalSet(rows, source="loaded")

@@ -19,6 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .boxes import box_array
+
 __all__ = [
     "Tensor",
     "no_grad",
@@ -492,8 +494,10 @@ def roi_max_pool_batch(
     out_h x out_w grids: returns [len(boxes), C, out_h, out_w].
 
     ``x`` is one map [C, H, W] or a batch [N, C, H, W] of maps of images
-    of one size. A batch takes its boxes image by image, the same number
-    k for each: boxes[i*k:(i+1)*k] are pooled from map i.
+    of one size. ``boxes`` is a sequence of :class:`~lgnet.boxes.Box` or
+    an array of rows whose first four columns are the corners. A batch
+    takes its boxes image by image, the same number k for each:
+    boxes[i*k:(i+1)*k] are pooled from map i.
 
     Box coordinates live in image pixel space. They are scaled onto the
     feature map's cell grid, rounded half to even and clipped to it, and
@@ -512,15 +516,15 @@ def roi_max_pool_batch(
     """
     if x.data.ndim not in (3, 4):
         raise ValueError(f"roi_max_pool_batch: feature map must be rank 3 or 4, got {x.data.ndim}")
-    if not boxes:
+    corners = box_array(boxes)
+    if not len(corners):
         raise ValueError("roi_max_pool_batch: need at least one box")
     if out_h < 1 or out_w < 1:
         raise ValueError("roi_max_pool_batch: output grid must be at least 1x1")
     n, c, fh, fw = x.data.shape if x.data.ndim == 4 else (1, *x.data.shape)
-    if len(boxes) % n:
-        raise ValueError(f"roi_max_pool_batch: {len(boxes)} boxes do not split evenly over {n} maps")
-    d, hw = len(boxes), fh * fw
-    corners = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes])
+    if len(corners) % n:
+        raise ValueError(f"roi_max_pool_batch: {len(corners)} boxes do not split evenly over {n} maps")
+    d, hw = len(corners), fh * fw
     corners = np.rint(corners * np.array([fw / image_w, fh / image_h] * 2))
     x0, y0, x1, y1 = corners.T.clip(0, [[fw - 1], [fh - 1], [fw], [fh]]).astype(np.intp)
 

@@ -30,7 +30,7 @@ from .backbone import (
     init_backbone_params,
     preset_config,
 )
-from .boxes import Box
+from .boxes import Box, box_array
 from .cam import activation_box, class_activation_maps
 from .guidance import GuidanceHead, affinity_map, guided_fusion, normalize_affinity
 from .loss_metrics import MetricsReport, positive_ratio, weighted_sigmoid_ce_node
@@ -326,7 +326,7 @@ def train_stage1(
 def build_lg_model(stage1: GlobalModel, config: TrainConfig) -> LGModel:
     """Assemble the stage-2 model: freeze the global branch, fork its trunk
     into the local branch, start the guidance head at zero so the fused
-    prediction begins exactly at the stage-1 one."""
+    prediction begins exactly at the frozen global logits."""
     frozen = stage1.params.copy(requires_grad=False, with_head=True)
     local = stage1.params.copy(requires_grad=True, with_head=False)
     head = GuidanceHead.zeros(stage1.backbone.num_attributes, stage1.backbone.final_channels)
@@ -348,7 +348,7 @@ class Guidance:
     """The frozen branch's output for one image; fixed through stage 2, so
     computed once. The CAM fields stay empty under uniform affinity."""
 
-    boxes: Sequence[Box]  # the k proposals, best first
+    boxes: np.ndarray  # [k, 4] corners of the k proposals, best first
     global_logits: np.ndarray  # [c]
     affinity: np.ndarray  # [c, k], rows normalized
     cams: np.ndarray | None = None  # [c, h, w]
@@ -357,8 +357,11 @@ class Guidance:
     affinity_raw: np.ndarray | None = None  # [c, k]
 
 
-def _guidance(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> Guidance:
-    """Run the frozen half of the stage-2 model on one image, gradient-free."""
+def _guidance(model: LGModel, sample: Sample, boxes: Sequence[Box] | np.ndarray) -> Guidance:
+    """Run the frozen half of the stage-2 model on one image, gradient-free.
+
+    ``boxes`` are the proposals, as :class:`Box` objects or corner rows."""
+    boxes = box_array(boxes)
     image_h, image_w = sample.image.shape[1:]
     with no_grad():
         featmap, logits_g = forward_global(model.global_params, model.backbone, Tensor(sample.image))
@@ -391,7 +394,7 @@ def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Sequence[Gu
     images = Tensor(np.stack([s.image for s in samples]))
     stem = forward_local_stem(model.local_params, model.backbone, images)
     oh, ow = model.roi_out
-    boxes = [b for g in guides for b in g.boxes]
+    boxes = np.concatenate([g.boxes for g in guides])
     pooled = roi_max_pool_batch(stem, boxes, oh, ow, image_w, image_h)
     feats = forward_local_tail(model.local_params, model.backbone, pooled)
     per_image = [feats] if len(samples) == 1 else [Tensor(f) for f in np.split(feats.data, len(samples))]
@@ -411,20 +414,23 @@ def _prepare_proposals(
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet],
     k: int,
-) -> dict[str, tuple[Box, ...]]:
-    """Each image's k best proposals, padded with full-image boxes."""
+) -> dict[str, np.ndarray]:
+    """The [k, 4] corners of each image's k best proposals, padded with
+    full-image boxes."""
     ready = {}
     for s in samples:
         if s.image_id not in proposals:
             raise DataError(f"no proposals for image {s.image_id!r}")
         h, w = s.image.shape[1:]
-        for b in proposals[s.image_id].boxes:
-            if b.x_max <= 0 or b.y_max <= 0 or b.x_min >= w or b.y_min >= h:
-                raise DataError(
-                    f"proposal ({b.x_min:g}, {b.y_min:g}, {b.x_max:g}, {b.y_max:g}) "
-                    f"for image {s.image_id!r} lies outside the {w}x{h} image"
-                )
-        ready[s.image_id] = top_k(proposals[s.image_id].boxes, w, h, k).boxes
+        rows = proposals[s.image_id].rows
+        outside = (rows[:, 2] <= 0) | (rows[:, 3] <= 0) | (rows[:, 0] >= w) | (rows[:, 1] >= h)
+        if outside.any():
+            x0, y0, x1, y1 = rows[outside.argmax(), :4].tolist()
+            raise DataError(
+                f"proposal ({x0:g}, {y0:g}, {x1:g}, {y1:g}) "
+                f"for image {s.image_id!r} lies outside the {w}x{h} image"
+            )
+        ready[s.image_id] = top_k(rows, w, h, k).rows[:, :4]
     return ready
 
 
@@ -448,7 +454,7 @@ def train_stage2(
     """Train the local branch and guidance head against frozen localization.
 
     The best snapshot is selected on validation mA, with the untouched
-    initialization (which reproduces the stage-1 predictions exactly)
+    initialization (which scores with the frozen global logits alone)
     included as a candidate.
     """
     model = build_lg_model(stage1, config)

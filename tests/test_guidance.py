@@ -130,6 +130,11 @@ class TestAffinityMap:
             props = [_grid_box(rng, grid) for _ in range(int(rng.integers(1, 30)))]
             got = affinity_map(cams, props, mode=mode).values
             assert np.array_equal(got, _per_box_affinity(cams, props, mode))
+            # the same boxes as [d, 4] corner arrays, on either side
+            c_rows = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in cams])
+            p_rows = np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in props])
+            assert np.array_equal(affinity_map(c_rows, p_rows, mode=mode).values, got)
+            assert np.array_equal(affinity_map(cams, p_rows, mode=mode).values, got)
 
     @pytest.mark.parametrize("mode", ["iou", "overlap_area"])
     def test_touching_and_disjoint_edges_match_per_box_rows(self, mode):

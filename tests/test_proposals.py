@@ -1,8 +1,11 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lgnet import proposals
-from lgnet.boxes import Box
+from lgnet.boxes import Box, full_image_box
 from lgnet.guidance import iou
 from lgnet.proposals import (
     INTERIOR_PENALTY,
@@ -100,11 +103,25 @@ def _reference_candidates(image_w, image_h, config):
     return out
 
 
+def _reference_top_k(boxes, image_w, image_h, k):
+    """The Box-list selection: a stable sort by score, zero-score
+    full-image pads, then a second stable sort."""
+    picked = sorted(boxes, key=lambda b: b.score, reverse=True)[:k]
+    while len(picked) < k:
+        picked.append(full_image_box(image_w, image_h, score=0.0))
+    picked.sort(key=lambda b: b.score, reverse=True)
+    return tuple(picked)
+
+
 def _reference_propose(image, k, iou_threshold, config):
     """The Box-list pipeline: every candidate scored, full NMS, then top-k."""
     h, w = image.shape[1:]
     scored = _reference_score_windows(edge_map(image), _reference_candidates(w, h, config))
-    return top_k(nms(scored, iou_threshold), w, h, k)
+    return _reference_top_k(nms(scored, iou_threshold), w, h, k)
+
+
+def _fields(boxes):
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max, b.score) for b in boxes]).reshape(-1, 5)
 
 
 class TestScoreWindows:
@@ -256,6 +273,29 @@ class TestTopK:
         scores = [b.score for b in top_k(boxes, 64, 64, k=4).boxes]
         assert scores == [0.5, 0.0, 0.0, -0.1]
 
+    @pytest.mark.parametrize("k", [1, 4, 12, 40])
+    def test_rows_match_the_box_pipeline(self, k):
+        # scores drawn from a few values (ties, zeros that tie with the pads,
+        # negatives) or continuous; k below and above the box count
+        rng = np.random.default_rng(k)
+        for n in (0, 1, 3, 12, 25):
+            for _ in range(20):
+                corners = rng.uniform(0, 40, (n, 2))
+                sizes = rng.uniform(1, 20, (n, 2))
+                if rng.random() < 0.7:
+                    scores = rng.choice([-0.5, -0.1, -0.0, 0.0, 0.25, 0.5], n)
+                else:
+                    scores = rng.normal(size=n)
+                rows = np.column_stack([corners, corners + sizes, scores])
+                boxes = [Box(*row) for row in rows.tolist()]
+                expected = _fields(_reference_top_k(boxes, 64, 48, k))
+                assert np.array_equal(top_k(rows, 64, 48, k).rows, expected)
+                assert np.array_equal(top_k(boxes, 64, 48, k).rows, expected)
+
+    def test_box_without_score_rejected(self):
+        with pytest.raises(ValueError, match="no score"):
+            top_k([Box(0, 0, 4, 4, 0.5), Box(1, 1, 5, 5)], 8, 8, k=2)
+
 
 class TestSerialization:
     def test_round_trip_is_byte_stable(self, tmp_path, rng):
@@ -293,6 +333,112 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_proposals(path)
 
+    def test_rows_are_read_only_and_boxes_built_on_request(self):
+        rows = np.array([[0.0, 1.5, 12.0, 20.25, 0.75], [3.0, 4.0, 5.0, 6.0, -1.0]])
+        ps = ProposalSet(rows, "generated")
+        assert ps.boxes == (Box(0.0, 1.5, 12.0, 20.25, 0.75), Box(3.0, 4.0, 5.0, 6.0, -1.0))
+        assert ps == ProposalSet(ps.boxes, "generated") != ProposalSet(rows, "loaded")
+        with pytest.raises(ValueError):
+            ps.rows[0, 0] = 1.0
+        rows[0, 0] = 1.0  # the caller's own array stays writeable
+        with pytest.raises(ValueError, match="shape"):
+            ProposalSet(rows[:, :4], "generated")
+
+
+def _reference_load_proposals(path):
+    """The per-line reader: one ``float`` per field, one Box per line."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    boxes = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ValueError(f"{path}:{ln}: expected 5 fields, got {len(parts)}")
+        try:
+            values = [float(v) for v in parts]
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"non-finite value in {line.strip()!r}")
+            boxes.append(Box(*values))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
+    if not boxes:
+        raise ValueError(f"{path}: no proposals")
+    return boxes
+
+
+def _read_both(path, raw: bytes):
+    """Loads ``raw`` with both readers and checks they agree: equal values,
+    or a ValueError with the same message. Returns the message or None."""
+    path.write_bytes(raw)
+    try:
+        expected = _reference_load_proposals(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_proposals(path)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    assert np.array_equal(load_proposals(path).rows, _fields(expected))
+    return None
+
+
+OK = "0 1.5 12 20.25 0.75"
+READER_CORPUS = {
+    "crlf": b"0 0 4 4 1\r\n2 2 6 6 0.5\r\n",
+    "blank_lines_and_trailing_space": b"\n\n0 0 4 4 1   \n \t \n2 2 6 6 0.5\t\n\n",
+    "other_line_breaks": b"0 0 4 4 1\x0c2 2 6 6 0.5\r3 3 7 7 0.25\xc2\x85" + OK.encode(),
+    "no_final_newline": OK.encode(),
+    "underscores": b"1_0 0 2_0 4 1\n",
+    "exponents": b"1e3 0 2E3 4 -1e-3\n",
+    "leading_space_nan": b"0 0 4 4  nan\n",
+    "minus_inf": OK.encode() + b"\n-inf 0 4 4 1\n",
+    "overflow_to_inf": b"0 0 1e400 4 1\n",
+    "comma": OK.encode() + b"\n0 0 4 4 1,5\n",
+    "comma_first_token": b"1,5 0 4 4 1\n" + OK.encode(),
+    "four_fields": OK.encode() + b"\n0 0 4 4\n",
+    "six_fields": b"0 0 4 4 1 1\n",
+    "x_min_equals_x_max": OK.encode() + b"\n3 0 3 4 1\n",
+    "y_min_above_y_max": b"0 5 4 4 1\n",
+    "empty": b"",
+    "only_blank_lines": b"\n  \n\t\n",
+    "not_utf8": b"0 0 4 4 \xff\n",
+    # the first faulty line decides, whatever the kind of fault after it
+    "non_finite_before_bad_token": OK.encode() + b"\n0 0 inf 4 1\n0 0 4 4 x\n",
+    "bad_token_before_field_count": b"0 0 4 4 x\n0 0 4\n",
+    "field_count_before_bad_token": b"0 0 4\n0 0 4 4 x\n",
+    "degenerate_before_field_count": b"4 0 4 4 1\n0 0 4\n",
+    "degenerate_before_non_finite": b"4 0 4 4 1\n0 0 nan 4 1\n",
+    "non_finite_and_degenerate_in_one_line": b"nan 0 0 4 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_CORPUS))
+def test_reader_matches_per_line_reference(tmp_path, name):
+    message = _read_both(tmp_path / f"{name}.proposals", READER_CORPUS[name])
+    if message is not None:
+        assert str(tmp_path / f"{name}.proposals") in message
+
+
+def test_reader_matches_per_line_reference_on_random_files(tmp_path):
+    # lines drawn from valid rows and every kind of fault, so the first
+    # fault sits at any line and faults of several kinds follow it
+    rng = np.random.default_rng(9)
+    pool = [OK, "2 2 6 6 -0.5", "1_0 0 2_0 4 1", "  0 0 4 4 1  ", "", "   ", "0 0 4 4 nan",
+            "-inf 0 4 4 1", "0 0 4 4 1,5", "0 0 4 4", "0 0 4 4 1 1", "3 0 3 4 1", "0 0 4 4 0x1"]
+    weights = np.array([30, 10, 5, 5, 5, 3, 1, 1, 1, 1, 1, 1, 1], dtype=float)
+    rejected = 0
+    for i in range(300):
+        n = int(rng.integers(0, 12))
+        lines = rng.choice(pool, size=n, p=weights / weights.sum())
+        ending = rng.choice(["\n", "\r\n"])
+        raw = ending.join(lines).encode() + (ending.encode() if rng.random() < 0.5 else b"")
+        rejected += _read_both(tmp_path / f"r{i}.proposals", raw) is not None
+    assert 50 < rejected < 250
+
 
 def _reference_images():
     """Images of interleaved sizes, each with the candidate config it runs under."""
@@ -314,14 +460,59 @@ def _reference_images():
     ]
 
 
+class TestNoBoxObjects:
+    """The proposal path from the walk to the file and back builds no Box."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = []
+        check = Box.__post_init__
+
+        def counted(box):
+            count.append(1)
+            check(box)
+
+        monkeypatch.setattr(Box, "__post_init__", counted)
+        return count
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        from lgnet.synthdata import _sample_rng, default_spec, render_sample
+
+        return render_sample(default_spec(), _sample_rng(5, "train", 0), "x").image
+
+    def test_propose_for_image(self, image, built):
+        assert len(propose_for_image(image)) == 100
+        assert len(built) == 0
+
+    def test_save_proposals(self, tmp_path, built):
+        rows = np.array([[0.0, 1.5, 12.0, 20.25, 0.75], [3.0, 4.0, 5.0, 6.0, -1.0]])
+        save_proposals(tmp_path / "a.proposals", ProposalSet(rows, "generated"))
+        assert len(built) == 0
+
+    def test_load_proposals(self, image, tmp_path, built):
+        save_proposals(tmp_path / "a.proposals", propose_for_image(image))
+        built.clear()
+        assert len(load_proposals(tmp_path / "a.proposals")) == 100
+        assert len(built) == 0
+
+
 class TestPipeline:
     @pytest.mark.parametrize("k, iou_threshold", [(100, 0.7), (100, 0.3), (20, 0.5), (700, 0.5), (1, 0.9)])
     def test_matches_reference_pipeline(self, k, iou_threshold):
         # 0.3 and 0.5 suppress boxes on these grids, 0.7 does not; k = 700
         # exceeds every candidate count, so the walk runs to the end
         for image, config in _reference_images():
-            expected = _reference_propose(image, k, iou_threshold, config)
+            expected = ProposalSet(_reference_propose(image, k, iou_threshold, config), "generated")
             assert propose_for_image(image, k, iou_threshold, config) == expected
+
+    @pytest.mark.parametrize("k, iou_threshold", [(100, 0.7), (700, 0.5), (5, 0.3)])
+    def test_files_match_the_box_pipeline_byte_for_byte(self, tmp_path, k, iou_threshold):
+        for i, (image, config) in enumerate(_reference_images()):
+            save_proposals(tmp_path / "rows.proposals", propose_for_image(image, k, iou_threshold, config))
+            boxes = _reference_propose(image, k, iou_threshold, config)
+            lines = [f"{b.x_min:.6f} {b.y_min:.6f} {b.x_max:.6f} {b.y_max:.6f} {b.score:.6f}" for b in boxes]
+            assert (tmp_path / "rows.proposals").read_text(encoding="utf-8") == "\n".join(lines) + "\n", i
 
     def test_suppression_lists_built_once_per_size(self, monkeypatch, rng):
         builds = []

@@ -527,6 +527,29 @@ class TestRoiMaxPool:
             single.backward(seed[i * d : (i + 1) * d])
             assert np.array_equal(x.grad[i], xi.grad)
 
+    @pytest.mark.parametrize("n", [0, 1, 3], ids=["rank3", "rank4-1", "rank4-3"])
+    def test_box_rows_match_box_lists(self, rng, n):
+        # corner rows, with or without a score column, pool exactly as the
+        # same boxes given as Box objects: values and gradients
+        fh, fw, c, oh, ow, d = 9, 12, 2, 3, 2, 17
+        image_w, image_h = 4 * fw, 4 * fh
+        data = rng.integers(0, 3, size=(c, fh, fw) if n == 0 else (n, c, fh, fw)).astype(float)
+        k = max(n, 1) * d
+        x0, y0 = rng.uniform(-8, image_w, k), rng.uniform(-8, image_h, k)
+        w, h = rng.uniform(0.3, 40, (2, k))
+        rows = np.column_stack([x0, y0, x0 + w, y0 + h, rng.normal(size=k)])
+        boxes = [Box(*row) for row in rows.tolist()]
+        seed = rng.normal(size=(len(rows), c, oh, ow))
+        x = Tensor(data, requires_grad=True)
+        want = roi_max_pool_batch(x, boxes, oh, ow, image_w, image_h)
+        want.backward(seed)
+        for given in (rows[:, :4], rows):
+            xa = Tensor(data, requires_grad=True)
+            got = roi_max_pool_batch(xa, given, oh, ow, image_w, image_h)
+            assert np.array_equal(got.data, want.data)
+            got.backward(seed)
+            assert np.array_equal(xa.grad, x.grad)
+
     def test_batch_of_maps_rejects_uneven_boxes_and_bad_ranks(self):
         boxes = [Box(0, 0, 4, 4)] * 5
         with pytest.raises(ValueError, match="split evenly"):

@@ -36,3 +36,58 @@ def test_traced_method_resolves(module_name, cls_name, attr):
     cls = getattr(importlib.import_module(module_name), cls_name)
     # the tracer replaces the attribute in the class's own namespace
     assert attr in cls.__dict__
+
+
+@pytest.fixture(scope="module")
+def cli_workspace(tmp_path_factory):
+    """A tiny dataset, its proposal files and an untrained stage-2 checkpoint."""
+    import numpy as np
+
+    from lgnet.backbone import init_backbone_params, preset_config
+    from lgnet.cli import main
+    from lgnet.training import GlobalModel, TrainConfig, build_lg_model, save_stage2_checkpoint
+
+    root = tmp_path_factory.mktemp("sites")
+    data, props, model = root / "data", root / "props", root / "stage2.lgn"
+    argv = ["gen-data", "--out", data, "--seed", "3", "--n-train", "2", "--n-val", "1", "--n-test", "3"]
+    assert main([str(a) for a in argv]) == 0
+    bb = preset_config("base", 8)
+    params = init_backbone_params(bb, np.random.default_rng(0), trainable=True)
+    save_stage2_checkpoint(model, build_lg_model(GlobalModel(bb, params), TrainConfig(top_k_proposals=12)))
+    commands = {
+        "propose": [str(a) for a in ["propose", "--images", data, "--out", props, "--top-k", "10"]],
+        "eval": [str(a) for a in ["eval", "--model", model, "--data", data, "--proposals", props]],
+    }
+    assert main(commands["propose"]) == 0
+    return commands
+
+
+IMAGES = {"propose": 6, "eval": 3}  # every split for propose, the test split for eval
+
+
+# the sites the proposal layers are timed and counted at, and the command
+# path that must call each of them once per image
+CALLED_SITES = [
+    ("lgnet.proposals", "top_k", "propose"),
+    ("lgnet.cli", "save_proposals", "propose"),
+    ("lgnet.training", "load_proposals", "eval"),
+    ("lgnet.training", "top_k", "eval"),
+]
+
+
+@pytest.mark.parametrize("module_name, attr, command", CALLED_SITES,
+                         ids=[f"{m}.{a}-{c}" for m, a, c in CALLED_SITES])
+def test_traced_site_is_called_on_its_path(cli_workspace, monkeypatch, module_name, attr, command):
+    from lgnet.cli import main
+
+    assert (module_name, attr) in FUNCTION_SITES
+    module = importlib.import_module(module_name)
+    original, calls = getattr(module, attr), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    assert main(cli_workspace[command]) == 0
+    assert len(calls) == IMAGES[command]

@@ -8,7 +8,7 @@ import pytest
 from lgnet.backbone import BackboneConfig, init_backbone_params, preset_config
 from lgnet.boxes import Box
 from lgnet.loss_metrics import MetricsReport, weighted_sigmoid_ce_node
-from lgnet.proposals import ProposalSet, propose_for_image
+from lgnet.proposals import ProposalSet, propose_for_image, save_proposals, top_k
 from lgnet.synthdata import DataError, Sample, _sample_rng, default_spec, render_sample
 from lgnet.tensor import Tensor, check_gradients, no_grad
 from lgnet.training import (
@@ -197,6 +197,16 @@ class TestStage2:
         stage1_report = evaluate(stage1.model, val)
         lg_report = evaluate(model, val, proposals=proposals)
         assert lg_report == stage1_report
+        # the fresh model's scores are the global logits of one image at a
+        # time; stage 1 scores the split as one batch, whose matrix product
+        # may round the last bits differently. Measured on this split: 103
+        # of 128 logits differ, by at most 2.8e-16 (1.25 eps) at |logit|
+        # < 0.52. The bound leaves room for another BLAS kernel.
+        guides = _guidance_for(model, val, proposals)
+        with no_grad():
+            fused = _fused_logits(model, val, [guides[s.image_id] for s in val])
+        gap = np.stack([f.data for f in fused]) - _global_scores(stage1.model, val)
+        assert np.abs(gap).max() <= 4 * np.finfo(np.float64).eps
 
     def test_best_val_never_below_stage1(self, tiny_data, stage1):
         train, val, proposals = tiny_data
@@ -220,6 +230,42 @@ class TestStage2:
             bad = {sample.image_id: ProposalSet(inside + (outside,), "loaded")}
             with pytest.raises(DataError, match=sample.image_id):
                 _prepare_proposals([sample], bad, 4)
+
+    def test_prepared_proposals_are_the_top_k_boxes(self, tiny_data):
+        train, _, proposals = tiny_data
+        rng = np.random.default_rng(3)
+        # loaded in shuffled order, with ties, so both sorts have work to do
+        shuffled = {}
+        for s in train[:6]:
+            rows = np.array(proposals[s.image_id].rows)
+            rows[:, 4] = np.round(rows[:, 4], 1)
+            shuffled[s.image_id] = ProposalSet(rng.permutation(rows), "loaded")
+        for k in (1, 10, 24, 30):
+            ready = _prepare_proposals(train[:6], shuffled, k)
+            for s in train[:6]:
+                h, w = s.image.shape[1:]
+                boxes = top_k(list(shuffled[s.image_id].boxes), w, h, k).boxes
+                expected = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
+                assert np.array_equal(ready[s.image_id], expected)
+
+    def test_evaluate_builds_only_the_activation_boxes(self, tmp_path, tiny_data, stage1, monkeypatch):
+        # the files hold 20 proposals and the model takes 24, so every
+        # image is padded as well
+        _, val, _ = tiny_data
+        for s in val:
+            save_proposals(tmp_path / f"{s.image_id}.proposals", propose_for_image(s.image, k=20))
+        loaded = load_proposal_dir(tmp_path, [s.image_id for s in val])
+        model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
+        built = []
+        check = Box.__post_init__
+
+        def counted(box):
+            built.append(1)
+            check(box)
+
+        monkeypatch.setattr(Box, "__post_init__", counted)
+        evaluate(model, val, proposals=loaded)
+        assert len(built) == len(val) * model.backbone.num_attributes
 
     def test_checkpoint_round_trip(self, tmp_path, tiny_data, stage1):
         train, val, proposals = tiny_data
