@@ -123,24 +123,29 @@ def guided_fusion(
     Y[i] = Yl[i] + Yg[i]. Gradients flow to ``local_feats`` and the head;
     the affinity matrix and the global logits are constants.
 
-    Returns (fused logits Y, local logits Yl), both shape [c].
+    One image has affinity [c, d], features [d, k] and global logits [c];
+    n images stack them as [n, c, d], [n*d, k] and [n, c], and aggregate
+    in one batched product. Returns (fused logits Y, local logits Yl),
+    both shaped like the global logits.
     """
     values = affinity.values if isinstance(affinity, AffinityMatrix) else np.asarray(affinity)
-    c, d = values.shape
-    if local_feats.data.ndim != 2 or local_feats.data.shape[0] != d:
+    if values.ndim not in (2, 3):
+        raise ValueError(f"affinity must be [c, d] or [n, c, d], got shape {values.shape}")
+    n, c, d = values.reshape(-1, *values.shape[-2:]).shape
+    if local_feats.data.ndim != 2 or local_feats.data.shape[0] != n * d:
         raise ValueError(
-            f"local features shape {local_feats.shape} does not match {d} proposals"
+            f"local features shape {local_feats.shape} does not match {n} x {d} proposals"
         )
-    if head.weight.data.shape != (c, local_feats.data.shape[1]):
+    k = local_feats.data.shape[1]
+    if head.weight.data.shape != (c, k):
         raise ValueError(
-            f"head weight shape {head.weight.shape} does not match "
-            f"{c} attributes x {local_feats.data.shape[1]} features"
+            f"head weight shape {head.weight.shape} does not match {c} attributes x {k} features"
         )
     g = np.asarray(global_logits, dtype=np.float64)
-    if g.shape != (c,):
-        raise ValueError(f"global logits shape {g.shape} != ({c},)")
+    if g.shape != values.shape[:-1]:
+        raise ValueError(f"global logits shape {g.shape} != {values.shape[:-1]}")
 
-    aggregated = matmul(Tensor(values), local_feats)  # [c, k]
-    local_logits = (head.weight * aggregated).sum(axis=1) + head.bias
+    aggregated = matmul(Tensor(values.reshape(n, c, d)), local_feats.reshape(n, d, k))  # [n, c, k]
+    local_logits = ((head.weight * aggregated).sum(axis=2) + head.bias).reshape(*g.shape)
     fused = local_logits + Tensor(g)
     return fused, local_logits

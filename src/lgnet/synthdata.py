@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,15 @@ class Sample:
     gt_boxes: dict[int, Box]  # attribute index -> box, positives only
 
 
+@lru_cache(maxsize=256)
 def _shape_mask(shape: str, size: int) -> np.ndarray:
+    """Read-only [size, size] mask of a shape, built once per (shape, size)."""
+    mask = _draw_mask(shape, size)
+    mask.flags.writeable = False  # shared by every caller of the cache
+    return mask
+
+
+def _draw_mask(shape: str, size: int) -> np.ndarray:
     s = size
     yy, xx = np.mgrid[0:s, 0:s]
     cy = cx = (s - 1) / 2.0
@@ -168,8 +177,7 @@ def _shape_mask(shape: str, size: int) -> np.ndarray:
 
 def _paint(image: np.ndarray, mask: np.ndarray, x0: int, y0: int, color) -> None:
     region = image[:, y0 : y0 + mask.shape[0], x0 : x0 + mask.shape[1]]
-    for ch in range(3):
-        region[ch][mask] = color[ch]
+    np.copyto(region, np.reshape(color, (3, 1, 1)), where=mask)
 
 
 def _place(

@@ -24,7 +24,6 @@ from .boxes import box_array
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "relu",
     "sigmoid",
     "affine",
@@ -49,11 +48,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
-
-
-def is_grad_enabled() -> bool:
-    """Whether op results currently record a graph (false inside :func:`no_grad`)."""
-    return _grad_enabled
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
@@ -184,8 +178,8 @@ class Tensor:
     def __add__(self, other):
         other = _as_tensor(other)
         a, b = self, other
+        _check_broadcast(a, b, "add")
         data = a.data + b.data
-        _check_same_or_scalar(a, b, "add")
 
         def backward(g):
             if a.requires_grad:
@@ -217,7 +211,7 @@ class Tensor:
     def __mul__(self, other):
         other = _as_tensor(other)
         a, b = self, other
-        _check_same_or_scalar(a, b, "mul")
+        _check_broadcast(a, b, "mul")
         data = a.data * b.data
 
         def backward(g):
@@ -245,6 +239,16 @@ class Tensor:
 
         return Tensor._make(data, (a,), backward, "sum")
 
+    def reshape(self, *shape: int) -> "Tensor":
+        a = self
+        data = a.data.reshape(shape)
+
+        def backward(g):
+            if a.requires_grad:
+                a._accumulate(g.reshape(a.data.shape))
+
+        return Tensor._make(data, (a,), backward, "reshape")
+
 
 def _as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
@@ -252,8 +256,10 @@ def _as_tensor(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _check_same_or_scalar(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
+def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+    """Operands must match, or one is a scalar, or one's shape ends the other's."""
+    short, long = sorted((a.data.shape, b.data.shape), key=len)
+    if a.data.size != 1 and b.data.size != 1 and long[len(long) - len(short):] != short:
         raise ValueError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
@@ -261,20 +267,21 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     if grad.shape == shape:
         return grad
-    return np.asarray(grad.sum()).reshape(shape) if np.prod(shape, dtype=int) == 1 else grad.reshape(shape)
+    if np.prod(shape, dtype=int) == 1:
+        return np.asarray(grad.sum()).reshape(shape)
+    return grad.sum(axis=tuple(range(grad.ndim - len(shape))))
 
 
 # -- elementwise nonlinearities -----------------------------------------------
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x). Subgradient at 0 is 0."""
-    mask = x.data > 0
-    data = np.where(mask, x.data, 0.0)
+    """Elementwise max(0, x), +0.0 where x is -0.0. Subgradient at 0 is 0."""
+    data = np.maximum(x.data, 0.0)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * (data > 0))
 
     return Tensor._make(data, (x,), backward, "relu")
 
@@ -345,16 +352,18 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Plain 2-D matrix product a @ b."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """Matrix product a @ b of two 2-D operands, or of two stacks
+    [n, m, k] and [n, k, p] one pair at a time."""
+    sa, sb = a.data.shape, b.data.shape
+    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return Tensor._make(data, (a, b), backward, "matmul")
 
@@ -394,6 +403,13 @@ def _conv_gather_index(
     return idx
 
 
+# Largest output map, in cells, whose kernel gradient is one GEMM over all
+# images' columns. One BLAS thread, per-image products against one GEMM:
+# 100 maps at 2x2, 0.76 against 0.23 ms; at 4x4, 1.24 against 1.03 ms;
+# 16 maps at 8x8, 0.47 against 0.68 ms; at 32x32, 0.39 against 1.33 ms.
+DW_GEMM_MAX_CELLS = 16
+
+
 def conv2d(
     x: Tensor,
     kernels: Tensor,
@@ -411,7 +427,9 @@ def conv2d(
     The columns are one gather, ``np.take`` of the flattened input with
     a cached index (:func:`_conv_gather_index`), followed by one batched
     matmul. The input gradient is one ``np.bincount`` over the same
-    index, so every input cell sums its taps in row-major tap order.
+    index, so every input cell sums its taps in row-major tap order. The
+    kernel gradient is one GEMM over all images' columns for an output
+    map of at most ``DW_GEMM_MAX_CELLS`` cells, else per-image products.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ValueError(f"bad conv spec: stride={stride} dilation={dilation} padding={padding}")
@@ -436,14 +454,19 @@ def conv2d(
     flat = np.concatenate([xd.reshape(n, cells - 1), np.zeros((n, 1))], axis=1)
     cols = np.take(flat, idx, axis=1)  # [N, C*kh*kw, out_h*out_w]
     wmat = wd.reshape(k, -1)
-    data = (np.matmul(wmat, cols) + bias.data[None, :, None]).reshape(n, k, out_h, out_w)
+    data = np.matmul(wmat, cols)
+    data += bias.data[None, :, None]
+    data = data.reshape(n, k, out_h, out_w)
     if squeezed:
         data = data[0]
 
     def backward(g):
         gmat = (g[None] if squeezed else g).reshape(n, k, -1)
         if kernels.requires_grad:
-            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+            if out_h * out_w <= DW_GEMM_MAX_CELLS:
+                dw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2]))
+            else:
+                dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
             kernels._accumulate(dw.reshape(wd.shape))
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=(0, 2)))

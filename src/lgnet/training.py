@@ -36,7 +36,7 @@ from .guidance import GuidanceHead, affinity_map, guided_fusion, normalize_affin
 from .loss_metrics import MetricsReport, positive_ratio, weighted_sigmoid_ce_node
 from .proposals import ProposalSet, load_proposals, top_k
 from .synthdata import DataError, Sample
-from .tensor import Tensor, is_grad_enabled, no_grad, roi_max_pool_batch
+from .tensor import Tensor, no_grad, roi_max_pool_batch
 
 __all__ = [
     "TrainConfig",
@@ -60,6 +60,10 @@ __all__ = [
 AFFINITY_CHOICES = ("iou", "overlap_area", "uniform")
 # images per stage-2 scoring pass; chunks of 64 were measured slower than 8-16
 SCORE_BATCH = 16
+# images per stage-2 SGD graph. Peak RSS of the benchmark's eval and
+# train workloads (one run each) read 113.5 and 107.9 MB with chunks of
+# 4, 114.7 and 108.8 with 8, and 130.0 and 124.3 with whole batches of 16
+SGD_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -263,13 +267,11 @@ def _same_size_chunks(samples: Sequence[Sample], size: int):
         yield chunk
 
 
-def _global_scores(model: GlobalModel, samples: Sequence[Sample], batch_size: int = 64) -> np.ndarray:
-    rows = []
-    for chunk in _same_size_chunks(samples, batch_size):
-        images = Tensor(np.stack([s.image for s in chunk]))
-        _, logits = forward_global(model.params, model.backbone, images)
-        rows.append(logits.data)
-    return np.concatenate(rows, axis=0)
+def _global_scores(model: GlobalModel, samples: Sequence[Sample]) -> np.ndarray:
+    """Stage-1 logits one image at a time, as the frozen half of a stage-2
+    model computes them: a batch's classifier product may round the last
+    bit differently."""
+    return np.stack([forward_global(model.params, model.backbone, Tensor(s.image))[1].data for s in samples])
 
 
 def train_stage1(
@@ -378,15 +380,10 @@ def _guidance(model: LGModel, sample: Sample, boxes: Sequence[Box] | np.ndarray)
     )
 
 
-def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Sequence[Guidance]) -> list[Tensor]:
-    """Run the trainable half on images of one size: the local trunk, ROI
-    pooling and tail once for the batch, then the fusion per image.
-
-    A batch of several images splits its region features per image
-    without a gradient path, so it must run under ``no_grad``.
-    """
-    if len(samples) > 1 and is_grad_enabled():
-        raise RuntimeError("a batch of several images can only be scored under no_grad")
+def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Sequence[Guidance]) -> Tensor:
+    """Run the trainable half on n images of one size: the local trunk,
+    ROI pooling, the tail and the fusion once for the batch. Returns the
+    [n, c] fused logits, with a gradient path outside ``no_grad``."""
     d = len(guides[0].boxes)
     if any(len(g.boxes) != d for g in guides):
         raise ValueError("every image of a batch needs the same number of proposals")
@@ -397,17 +394,14 @@ def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Sequence[Gu
     boxes = np.concatenate([g.boxes for g in guides])
     pooled = roi_max_pool_batch(stem, boxes, oh, ow, image_w, image_h)
     feats = forward_local_tail(model.local_params, model.backbone, pooled)
-    per_image = [feats] if len(samples) == 1 else [Tensor(f) for f in np.split(feats.data, len(samples))]
-    return [
-        guided_fusion(g.affinity, f, model.head, g.global_logits)[0]
-        for g, f in zip(guides, per_image)
-    ]
+    affinity = np.stack([g.affinity for g in guides])
+    return guided_fusion(affinity, feats, model.head, np.stack([g.global_logits for g in guides]))[0]
 
 
 def _lg_forward(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> tuple[Tensor, Guidance]:
     """One sample through the full pipeline; returns (fused logits, guidance)."""
     guide = _guidance(model, sample, boxes)
-    return _fused_logits(model, [sample], [guide])[0], guide
+    return _fused_logits(model, [sample], [guide]).reshape(-1), guide
 
 
 def _prepare_proposals(
@@ -444,6 +438,22 @@ def _guidance_for(
     return {s.image_id: _guidance(model, s, boxes[s.image_id]) for s in samples}
 
 
+def _stage2_gradients(
+    model: LGModel, batch: Sequence[Sample], guides: Mapping[str, Guidance], pos: np.ndarray, sigma: float
+) -> float:
+    """Accumulate the gradient of the batch's mean loss into the trainable
+    parameters, one graph per same-size chunk of at most ``SGD_CHUNK``
+    images. Returns the sum of the images' losses."""
+    total = 0.0
+    for chunk in _same_size_chunks(batch, SGD_CHUNK):
+        fused = _fused_logits(model, chunk, [guides[s.image_id] for s in chunk])
+        loss = weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, sigma)
+        # the chunk's loss is its images' mean; weighted, the batch's
+        loss.backward(np.asarray(len(chunk) / len(batch)))
+        total += loss.item() * len(chunk)
+    return total
+
+
 def train_stage2(
     train: Sequence[Sample],
     val: Sequence[Sample],
@@ -475,23 +485,14 @@ def train_stage2(
         order = _epoch_permutation(config.seed, 2, epoch, len(train))
         total_loss, seen = 0.0, 0
         for step, batch_idx in enumerate(_batches(order, config.batch_size)):
+            batch = [train[i] for i in batch_idx]
             _zero_grads(named)
-            batch_loss = 0.0
-            scale = 1.0 / len(batch_idx)
-            for i in batch_idx:
-                sample = train[i]
-                try:
-                    fused = _fused_logits(model, [sample], [train_guides[sample.image_id]])[0]
-                    loss = weighted_sigmoid_ce_node(fused, sample.labels, pos, config.loss_sigma)
-                except FloatingPointError as exc:
-                    raise RuntimeError(
-                        f"stage-2 training diverged at epoch {epoch} step {step}: {exc}"
-                    ) from exc
-                loss.backward(np.asarray(scale))
-                batch_loss += loss.item()
+            try:
+                total_loss += _stage2_gradients(model, batch, train_guides, pos, config.loss_sigma)
+            except FloatingPointError as exc:
+                raise RuntimeError(f"stage-2 training diverged at epoch {epoch} step {step}: {exc}") from exc
             _sgd_step(named, lr, config.weight_decay, config.momentum, velocity)
-            total_loss += batch_loss
-            seen += len(batch_idx)
+            seen += len(batch)
         if model.frozen_digest() != digest:
             raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
         val_ma = evaluate(model, val, proposals=val_guides).ma
@@ -524,9 +525,9 @@ def evaluate(
 ) -> MetricsReport:
     """Score a split and compute the five metrics at the given threshold.
 
-    Scoring is gradient-free and runs over consecutive images of one
-    size, in chunks of up to 64 for a stage-1 model and ``SCORE_BATCH``
-    for a stage-2 one.
+    Scoring is gradient-free. A stage-1 model scores one image at a time;
+    a stage-2 one runs over consecutive images of one size, in chunks of
+    up to ``SCORE_BATCH``.
     """
     labels = _label_matrix(samples)
     with no_grad():
@@ -538,10 +539,9 @@ def evaluate(
             first = next(iter(proposals.values()))
             if isinstance(first, ProposalSet):
                 proposals = _guidance_for(model, samples, proposals)
-            scores = np.stack([
-                fused.data
+            scores = np.concatenate([
+                _fused_logits(model, chunk, [proposals[s.image_id] for s in chunk]).data
                 for chunk in _same_size_chunks(samples, SCORE_BATCH)
-                for fused in _fused_logits(model, chunk, [proposals[s.image_id] for s in chunk])
             ])
     return MetricsReport.from_scores(scores, labels, threshold)
 

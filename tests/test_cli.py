@@ -420,8 +420,8 @@ class TestMixedSizeSplit:
             found = load_proposal_dir(props, [s.image_id for s in samples])
             guides = _guidance_for(model, samples, found)
             with no_grad():
-                scores = np.stack([_fused_logits(model, [s], [guides[s.image_id]])[0].data
-                                   for s in samples])
+                scores = np.concatenate([_fused_logits(model, [s], [guides[s.image_id]]).data
+                                         for s in samples])
         expected = MetricsReport.from_scores(scores, _label_matrix(samples))
         assert json.loads(out.read_text()) == expected.as_dict()
 

@@ -17,7 +17,7 @@ from lgnet.cli import main
 GOLDEN = {
     "proposals": "b02025079397581862a449f3353af816ceb9e0ba4ca49a9abc0e8d6099a630c0",
     "stage1": "965e3567fbd84011701837bb360f603ce301fe5c9f91e2755f5803e62483f30f",
-    "stage2": "2257276532cf50b5dea38737edcf03f2476d180c09241448e58323a54b993b23",
+    "stage2": "26591199dc2d4d20298c360d7539df2ba6e0455baa453061afe34abdb2b30f47",
     "stage2_log": "622c28b241a7405cf246d84d746f135e1a2940dbb95f181bcd7ec9e2cd4e5a89",
     "eval_report": "f272c47bd69659011c3bf0e8f79555d1f633b980c9ed5919db0156ed43a6dae7",
     "localize": "1fa0734d2421752a9d99e989e342778401df536ca881aaa8958d1522c699f61f",

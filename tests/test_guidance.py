@@ -253,6 +253,31 @@ class TestGuidedFusion:
             grads.append(head.weight.grad.copy())
         assert np.array_equal(grads[0][0], grads[1][0])
 
+    def test_stacked_images_match_per_image_calls(self, rng):
+        n, c, d, k = 3, 2, 4, 3
+        a, x, yg = rng.uniform(size=(n, c, d)), rng.normal(size=(n * d, k)), rng.normal(size=(n, c))
+        head = _head(rng.normal(size=(c, k)), rng.normal(size=c))
+        seed = rng.normal(size=(n, c))
+        feats = Tensor(x, requires_grad=True)
+        fused, local = guided_fusion(a, feats, head, yg)
+        assert fused.shape == local.shape == (n, c)
+        fused.backward(seed)
+        stacked_head = head.weight.grad.copy()
+        head.weight.zero_grad()
+        for i in range(n):
+            one = Tensor(x[i * d : (i + 1) * d], requires_grad=True)
+            fused_i, local_i = guided_fusion(a[i], one, head, yg[i])
+            fused_i.backward(seed[i])
+            assert np.array_equal(fused.data[i], fused_i.data)
+            assert np.array_equal(local.data[i], local_i.data)
+            assert np.array_equal(feats.grad[i * d : (i + 1) * d], one.grad)
+        # the stacked form sums the images' head gradients in one reduction
+        assert np.allclose(stacked_head, head.weight.grad, rtol=1e-13, atol=0)
+        with pytest.raises(ValueError):
+            guided_fusion(a, feats, head, yg[0])
+        with pytest.raises(ValueError):
+            guided_fusion(a, Tensor(x[:-1]), head, yg)
+
     def test_shape_validation(self, rng):
         head = _head(rng.normal(size=(2, 3)), np.zeros(2))
         with pytest.raises(ValueError):

@@ -18,7 +18,25 @@ from lgnet.tensor import (
     roi_max_pool_batch,
     sigmoid,
 )
-from lgnet.tensor import _conv_gather_index
+from lgnet.tensor import DW_GEMM_MAX_CELLS, _conv_gather_index
+
+# relative bound on a kernel gradient summed as one GEMM against the
+# per-image products of the references; measured below 1.5e-15
+DW_GEMM_REL = 1e-13
+
+
+def _assert_same_conv(results):
+    """Output, input and bias gradients equal the reference's bit for bit,
+    and so does the kernel gradient of a large output map. A small map's
+    kernel gradient is one GEMM over every image, which sums in another
+    order, so it agrees within ``DW_GEMM_REL`` of its largest entry."""
+    got, want = results
+    one_gemm = got[0].shape[-2] * got[0].shape[-1] <= DW_GEMM_MAX_CELLS
+    for i, (a, b) in enumerate(zip(got, want)):
+        if i == 2 and one_gemm:
+            assert np.abs(a - b).max() <= DW_GEMM_REL * np.abs(b).max()
+        else:
+            assert np.array_equal(a, b)
 
 
 def _reference_conv2d(x, kernels, bias, stride=1, dilation=1, padding=0):
@@ -188,6 +206,53 @@ class TestElementwise:
         out = relu(Tensor([-3.5, 2.0]))
         assert out.data.tolist() == [0.0, 2.0]
 
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+    def test_relu_equals_where_bit_for_bit(self, rng, layout):
+        base = rng.normal(size=(6, 10))
+        base[::3, ::2] = -0.0
+        base[1::3, 1::2] = 0.0
+        x = {"contiguous": base, "strided": base[:, ::3], "transposed": base.T}[layout]
+        out = relu(Tensor(x)).data
+        want = np.where(x > 0, x, 0.0)
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+        # Tensor() stores a contiguous copy, but op results may be views,
+        # so the array op itself must agree on the strided layout too
+        direct = np.maximum(x, 0.0)
+        assert np.array_equal(direct.view(np.int64), want.view(np.int64))
+
+    def test_relu_gradient_is_zero_at_zero(self):
+        x = Tensor([-0.0, 0.0, -1.0, 2.0], requires_grad=True)
+        relu(x).backward(np.ones(4))
+        assert x.grad.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    def test_matmul_of_stacks_matches_per_pair_products(self, rng):
+        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        out = matmul(a, b)
+        g = rng.normal(size=(3, 2, 5))
+        out.backward(g)
+        for i in range(3):
+            ai = Tensor(a.data[i], requires_grad=True)
+            bi = Tensor(b.data[i], requires_grad=True)
+            single = matmul(ai, bi)
+            single.backward(g[i])
+            assert np.array_equal(out.data[i], single.data)
+            assert np.array_equal(a.grad[i], ai.grad)
+            assert np.array_equal(b.grad[i], bi.grad)
+        with pytest.raises(ValueError):
+            matmul(Tensor(np.ones((3, 2, 4))), Tensor(np.ones((2, 4, 5))))
+        with pytest.raises(ValueError):
+            matmul(Tensor(np.ones((3, 2, 4))), Tensor(np.ones((4, 5))))
+
+    def test_trailing_broadcast_sums_the_leading_axes(self, rng):
+        w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
+        ((w * x) + w).reshape(8, 3).sum().backward()
+        assert np.array_equal(w.grad, x.data.sum(axis=0) + 4.0)
+        assert np.array_equal(x.grad, np.broadcast_to(w.data, (4, 2, 3)))
+        with pytest.raises(ValueError):
+            w * Tensor(np.ones((2, 3, 2)))
+
     def test_affine_hand_example(self):
         out = affine(Tensor([1.0, 1.0]), Tensor([[1.0, 2.0]]), Tensor([0.5]))
         assert out.data.tolist() == [3.5]
@@ -247,8 +312,7 @@ class TestConv2d:
             out = op(x, k, b, stride=stride, dilation=dilation, padding=padding)
             out.backward(np.random.default_rng(5).normal(size=out.data.shape))
             results.append((out.data, x.grad, k.grad, b.grad))
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
+        _assert_same_conv(results)
 
     @pytest.mark.parametrize("x_shape, k_out, stride, dilation, padding", [
         ((16, 3, 64, 64), 8, 2, 1, 1),  # stage-1 batch, first stage
@@ -268,8 +332,35 @@ class TestConv2d:
             out = op(x, k, b, stride=stride, dilation=dilation, padding=padding)
             out.backward(np.random.default_rng(5).normal(size=out.data.shape))
             results.append((out.data, x.grad, k.grad, b.grad))
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
+        _assert_same_conv(results)
+
+    @pytest.mark.parametrize("x_shape, stride", [
+        ((100, 16, 3, 3), 2),  # the region tail: 2x2 cells per region
+        ((7, 2, 4, 4), 1),  # 4x4 cells, the largest map summed as one GEMM
+    ])
+    def test_one_gemm_kernel_gradient_matches_per_image_products(self, rng, x_shape, stride):
+        x = Tensor(rng.normal(size=x_shape))
+        k_data, b = rng.normal(size=(8, x_shape[1], 3, 3)), Tensor(rng.normal(size=8))
+        seed = None
+        grads = []
+        for op in (conv2d, _reference_conv2d):
+            k = Tensor(k_data, requires_grad=True)
+            out = op(x, k, b, stride=stride, padding=1)
+            assert out.data.shape[-2] * out.data.shape[-1] <= DW_GEMM_MAX_CELLS
+            seed = np.random.default_rng(6).normal(size=out.data.shape) if seed is None else seed
+            out.backward(seed)
+            grads.append(k.grad)
+        got, want = grads
+        assert np.abs(got - want).max() <= DW_GEMM_REL * np.abs(want).max()
+
+    def test_one_gemm_kernel_gradient_passes_gradient_check(self, rng):
+        x = Tensor(rng.normal(size=(5, 2, 3, 3)), requires_grad=True)
+        k = Tensor(0.5 * rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(0.1 * rng.normal(size=3), requires_grad=True)
+        weights = Tensor(rng.normal(size=(5, 3, 2, 2)))
+        f = lambda: (conv2d(x, k, b, stride=2, padding=1) * weights).sum()
+        assert f().data.size == 1 and 2 * 2 <= DW_GEMM_MAX_CELLS
+        assert check_gradients(f, [k, b, x], eps=1e-5) < 1e-6
 
     def test_gather_index_built_once_per_geometry(self, rng):
         _conv_gather_index.cache_clear()

@@ -40,44 +40,57 @@ def test_traced_method_resolves(module_name, cls_name, attr):
 
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):
-    """A tiny dataset, its proposal files and an untrained stage-2 checkpoint."""
+    """A tiny dataset, its proposal files, an untrained stage-1 checkpoint
+    and an untrained stage-2 one."""
     import numpy as np
 
-    from lgnet.backbone import init_backbone_params, preset_config
+    from lgnet.backbone import init_backbone_params, preset_config, save_stage1_checkpoint
     from lgnet.cli import main
     from lgnet.training import GlobalModel, TrainConfig, build_lg_model, save_stage2_checkpoint
 
     root = tmp_path_factory.mktemp("sites")
-    data, props, model = root / "data", root / "props", root / "stage2.lgn"
-    argv = ["gen-data", "--out", data, "--seed", "3", "--n-train", "2", "--n-val", "1", "--n-test", "3"]
+    data, props = root / "data", root / "props"
+    stage1, model = root / "stage1.lgn", root / "stage2.lgn"
+    argv = ["gen-data", "--out", data, "--seed", "3", "--n-train", "6", "--n-val", "1", "--n-test", "3"]
     assert main([str(a) for a in argv]) == 0
     bb = preset_config("base", 8)
     params = init_backbone_params(bb, np.random.default_rng(0), trainable=True)
+    save_stage1_checkpoint(stage1, bb, params)
     save_stage2_checkpoint(model, build_lg_model(GlobalModel(bb, params), TrainConfig(top_k_proposals=12)))
     commands = {
-        "propose": [str(a) for a in ["propose", "--images", data, "--out", props, "--top-k", "10"]],
-        "eval": [str(a) for a in ["eval", "--model", model, "--data", data, "--proposals", props]],
+        "propose": ["propose", "--images", data, "--out", props, "--top-k", "10"],
+        "eval": ["eval", "--model", model, "--data", data, "--proposals", props],
+        "train-stage2": ["train-stage2", "--data", data, "--model", stage1, "--proposals", props,
+                         "--out", root / "trained.lgn", "--epochs", "2", "--batch-size", "6",
+                         "--top-k", "10"],
     }
+    commands = {name: [str(a) for a in argv] for name, argv in commands.items()}
     assert main(commands["propose"]) == 0
     return commands
 
 
-IMAGES = {"propose": 6, "eval": 3}  # every split for propose, the test split for eval
+# train-stage2 above runs 2 epochs of one batch of 6 images, which SGD
+# takes in chunks of 4 and 2, and validates 1 image as one chunk per epoch
+SGD_CHUNKS, GRAPH_CHUNKS = 2 * 2, 2 * (2 + 1)
 
-
-# the sites the proposal layers are timed and counted at, and the command
-# path that must call each of them once per image
+# the sites layers are timed and counted at, the command path that must
+# call each, and how often: once per image (10 in all splits, 3 in the
+# test split) or once per chunk of images
 CALLED_SITES = [
-    ("lgnet.proposals", "top_k", "propose"),
-    ("lgnet.cli", "save_proposals", "propose"),
-    ("lgnet.training", "load_proposals", "eval"),
-    ("lgnet.training", "top_k", "eval"),
+    ("lgnet.proposals", "top_k", "propose", 10),
+    ("lgnet.cli", "save_proposals", "propose", 10),
+    ("lgnet.training", "load_proposals", "eval", 3),
+    ("lgnet.training", "top_k", "eval", 3),
+    ("lgnet.training", "forward_local_stem", "train-stage2", GRAPH_CHUNKS),
+    ("lgnet.training", "roi_max_pool_batch", "train-stage2", GRAPH_CHUNKS),
+    ("lgnet.training", "guided_fusion", "train-stage2", GRAPH_CHUNKS),
+    ("lgnet.training", "weighted_sigmoid_ce_node", "train-stage2", SGD_CHUNKS),
 ]
 
 
-@pytest.mark.parametrize("module_name, attr, command", CALLED_SITES,
-                         ids=[f"{m}.{a}-{c}" for m, a, c in CALLED_SITES])
-def test_traced_site_is_called_on_its_path(cli_workspace, monkeypatch, module_name, attr, command):
+@pytest.mark.parametrize("module_name, attr, command, expected", CALLED_SITES,
+                         ids=[f"{m}.{a}-{c}" for m, a, c, _ in CALLED_SITES])
+def test_traced_site_is_called_on_its_path(cli_workspace, monkeypatch, module_name, attr, command, expected):
     from lgnet.cli import main
 
     assert (module_name, attr) in FUNCTION_SITES
@@ -90,4 +103,4 @@ def test_traced_site_is_called_on_its_path(cli_workspace, monkeypatch, module_na
 
     monkeypatch.setattr(module, attr, counted)
     assert main(cli_workspace[command]) == 0
-    assert len(calls) == IMAGES[command]
+    assert len(calls) == expected
