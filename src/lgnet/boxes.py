@@ -26,18 +26,6 @@ class Box:
             raise ValueError(f"degenerate box: {self}")
 
     @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
@@ -46,14 +34,6 @@ class Box:
 
     def contains_point(self, x: float, y: float) -> bool:
         return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max
-
-
-def intersection_area(a: Box, b: Box) -> float:
-    w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if w <= 0.0 or h <= 0.0:
-        return 0.0
-    return w * h
 
 
 def full_image_box(image_w: float, image_h: float, score: float | None = None) -> Box:
@@ -77,3 +57,19 @@ def box_array(boxes, scored: bool = False) -> np.ndarray:
         raise ValueError(f"box has no score: {missing[0]}")
     rows = [(b.x_min, b.y_min, b.x_max, b.y_max, b.score)[:width] for b in boxes]
     return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
+def pairwise_overlap(a, b, mode: str = "iou") -> np.ndarray:
+    """[n, m] intersection areas ("overlap_area") or IoUs, taken as
+    ``inter / ((area_a + area_b) - inter)``, of each box of ``a`` with each
+    box of ``b``. Either side is anything :func:`box_array` takes."""
+    if mode not in ("iou", "overlap_area"):
+        raise ValueError(f"unknown overlap mode {mode!r}")
+    a, b = box_array(a)[:, :, None], box_array(b).T  # [n, 4, 1] and [4, m]
+    iw = np.minimum(a[:, 2], b[2]) - np.maximum(a[:, 0], b[0])
+    ih = np.minimum(a[:, 3], b[3]) - np.maximum(a[:, 1], b[1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    if mode == "overlap_area":
+        return inter
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    return inter / ((area_a + (b[2] - b[0]) * (b[3] - b[1])) - inter)

@@ -25,12 +25,12 @@ from .training import (
     ABLATIONS,
     GlobalModel,
     TrainConfig,
-    _fits,
     _guidance_for,
     _stage2_from_container,
     evaluate,
     load_proposal_dir,
     load_stage2_checkpoint,
+    read_config,
     run_ablation,
     save_stage2_checkpoint,
     train_stage1,
@@ -171,24 +171,13 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        cfg = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"{args.config}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise DataError(f"{args.config}: config must be a JSON object")
     defaults = {
         "num_attributes": args.num_attributes, "image_size": args.image_size,
         "n_train": args.n_train, "n_val": args.n_val, "n_test": args.n_test,
         **{key: getattr(SynthSpec, key)
            for key in ("positive_rate", "noise_sigma", "background", "clutter_range")},
     }
-    for key, value in cfg.items():
-        if key not in defaults:
-            raise DataError(f"{args.config}: unknown config field {key!r}")
-        if not _fits(value, defaults[key]):
-            raise DataError(f"{args.config}: config field {key!r} cannot be {value!r}")
-    cfg = {**defaults, **cfg}
+    cfg = {**defaults, **(read_config(args.config, defaults) if args.config else {})}
     spec = dataclasses.replace(
         default_spec(num_attributes=cfg["num_attributes"], image_size=cfg["image_size"]),
         positive_rate=cfg["positive_rate"],
@@ -236,15 +225,8 @@ def _cmd_train_stage1(args) -> int:
     config = _train_config(args)
     splits, _ = load_dataset(args.data)
     result = train_stage1(splits["train"], splits["val"], config)
-    save_stage1_checkpoint(
-        args.out, result.model.backbone, result.model.params,
-        extra={"best_val_ma": result.best_val_ma, "train_config": config.as_dict()},
-    )
-    log_path = args.log or args.out.with_suffix(".log.csv")
-    write_training_log(log_path, result.log_rows)
-    print(f"best val mA {result.best_val_ma:.4f} at epoch {result.best_epoch}")
-    print(f"saved checkpoint to {args.out}, log to {log_path}")
-    return 0
+    return _finish_training(args, config, result, lambda extra: save_stage1_checkpoint(
+        args.out, result.model.backbone, result.model.params, extra=extra))
 
 
 def _cmd_train_stage2(args) -> int:
@@ -255,10 +237,13 @@ def _cmd_train_stage2(args) -> int:
     ids = [s.image_id for s in splits["train"]] + [s.image_id for s in splits["val"]]
     proposals = load_proposal_dir(args.proposals, ids)
     result = train_stage2(splits["train"], splits["val"], stage1, proposals, config)
-    save_stage2_checkpoint(
-        args.out, result.model,
-        extra={"best_val_ma": result.best_val_ma, "train_config": config.as_dict()},
-    )
+    return _finish_training(args, config, result, lambda extra: save_stage2_checkpoint(
+        args.out, result.model, extra=extra))
+
+
+def _finish_training(args, config: TrainConfig, result, save) -> int:
+    """Save the best model through ``save(extra)``, write the epoch log and report both."""
+    save({"best_val_ma": result.best_val_ma, "train_config": config.as_dict()})
     log_path = args.log or args.out.with_suffix(".log.csv")
     write_training_log(log_path, result.log_rows)
     print(f"best val mA {result.best_val_ma:.4f} at epoch {result.best_epoch}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, box_array, intersection_area
+from .boxes import Box, pairwise_overlap
 from .tensor import Tensor, matmul
 
 __all__ = [
@@ -25,20 +25,15 @@ __all__ = [
     "guided_fusion",
 ]
 
-AFFINITY_MODES = ("iou", "overlap_area")
-
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union on real-valued coordinates."""
-    inter = intersection_area(a, b)
-    if inter == 0.0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
+    return float(pairwise_overlap([a], [b])[0, 0])
 
 
 def overlap_area(a: Box, b: Box) -> float:
     """Raw intersection area; the ablation alternative to IoU weighting."""
-    return intersection_area(a, b)
+    return float(pairwise_overlap([a], [b], "overlap_area")[0, 0])
 
 
 @dataclass(frozen=True)
@@ -62,21 +57,12 @@ def affinity_map(cam_boxes, proposals, mode: str = "iou") -> AffinityMatrix:
     """Raw affinity values[i, j] between activation box i and proposal j.
 
     Either side is a sequence of :class:`Box` or an array of rows whose
-    first four columns are the corners. Matches elementwise application
-    of :func:`iou` / :func:`overlap_area`; both axes are broadcast.
+    first four columns are the corners; the values are those of
+    :func:`~lgnet.boxes.pairwise_overlap` in the same mode.
     """
-    if mode not in AFFINITY_MODES:
-        raise ValueError(f"unknown affinity mode {mode!r}")
-    c, p = box_array(cam_boxes), box_array(proposals)
-    if not len(c) or not len(p):
+    values = pairwise_overlap(cam_boxes, proposals, mode)
+    if not values.size:
         raise ValueError("need at least one activation box and one proposal")
-    c, p = c[:, :, None], p.T  # [a, 4, 1] and [4, d]
-    iw = np.minimum(c[:, 2], p[2]) - np.maximum(c[:, 0], p[0])
-    ih = np.minimum(c[:, 3], p[3]) - np.maximum(c[:, 1], p[1])
-    values = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    if mode == "iou":
-        c_areas = (c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1])
-        values = values / (c_areas + (p[2] - p[0]) * (p[3] - p[1]) - values)
     return AffinityMatrix(values, mode)
 
 

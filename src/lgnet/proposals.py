@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import Box, box_array
+from .boxes import Box, box_array, pairwise_overlap
 
 __all__ = [
     "CandidateConfig",
@@ -59,11 +59,8 @@ class ProposalSet:
     """
 
     rows: np.ndarray
-    source: str  # "generated" | "loaded"
 
     def __post_init__(self):
-        if self.source not in ("generated", "loaded"):
-            raise ValueError(f"unknown proposal source {self.source!r}")
         rows = box_array(self.rows, scored=True).view()
         rows.flags.writeable = False  # a view, so the caller's array stays writeable
         object.__setattr__(self, "rows", rows)
@@ -79,7 +76,7 @@ class ProposalSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProposalSet):
             return NotImplemented
-        return self.source == other.source and np.array_equal(self.rows, other.rows)
+        return np.array_equal(self.rows, other.rows)
 
 
 def edge_map(image: np.ndarray) -> np.ndarray:
@@ -197,13 +194,9 @@ def _suppression_rows(coords: np.ndarray, iou_threshold: float) -> tuple[np.ndar
     exceeds the threshold. Built one row at a time, never as an n x n matrix."""
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou threshold {iou_threshold} outside (0, 1)")
-    areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
     rows = []
     for i in range(len(coords)):
-        iw = np.minimum(coords[i, 2], coords[:, 2]) - np.maximum(coords[i, 0], coords[:, 0])
-        ih = np.minimum(coords[i, 3], coords[:, 3]) - np.maximum(coords[i, 1], coords[:, 1])
-        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-        hit = inter / (areas[i] + areas - inter) > iou_threshold
+        hit = pairwise_overlap(coords[i : i + 1], coords)[0] > iou_threshold
         hit[i] = False
         row = np.flatnonzero(hit)
         row.flags.writeable = False  # cached rows are shared by every caller
@@ -264,7 +257,7 @@ def top_k(boxes, image_w: int, image_h: int, k: int = 100) -> ProposalSet:
         # interior-penalized scores can go negative, so the zero-score pads
         # are merged back into score order rather than appended
         rows = rows[np.argsort(-rows[:, 4], kind="stable")]
-    return ProposalSet(rows, source="generated")
+    return ProposalSet(rows)
 
 
 def propose_for_image(
@@ -333,4 +326,4 @@ def load_proposals(path: str | Path) -> ProposalSet:
         raise ValueError(f"{path}:{lines[good][0]}: {fault}")
     if not good:
         raise ValueError(f"{path}: no proposals")
-    return ProposalSet(rows, source="loaded")
+    return ProposalSet(rows)

@@ -25,7 +25,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "relu",
-    "sigmoid",
     "affine",
     "matmul",
     "conv2d",
@@ -284,17 +283,6 @@ def relu(x: Tensor) -> Tensor:
             x._accumulate(g * (data > 0))
 
     return Tensor._make(data, (x,), backward, "relu")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function, computed in the overflow-safe split form."""
-    data = _sigmoid_stable(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * data * (1.0 - data))
-
-    return Tensor._make(data, (x,), backward, "sigmoid")
 
 
 def _sigmoid_stable(z: np.ndarray) -> np.ndarray:

@@ -151,15 +151,25 @@ class TestMalformedInput:
                                        "--proposals", workspace / "props"], capsys)
         assert "head/bias" in err or "head bias" in err
 
+    @classmethod
+    def _assert_config_errors(cls, workspace, tmp_path, capsys, path):
+        """``path`` is refused by ``gen-data --config`` and by ``train-stage1
+        --config`` (``TrainConfig.from_file``) alike: each exits 2 with an
+        error line naming the file and writes nothing. Returns both lines."""
+        errs = []
+        for argv in (["gen-data"], ["train-stage1", "--data", workspace / "data"]):
+            out = tmp_path / "out"
+            errs.append(cls._assert_data_error([*argv, "--out", out, "--config", path], capsys))
+            assert str(path) in errs[-1] and not out.exists()
+        return errs
+
     @pytest.mark.parametrize("config", [
         [1, 2], {"bogus": 1}, {"roi_out": 3}, {"epochs": 1.5}, {"epochs": "2"},
     ])
     def test_bad_train_config(self, workspace, tmp_path, capsys, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        err = self._assert_data_error(["train-stage1", "--data", workspace / "data",
-                                       "--out", tmp_path / "s1.lgn", "--config", path], capsys)
-        assert str(path) in err
+        self._assert_config_errors(workspace, tmp_path, capsys, path)
 
     def test_non_finite_checkpoint_tensor(self, workspace, tmp_path, capsys):
         from lgnet import checkpoint
@@ -196,34 +206,29 @@ class TestMalformedInput:
         err = self._assert_data_error(["propose", "--images", images, "--out", tmp_path / "p"], capsys)
         assert str(bad) in err
 
-    def test_gen_data_config_not_an_object(self, tmp_path, capsys):
+    def test_gen_data_config_not_an_object(self, workspace, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1]")
-        self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path], capsys)
+        self._assert_config_errors(workspace, tmp_path, capsys, path)
 
     @pytest.mark.parametrize("config", [{"n_train": "5"}, {"num_attributes": 2.5}])
-    def test_gen_data_config_wrong_type(self, tmp_path, capsys, config):
+    def test_gen_data_config_wrong_type(self, workspace, tmp_path, capsys, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        err = self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path],
-                                      capsys)
-        assert str(path) in err and repr(next(iter(config))) in err
+        for err in self._assert_config_errors(workspace, tmp_path, capsys, path):
+            assert repr(next(iter(config))) in err
 
-    def test_gen_data_config_unknown_key(self, tmp_path, capsys):
+    def test_gen_data_config_unknown_key(self, workspace, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_trian": 1, "n_train": 1, "n_val": 1, "n_test": 1}))
-        err = self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path],
-                                      capsys)
-        assert str(path) in err and "'n_trian'" in err
-        assert not (tmp_path / "data").exists()
+        for err in self._assert_config_errors(workspace, tmp_path, capsys, path):
+            assert "'n_trian'" in err
 
     @pytest.mark.parametrize("raw", [b"{n_train: 1}", b'{"n_train": 1\xff}'], ids=["not-json", "not-utf8"])
-    def test_gen_data_config_not_json(self, tmp_path, capsys, raw):
+    def test_gen_data_config_not_json(self, workspace, tmp_path, capsys, raw):
         path = tmp_path / "config.json"
         path.write_bytes(raw)
-        err = self._assert_data_error(["gen-data", "--out", tmp_path / "data", "--config", path],
-                                      capsys)
-        assert str(path) in err
+        self._assert_config_errors(workspace, tmp_path, capsys, path)
 
     def test_short_ground_truth_line(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"

@@ -33,6 +33,30 @@ def _random_int_box(rng, lim=64) -> Box:
     return Box(float(x0), float(y0), float(x1), float(y1))
 
 
+def _random_float_box(rng, lim=20.0) -> Box:
+    x0, x1 = np.sort(rng.uniform(0, lim, 2)).tolist()
+    y0, y1 = np.sort(rng.uniform(0, lim, 2)).tolist()
+    return Box(x0, y0, x1, y1)
+
+
+def _reference_intersection_area(a: Box, b: Box) -> float:
+    """Scalar reference: the intersection from the corners of two boxes."""
+    w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if w <= 0.0 or h <= 0.0:
+        return 0.0
+    return w * h
+
+
+def _reference_iou(a: Box, b: Box) -> float:
+    """Scalar reference for :func:`iou`."""
+    inter = _reference_intersection_area(a, b)
+    if inter == 0.0:
+        return 0.0
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    return inter / (area_a + (b.x_max - b.x_min) * (b.y_max - b.y_min) - inter)
+
+
 def _per_box_affinity(cam_boxes, proposals, mode):
     """Reference: one vectorized row per activation box."""
     p = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in proposals])
@@ -43,7 +67,7 @@ def _per_box_affinity(cam_boxes, proposals, mode):
         ih = np.minimum(ci.y_max, p[:, 3]) - np.maximum(ci.y_min, p[:, 1])
         inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
         if mode == "iou":
-            values[i] = inter / (ci.area + p_areas - inter)
+            values[i] = inter / ((ci.x_max - ci.x_min) * (ci.y_max - ci.y_min) + p_areas - inter)
         else:
             values[i] = inter
     return values
@@ -95,6 +119,37 @@ class TestOverlapArea:
 
     def test_partial(self):
         assert overlap_area(Box(0, 0, 10, 10), Box(5, 5, 15, 15)) == 25.0
+
+
+class TestScalarOverlapMatchesReference:
+    """``iou`` and ``overlap_area`` are one-pair calls of the overlap
+    kernel; they equal the scalar references exactly."""
+
+    PAIRS = {
+        "disjoint": (Box(0, 0, 5, 5), Box(6, 6, 9, 9)),
+        "disjoint_in_x_only": (Box(0, 0, 5, 5), Box(7, 1, 9, 4)),
+        "edge_touching": (Box(0, 0, 4, 4), Box(4, 0, 8, 4)),
+        "corner_touching": (Box(0, 0, 4, 4), Box(4, 4, 6, 6)),
+        "nested": (Box(0, 0, 10, 10), Box(2.5, 3, 7, 9.75)),
+        "identical": (Box(0.37, 1.11, 5.5, 7.25), Box(0.37, 1.11, 5.5, 7.25)),
+        "partial": (Box(0, 0, 10, 10), Box(5, 5, 15, 15)),
+        "thin_sliver": (Box(0, 0, 10, 10), Box(9.999, 0, 20, 10)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_named_pairs(self, name):
+        a, b = self.PAIRS[name]
+        for x, y in ((a, b), (b, a)):
+            assert iou(x, y) == _reference_iou(x, y)
+            assert overlap_area(x, y) == _reference_intersection_area(x, y)
+            assert type(iou(x, y)) is float and type(overlap_area(x, y)) is float
+
+    def test_random_pairs(self, rng):
+        # integer corners on a small grid touch, nest and repeat often
+        for make in [_random_float_box, lambda r: _random_int_box(r, 12)] * 250:
+            a, b = make(rng), make(rng)
+            assert iou(a, b) == _reference_iou(a, b)
+            assert overlap_area(a, b) == _reference_intersection_area(a, b)
 
 
 class TestAffinityMap:

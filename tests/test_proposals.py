@@ -6,7 +6,6 @@ import pytest
 
 from lgnet import proposals
 from lgnet.boxes import Box, full_image_box
-from lgnet.guidance import iou
 from lgnet.proposals import (
     INTERIOR_PENALTY,
     MIN_SIDE,
@@ -21,6 +20,7 @@ from lgnet.proposals import (
     score_windows,
     top_k,
 )
+from test_guidance import _reference_iou
 
 
 class TestEdgeMap:
@@ -200,7 +200,7 @@ class TestGenerateCandidates:
 
 
 def _reference_nms(boxes, threshold):
-    """Independent greedy oracle: python loops plus the scalar iou."""
+    """Independent greedy oracle: python loops plus the scalar reference iou."""
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
     kept, dead = [], set()
     for i in order:
@@ -208,7 +208,7 @@ def _reference_nms(boxes, threshold):
             continue
         kept.append(boxes[i])
         for j in order:
-            if j != i and j not in dead and iou(boxes[i], boxes[j]) > threshold:
+            if j != i and j not in dead and _reference_iou(boxes[i], boxes[j]) > threshold:
                 dead.add(j)
         dead.add(i)
     return kept
@@ -247,6 +247,74 @@ class TestNms:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             nms([], iou_threshold=1.5)
+
+
+def _reference_suppression_rows(coords, iou_threshold):
+    """The per-row loop with the IoU arithmetic written inline, as
+    ``_suppression_rows`` computed it before the shared overlap kernel."""
+    areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
+    rows = []
+    for i in range(len(coords)):
+        iw = np.minimum(coords[i, 2], coords[:, 2]) - np.maximum(coords[i, 0], coords[:, 0])
+        ih = np.minimum(coords[i, 3], coords[:, 3]) - np.maximum(coords[i, 1], coords[:, 1])
+        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+        hit = inter / (areas[i] + areas - inter) > iou_threshold
+        hit[i] = False
+        rows.append(np.flatnonzero(hit))
+    return rows
+
+
+def _overlap_test_sets(rng):
+    """Box sets with random, touching, nested and identical boxes."""
+    floats = np.sort(rng.uniform(0, 40, (60, 2, 2)), axis=1)  # [n, (min, max), (x, y)]
+    grid = 2.0 * rng.integers(0, 10, (60, 2)).astype(float)
+    sides = 2.0 * rng.integers(1, 4, (60, 2)).astype(float)
+    nested = np.array([[i, i, 30.0 - i, 30.0 - i] for i in range(0, 15, 3)] + [[5.0, 6.0, 7.0, 8.0]])
+    same = np.tile([[1.5, 2.5, 9.0, 12.0]], (4, 1))
+    touching = np.column_stack([grid, grid + sides])  # corners on a coarse grid: shared edges
+    return {
+        "random": floats.reshape(-1, 4),
+        "touching": touching,
+        "nested": nested,
+        "identical": same,
+        "all_kinds": np.concatenate([touching[:20], nested, same, touching[:5]]),
+    }
+
+
+class TestSuppressionRows:
+    @pytest.mark.parametrize("kind", ["random", "touching", "nested", "identical", "all_kinds"])
+    def test_rows_match_the_reference_loop(self, rng, kind):
+        coords = _overlap_test_sets(rng)[kind]
+        ious = [_reference_iou(Box(*a), Box(*b)) for a in coords for b in coords]
+        # thresholds equal to IoUs that occur, so some pairs sit exactly on the > boundary
+        exact = sorted({v for v in ious if 0.0 < v < 1.0})
+        thresholds = [0.1, 0.5, 0.7, 0.9] + exact[:: max(1, len(exact) // 6)]
+        for threshold in thresholds:
+            got = proposals._suppression_rows(coords, threshold)
+            want = _reference_suppression_rows(coords, threshold)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), threshold
+
+    def test_boundary_is_strict(self):
+        # IoU of the pair is 16 / 32 = 0.5 exactly: suppressed only below 0.5
+        coords = np.array([[0.0, 0.0, 4.0, 8.0], [0.0, 0.0, 4.0, 4.0]])
+        assert [r.tolist() for r in proposals._suppression_rows(coords, 0.5)] == [[], []]
+        assert [r.tolist() for r in proposals._suppression_rows(coords, 0.4999)] == [[1], [0]]
+
+    def test_built_one_row_at_a_time(self, monkeypatch, rng):
+        shapes = []
+        real = proposals.pairwise_overlap
+
+        def recording(a, b, mode="iou"):
+            out = real(a, b, mode)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(proposals, "pairwise_overlap", recording)
+        coords = _overlap_test_sets(rng)["touching"]
+        proposals._suppression_rows(coords, 0.5)
+        assert shapes == [(1, len(coords))] * len(coords)
 
 
 class TestTopK:
@@ -303,12 +371,11 @@ class TestSerialization:
             Box(float(x0), float(y0), float(x0 + w), float(y0 + h), float(s))
             for x0, y0, w, h, s in rng.uniform(1, 20, size=(15, 5))
         )
-        ps = ProposalSet(boxes, source="generated")
+        ps = ProposalSet(boxes)
         path = tmp_path / "a.proposals"
         save_proposals(path, ps)
         first = path.read_bytes()
         loaded = load_proposals(path)
-        assert loaded.source == "loaded"
         save_proposals(path, loaded)
         assert path.read_bytes() == first
         reloaded = load_proposals(path)
@@ -335,14 +402,14 @@ class TestSerialization:
 
     def test_rows_are_read_only_and_boxes_built_on_request(self):
         rows = np.array([[0.0, 1.5, 12.0, 20.25, 0.75], [3.0, 4.0, 5.0, 6.0, -1.0]])
-        ps = ProposalSet(rows, "generated")
+        ps = ProposalSet(rows)
         assert ps.boxes == (Box(0.0, 1.5, 12.0, 20.25, 0.75), Box(3.0, 4.0, 5.0, 6.0, -1.0))
-        assert ps == ProposalSet(ps.boxes, "generated") != ProposalSet(rows, "loaded")
+        assert ps == ProposalSet(ps.boxes)
         with pytest.raises(ValueError):
             ps.rows[0, 0] = 1.0
         rows[0, 0] = 1.0  # the caller's own array stays writeable
         with pytest.raises(ValueError, match="shape"):
-            ProposalSet(rows[:, :4], "generated")
+            ProposalSet(rows[:, :4])
 
 
 def _reference_load_proposals(path):
@@ -487,7 +554,7 @@ class TestNoBoxObjects:
 
     def test_save_proposals(self, tmp_path, built):
         rows = np.array([[0.0, 1.5, 12.0, 20.25, 0.75], [3.0, 4.0, 5.0, 6.0, -1.0]])
-        save_proposals(tmp_path / "a.proposals", ProposalSet(rows, "generated"))
+        save_proposals(tmp_path / "a.proposals", ProposalSet(rows))
         assert len(built) == 0
 
     def test_load_proposals(self, image, tmp_path, built):
@@ -503,7 +570,7 @@ class TestPipeline:
         # 0.3 and 0.5 suppress boxes on these grids, 0.7 does not; k = 700
         # exceeds every candidate count, so the walk runs to the end
         for image, config in _reference_images():
-            expected = ProposalSet(_reference_propose(image, k, iou_threshold, config), "generated")
+            expected = ProposalSet(_reference_propose(image, k, iou_threshold, config))
             assert propose_for_image(image, k, iou_threshold, config) == expected
 
     @pytest.mark.parametrize("k, iou_threshold", [(100, 0.7), (700, 0.5), (5, 0.3)])

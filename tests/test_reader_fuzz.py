@@ -57,7 +57,7 @@ def valid(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     write_ppm(root / "a.ppm", np.linspace(0.0, 1.0, 3 * 4 * 5).reshape(3, 4, 5))
     save_proposals(root / "a.proposals", ProposalSet(
-        (Box(0.0, 1.5, 12.0, 20.25, 0.75), Box(3.0, 4.0, 5.0, 6.0, -1.0)), source="loaded"))
+        (Box(0.0, 1.5, 12.0, 20.25, 0.75), Box(3.0, 4.0, 5.0, 6.0, -1.0))))
     save_container(root / "a.lgn", {"kind": "global", "n": 1},
                    {"w": np.arange(6.0).reshape(2, 3), "b": np.array(0.5)})
     return {path.suffix: path.read_bytes() for path in root.iterdir()}

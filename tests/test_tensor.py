@@ -16,13 +16,23 @@ from lgnet.tensor import (
     no_grad,
     relu,
     roi_max_pool_batch,
-    sigmoid,
 )
-from lgnet.tensor import DW_GEMM_MAX_CELLS, _conv_gather_index
+from lgnet.tensor import DW_GEMM_MAX_CELLS, _conv_gather_index, _sigmoid_stable
 
 # relative bound on a kernel gradient summed as one GEMM against the
 # per-image products of the references; measured below 1.5e-15
 DW_GEMM_REL = 1e-13
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic function, computed in the overflow-safe split form."""
+    data = _sigmoid_stable(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * data * (1.0 - data))
+
+    return Tensor._make(data, (x,), backward, "sigmoid")
 
 
 def _assert_same_conv(results):

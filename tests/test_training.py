@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -87,6 +88,12 @@ class TestSchedule:
         path.write_text(json.dumps(config.as_dict()), encoding="utf-8")
         assert TrainConfig.from_file(path) == config
 
+    def test_config_file_value_out_of_range_names_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"epochs": 0}', encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: epochs"):
+            TrainConfig.from_file(path)
+
 
 class TestStage1:
     def test_loss_decreases_within_an_epoch_for_some_seed(self):
@@ -134,8 +141,32 @@ class TestStage1:
         train = _make_samples(6, "train", seed=6)
         val = _make_samples(3, "val", seed=6)
         config = TrainConfig(epochs=4, batch_size=3, seed=4, lr0=1e18)
-        with pytest.raises(RuntimeError, match="diverged at epoch"):
+        with pytest.raises(RuntimeError, match="stage-1 training diverged at epoch"):
             train_stage1(train, val, config)
+
+    @pytest.mark.parametrize("batch_size, lengths", [(4, [4, 4, 2]), (3, [3, 3, 3, 1])])
+    def test_step_losses_per_epoch_add_up_to_the_log(self, monkeypatch, batch_size, lengths):
+        from lgnet import training
+
+        losses = []
+
+        def recording(*args, **kwargs):
+            loss = weighted_sigmoid_ce_node(*args, **kwargs)
+            losses.append(loss.item())
+            return loss
+
+        monkeypatch.setattr(training, "weighted_sigmoid_ce_node", recording)
+        train = _make_samples(10, "train", seed=3)
+        val = _make_samples(4, "val", seed=3)
+        result = train_stage1(train, val, TrainConfig(epochs=2, batch_size=batch_size, seed=1, lr0=0.05))
+        assert [len(steps) for steps in result.step_losses] == [len(lengths)] * 2
+        # each entry is its step's mean loss, bit for bit
+        assert [loss for steps in result.step_losses for loss in steps] == losses
+        for row, steps in zip(result.log_rows, result.step_losses):
+            total = 0.0
+            for loss, n in zip(steps, lengths):
+                total += loss * n
+            assert row["train_loss"] == total / 10
 
     def test_log_rows_shape(self, tiny_data):
         train, val, _ = tiny_data
@@ -212,6 +243,13 @@ class TestStage2:
         result = train_stage2(train, val, stage1.model, proposals, config)
         assert result.best_val_ma >= evaluate(stage1.model, val).ma
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_aborts_with_diagnostic(self, tiny_data, stage1):
+        train, val, proposals = tiny_data
+        config = TrainConfig(seed=2, **dict(FAST, epochs=2, lr0=1e18))
+        with pytest.raises(RuntimeError, match="stage-2 training diverged at epoch"):
+            train_stage2(train[:16], val[:4], stage1.model, proposals, config)
+
     def test_missing_proposal_file_is_an_error(self, tmp_path, tiny_data):
         train, _, _ = tiny_data
         with pytest.raises(DataError, match=train[0].image_id):
@@ -223,9 +261,9 @@ class TestStage2:
         h, w = sample.image.shape[1:]
         inside = proposals[sample.image_id].boxes
         edge = Box(w - 1, h - 1, w + 5, h + 5, 1.0)  # overlaps one corner pixel
-        assert _prepare_proposals([sample], {sample.image_id: ProposalSet(inside + (edge,), "loaded")}, 4)
+        assert _prepare_proposals([sample], {sample.image_id: ProposalSet(inside + (edge,))}, 4)
         for outside in (Box(w, 0, w + 4, 4, 1.0), Box(0, -9, 4, 0, 1.0), Box(500, 500, 600, 600, 9.0)):
-            bad = {sample.image_id: ProposalSet(inside + (outside,), "loaded")}
+            bad = {sample.image_id: ProposalSet(inside + (outside,))}
             with pytest.raises(DataError, match=sample.image_id):
                 _prepare_proposals([sample], bad, 4)
 
@@ -237,7 +275,7 @@ class TestStage2:
         for s in train[:6]:
             rows = np.array(proposals[s.image_id].rows)
             rows[:, 4] = np.round(rows[:, 4], 1)
-            shuffled[s.image_id] = ProposalSet(rng.permutation(rows), "loaded")
+            shuffled[s.image_id] = ProposalSet(rng.permutation(rows))
         for k in (1, 10, 24, 30):
             ready = _prepare_proposals(train[:6], shuffled, k)
             for s in train[:6]:
