@@ -13,7 +13,7 @@ import numpy as np
 
 from .boxes import Box, full_image_box
 
-__all__ = ["class_activation_maps", "activation_box"]
+__all__ = ["class_activation_maps", "activation_boxes", "activation_box", "corner_box"]
 
 
 def class_activation_maps(featmap: np.ndarray, fc_weight: np.ndarray) -> np.ndarray:
@@ -32,65 +32,101 @@ def class_activation_maps(featmap: np.ndarray, fc_weight: np.ndarray) -> np.ndar
     return np.tensordot(fc_weight, featmap, axes=([1], [0]))
 
 
+def activation_boxes(
+    cams: np.ndarray,
+    image_w: int,
+    image_h: int,
+    tau: float = 0.2,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounding boxes of the dominant activated region of m maps at once.
+
+    ``cams`` is [m, h, w]. In each map, cells with value strictly greater
+    than tau * max(map) are activated; the largest 4-connected component
+    of activated cells is boxed tightly and scaled from cell coordinates
+    to image pixels, each cell covering its full stride footprint. Among
+    components of the largest size the one holding the map's maximum
+    wins, else the one whose first cell comes first in row-major order.
+
+    Returns ([m, 4] corners, [m] degenerate flags). A map with no usable
+    response (all cells equal, or a non-positive maximum, which empties
+    the activated set) is degenerate and maps to the full-image box.
+
+    Components are labelled for every map in one pass: each activated
+    cell starts with its own row-major index, then repeatedly takes the
+    smallest label among itself and its activated neighbours and jumps
+    to its label's label, until nothing changes. Each component then
+    carries the index of its first cell.
+    """
+    cams = np.asarray(cams, dtype=np.float64)
+    if cams.ndim != 3:
+        raise ValueError(f"cams must be [m, h, w], got shape {cams.shape}")
+    if not np.isfinite(cams).all():
+        raise ValueError("cam contains non-finite values")
+    if not (0.0 < tau < 1.0):
+        raise ValueError(f"tau {tau} outside (0, 1)")
+
+    m, h, w = cams.shape
+    hw = h * w
+    flat = cams.reshape(m, hw)
+    peak = flat.max(axis=1)
+    degenerate = (peak <= 0.0) | (peak == flat.min(axis=1))
+    active = (flat > (tau * peak)[:, None]) & ~degenerate[:, None]
+
+    # labels are cell indices over the maps laid end to end; n marks an
+    # inactive cell, and the last entry of ``lookup`` keeps it
+    n = m * hw
+    labels = np.where(active, np.arange(n).reshape(m, hw), n)
+    lookup = np.full(n + 1, n)
+    while True:
+        grid = labels.reshape(m, h, w)
+        low = grid.copy()
+        np.minimum(low[:, 1:], grid[:, :-1], out=low[:, 1:])
+        np.minimum(low[:, :-1], grid[:, 1:], out=low[:, :-1])
+        np.minimum(low[:, :, 1:], grid[:, :, :-1], out=low[:, :, 1:])
+        np.minimum(low[:, :, :-1], grid[:, :, 1:], out=low[:, :, :-1])
+        lookup[:n] = np.where(active, low.reshape(m, hw), n).ravel()
+        merged = lookup[lookup[:n]].reshape(m, hw)
+        if np.array_equal(merged, labels):
+            break
+        labels = merged
+
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)[:n].reshape(m, hw)
+    largest = sizes.max(axis=1)
+    maps = np.arange(m)
+    peak_label = np.minimum(labels[maps, flat.argmax(axis=1)] - maps * hw, hw - 1)
+    first = (sizes == largest[:, None]).argmax(axis=1)
+    chosen = np.where(sizes[maps, peak_label] == largest, peak_label, first) + maps * hw
+
+    member = labels == chosen[:, None]
+    rows, cols = np.divmod(np.arange(hw), w)
+    sx = image_w / float(w)
+    sy = image_h / float(h)
+    corners = np.stack([
+        np.where(member, cols, w).min(axis=1) * sx,
+        np.where(member, rows, h).min(axis=1) * sy,
+        (np.where(member, cols, -1).max(axis=1) + 1) * sx,
+        (np.where(member, rows, -1).max(axis=1) + 1) * sy,
+    ], axis=1)
+    corners[degenerate] = (0.0, 0.0, float(image_w), float(image_h))
+    return corners, degenerate
+
+
 def activation_box(
     cam: np.ndarray,
     image_w: int,
     image_h: int,
     tau: float = 0.2,
 ) -> tuple[Box, bool]:
-    """Bounding box of the dominant activated region of one map.
-
-    Cells with value strictly greater than tau * max(cam) are activated;
-    the largest 4-connected component of activated cells is boxed tightly
-    and scaled from cell coordinates to image pixels, each cell covering
-    its full stride footprint. Among components of the largest size the
-    one holding the global maximum wins, else the one whose first cell
-    comes first in row-major order. Only the activated cells are walked.
-
-    Returns (box, degenerate). A map with no usable response (all cells
-    equal, or a non-positive maximum, which empties the activated set) is
-    degenerate and maps to the full-image box.
-    """
+    """Bounding box of the dominant activated region of one [h, w] map:
+    :func:`activation_boxes` of that map alone, as (box, degenerate)."""
     cam = np.asarray(cam, dtype=np.float64)
     if cam.ndim != 2:
         raise ValueError(f"cam must be 2-D, got shape {cam.shape}")
-    if not np.isfinite(cam).all():
-        raise ValueError("cam contains non-finite values")
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau {tau} outside (0, 1)")
+    corners, degenerate = activation_boxes(cam[None], image_w, image_h, tau)
+    flag = bool(degenerate[0])
+    return corner_box(corners[0], flag, image_w, image_h), flag
 
-    h, w = cam.shape
-    peak = cam.max()
-    if peak <= 0.0 or peak == cam.min():
-        return full_image_box(image_w, image_h), True
 
-    # 4-connected components over the activated cells only, discovered
-    # in row-major order of their first cell
-    cells = np.flatnonzero(cam > tau * peak).tolist()
-    peak_cell = int(cam.argmax())
-    unseen = set(cells)
-    best: list[int] = []
-    for start_cell in cells:
-        if start_cell not in unseen:
-            continue
-        unseen.remove(start_cell)
-        component = [start_cell]
-        for cell in component:  # grows while it is walked: breadth first
-            col = cell % w
-            for nb in (cell - w, cell + w, cell - 1 if col else -1, cell + 1 if col + 1 < w else -1):
-                if nb in unseen:
-                    unseen.remove(nb)
-                    component.append(nb)
-        if len(component) > len(best) or (len(component) == len(best) and peak_cell in component):
-            best = component
-
-    rows, cols = np.divmod(np.array(best), w)
-    sx = image_w / float(w)
-    sy = image_h / float(h)
-    box = Box(
-        cols.min() * sx,
-        rows.min() * sy,
-        (cols.max() + 1) * sx,
-        (rows.max() + 1) * sy,
-    )
-    return box, False
+def corner_box(corners: np.ndarray, degenerate: bool, image_w: int, image_h: int) -> Box:
+    """The :class:`Box` of one row of :func:`activation_boxes`."""
+    return full_image_box(image_w, image_h) if degenerate else Box(*corners)

@@ -191,16 +191,24 @@ def score_windows(edges: np.ndarray, candidates: list[Box]) -> list[Box]:
 
 def _suppression_rows(coords: np.ndarray, iou_threshold: float) -> tuple[np.ndarray, ...]:
     """For each box, the indices of the other boxes whose IoU with it
-    exceeds the threshold. Built one row at a time, never as an n x n matrix."""
+    exceeds the threshold. Built from blocks of rows, never as an n x n
+    matrix."""
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou threshold {iou_threshold} outside (0, 1)")
+    n = len(coords)
+    # about 2**14 IoUs a block: one BLAS thread, 611 boxes took 20, 12 and
+    # 26 us a row with blocks of 2**12, 2**14 and 2**16 IoUs; 3732 boxes
+    # took 110, 61 and 148 us a row
+    step = max(1, (1 << 14) // max(n, 1))
     rows = []
-    for i in range(len(coords)):
-        hit = pairwise_overlap(coords[i : i + 1], coords)[0] > iou_threshold
-        hit[i] = False
-        row = np.flatnonzero(hit)
-        row.flags.writeable = False  # cached rows are shared by every caller
-        rows.append(row)
+    for start in range(0, n, step):
+        hit = pairwise_overlap(coords[start : start + step], coords) > iou_threshold
+        diagonal = np.arange(len(hit))
+        hit[diagonal, diagonal + start] = False
+        found, cols = np.nonzero(hit)
+        for row in np.split(cols, np.searchsorted(found, diagonal[1:])):
+            row.flags.writeable = False  # cached rows are shared by every caller
+            rows.append(row)
     return tuple(rows)
 
 

@@ -520,10 +520,12 @@ def roi_max_pool_batch(
 
     The bins of every map are grouped by their (rows, columns) span, and
     each group is answered by one gather, channels last, through a window
-    of exactly that size that lists every bin's cells in row-major order.
-    A bin's argmax is the smallest window offset whose value equals the
-    window's maximum, found by one masked max; that is the first cell.
-    The gradient scatter is one ``np.bincount`` in output order.
+    of exactly that size that lists every bin's cells in row-major order;
+    a bin's value is the window's maximum. Only when the result records a
+    backward are the argmax cells found: a bin's argmax is the smallest
+    window offset whose value equals the window's maximum, found by one
+    masked max; that is the first cell. The gradient scatter is one
+    ``np.bincount`` in output order.
     """
     if x.data.ndim not in (3, 4):
         raise ValueError(f"roi_max_pool_batch: feature map must be rank 3 or 4, got {x.data.ndim}")
@@ -559,24 +561,30 @@ def roi_max_pool_batch(
 
     # channels last: row r holds cell r of the maps laid end to end
     rows = x.data.reshape(n, c, hw).transpose(0, 2, 1).reshape(n * hw, c)
-    argpos = np.empty((len(first), c), dtype=np.intp)
+    # only a recorded backward reads the argmax cells
+    recorded = _grad_enabled and x.requires_grad
+    pooled = np.empty((len(first), c))
+    argpos = np.empty((len(first), c), dtype=np.intp) if recorded else None
     for members in np.split(order, starts[1:]):
         sh, sw = span_h[members[0]], span_w[members[0]]
         offset = (np.arange(sh)[:, None] * fw + np.arange(sw)).ravel()  # row-major, increasing
         corner = first[members]
         window = rows[offset[:, None] + corner]  # [sh*sw, bins, C]
-        # the first cell holding the maximum has the largest hw - offset
-        hit = (window == window.max(axis=0)) * (hw - offset)[:, None, None]
-        argpos[members] = corner[:, None] + (hw - hit.max(axis=0))
+        top = pooled[members] = window.max(axis=0)
+        if recorded:
+            # the first cell holding the maximum has the largest hw - offset
+            hit = (window == top) * (hw - offset)[:, None, None]
+            argpos[members] = corner[:, None] + (hw - hit.max(axis=0))
+    data = np.ascontiguousarray(pooled.reshape(d, out_h, out_w, c).transpose(0, 3, 1, 2))
+    if not recorded:
+        return Tensor._make(data, (x,), None, "roi_max_pool_batch")
     # flat (map, channel, cell) source of every pooled value, in output order
     argpos += (owner * (c - 1) * hw)[:, None] + np.arange(c) * hw
     target = argpos.reshape(d, out_h, out_w, c).transpose(0, 3, 1, 2).ravel()
-    data = x.data.ravel()[target].reshape(d, c, out_h, out_w)
 
     def backward(g):
-        if x.requires_grad:
-            dx = np.bincount(target, weights=g.ravel(), minlength=x.data.size)
-            x._accumulate(dx.reshape(x.data.shape))
+        dx = np.bincount(target, weights=g.ravel(), minlength=x.data.size)
+        x._accumulate(dx.reshape(x.data.shape))
 
     return Tensor._make(data, (x,), backward, "roi_max_pool_batch")
 

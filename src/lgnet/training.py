@@ -31,7 +31,8 @@ from .backbone import (
     preset_config,
 )
 from .boxes import Box, box_array
-from .cam import activation_box, class_activation_maps
+# activation_box is not called here; the benchmark's tracer still wraps it at this name
+from .cam import activation_box, activation_boxes, class_activation_maps, corner_box  # noqa: F401
 from .guidance import GuidanceHead, affinity_map, guided_fusion, normalize_affinity
 from .loss_metrics import MetricsReport, positive_ratio, weighted_sigmoid_ce_node
 from .proposals import ProposalSet, load_proposals, top_k
@@ -60,7 +61,9 @@ __all__ = [
 ]
 
 AFFINITY_CHOICES = ("iou", "overlap_area", "uniform")
-# images per stage-2 scoring pass; chunks of 64 were measured slower than 8-16
+# images per gradient-free pass (stage-1 and stage-2 scoring, the frozen
+# half); one BLAS thread, the trunk read 0.31 ms per image in chunks of
+# 8-16, 0.37 ms one image at a time and 0.47 ms in chunks of 64
 SCORE_BATCH = 16
 # images per stage-2 SGD graph. Peak RSS of the benchmark's eval and
 # train workloads (one run each) read 113.5 and 107.9 MB with chunks of
@@ -309,11 +312,26 @@ def _same_size_chunks(samples: Sequence[Sample], size: int):
         yield chunk
 
 
+def _frozen_forward(params: BackboneParams, config: BackboneConfig,
+                    chunk: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
+    """The final feature maps [n, k, h, w] and the logits [n, c] of n
+    images of one size, from one trunk pass. The classifier runs row by
+    row, so each row holds the bits of a one-image ``forward_global``: a
+    batched classifier product may round the last bit differently, while
+    the trunk's maps are the same either way."""
+    featmap = forward_global(params, config, Tensor(np.stack([s.image for s in chunk])))[0].data
+    weight, bias = params.head_weight.data, params.head_bias.data
+    return featmap, np.stack([weight @ row + bias for row in featmap.mean(axis=(2, 3))])
+
+
 def _global_scores(model: GlobalModel, samples: Sequence[Sample]) -> np.ndarray:
-    """Stage-1 logits one image at a time, as the frozen half of a stage-2
-    model computes them: a batch's classifier product may round the last
-    bit differently."""
-    return np.stack([forward_global(model.params, model.backbone, Tensor(s.image))[1].data for s in samples])
+    """Stage-1 logits of consecutive same-size images, in chunks of up to
+    ``SCORE_BATCH``; each row equals the image's own ``forward_global``
+    logits bit for bit, as the frozen half of a stage-2 model computes them."""
+    return np.concatenate([
+        _frozen_forward(model.params, model.backbone, chunk)[1]
+        for chunk in _same_size_chunks(samples, SCORE_BATCH)
+    ])
 
 
 def train_stage1(
@@ -390,25 +408,31 @@ class Guidance:
     affinity_raw: np.ndarray | None = None  # [c, k]
 
 
-def _guidance(model: LGModel, sample: Sample, boxes: Sequence[Box] | np.ndarray) -> Guidance:
-    """Run the frozen half of the stage-2 model on one image, gradient-free.
-
-    ``boxes`` are the proposals, as :class:`Box` objects or corner rows."""
-    boxes = box_array(boxes)
-    image_h, image_w = sample.image.shape[1:]
+def _guidance_chunk(model: LGModel, chunk: Sequence[Sample], boxes: Sequence[np.ndarray]) -> list[Guidance]:
+    """Run the frozen half of the stage-2 model on n images of one size,
+    gradient-free: one trunk pass, and one labelling pass for the
+    activation boxes of all their maps. ``boxes`` holds each image's
+    [k, 4] proposal corners. Every field equals that of the image alone."""
+    image_h, image_w = chunk[0].image.shape[1:]
     with no_grad():
-        featmap, logits_g = forward_global(model.global_params, model.backbone, Tensor(sample.image))
+        featmaps, logits = _frozen_forward(model.global_params, model.backbone, chunk)
     if model.affinity_mode == "uniform":
-        c, d = model.backbone.num_attributes, len(boxes)
-        return Guidance(boxes, logits_g.data, np.full((c, d), 1.0 / d))
-    cams = class_activation_maps(featmap.data, model.cam_weights)
-    found = [activation_box(cam, image_w, image_h, model.cam_threshold) for cam in cams]
-    cam_boxes = tuple(box for box, _ in found)
-    raw = affinity_map(cam_boxes, boxes, model.affinity_mode)
-    return Guidance(
-        boxes, logits_g.data, normalize_affinity(raw).values,
-        cams, cam_boxes, tuple(degen for _, degen in found), raw.values,
-    )
+        c = model.backbone.num_attributes
+        return [Guidance(b, g, np.full((c, len(b)), 1.0 / len(b))) for b, g in zip(boxes, logits)]
+    cams = np.stack([class_activation_maps(f, model.cam_weights) for f in featmaps])  # [n, a, h, w]
+    a = cams.shape[1]
+    corners, degenerate = activation_boxes(
+        cams.reshape(-1, *cams.shape[2:]), image_w, image_h, model.cam_threshold)
+    guides = []
+    for i, (b, g) in enumerate(zip(boxes, logits)):
+        rows, flags = corners[i * a : (i + 1) * a], degenerate[i * a : (i + 1) * a].tolist()
+        raw = affinity_map(rows, b, model.affinity_mode)
+        guides.append(Guidance(
+            b, g, normalize_affinity(raw).values, cams[i],
+            tuple(corner_box(r, f, image_w, image_h) for r, f in zip(rows, flags)),
+            tuple(flags), raw.values,
+        ))
+    return guides
 
 
 def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Sequence[Guidance]) -> Tensor:
@@ -429,9 +453,11 @@ def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Sequence[Gu
     return guided_fusion(affinity, feats, model.head, np.stack([g.global_logits for g in guides]))[0]
 
 
-def _lg_forward(model: LGModel, sample: Sample, boxes: Sequence[Box]) -> tuple[Tensor, Guidance]:
-    """One sample through the full pipeline; returns (fused logits, guidance)."""
-    guide = _guidance(model, sample, boxes)
+def _lg_forward(model: LGModel, sample: Sample, boxes: Sequence[Box] | np.ndarray) -> tuple[Tensor, Guidance]:
+    """One sample through the full pipeline, its frozen half a chunk of
+    one; ``boxes`` are the proposals, as :class:`Box` objects or corner
+    rows. Returns (fused logits, guidance)."""
+    guide = _guidance_chunk(model, [sample], [box_array(boxes)])[0]
     return _fused_logits(model, [sample], [guide]).reshape(-1), guide
 
 
@@ -464,9 +490,14 @@ def _guidance_for(
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet],
 ) -> dict[str, Guidance]:
-    """The guidance of every sample, keyed by image id."""
+    """The guidance of every sample, keyed by image id, computed over
+    consecutive same-size images in chunks of up to ``SCORE_BATCH``."""
     boxes = _prepare_proposals(samples, proposals, model.top_k)
-    return {s.image_id: _guidance(model, s, boxes[s.image_id]) for s in samples}
+    guides = {}
+    for chunk in _same_size_chunks(samples, SCORE_BATCH):
+        found = _guidance_chunk(model, chunk, [boxes[s.image_id] for s in chunk])
+        guides.update((s.image_id, g) for s, g in zip(chunk, found))
+    return guides
 
 
 def _stage2_gradients(
@@ -538,9 +569,9 @@ def evaluate(
 ) -> MetricsReport:
     """Score a split and compute the five metrics at the given threshold.
 
-    Scoring is gradient-free. A stage-1 model scores one image at a time;
-    a stage-2 one runs over consecutive images of one size, in chunks of
-    up to ``SCORE_BATCH``.
+    Scoring is gradient-free and runs over consecutive images of one
+    size, in chunks of up to ``SCORE_BATCH``. Each image's scores carry
+    the bits of scoring it alone.
     """
     labels = _label_matrix(samples)
     with no_grad():

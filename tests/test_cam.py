@@ -4,7 +4,7 @@ from scipy import ndimage
 
 from lgnet.backbone import forward_global, init_backbone_params, preset_config
 from lgnet.boxes import Box, full_image_box
-from lgnet.cam import activation_box, class_activation_maps
+from lgnet.cam import activation_box, activation_boxes, class_activation_maps
 from lgnet.synthdata import _sample_rng, default_spec, render_sample
 from lgnet.tensor import Tensor, affine, global_avg_pool
 
@@ -50,6 +50,39 @@ def _reference_activation_box(cam, image_w, image_h, tau=0.2):
             best = int(peak_label)
     rows, cols = np.nonzero(labels == best)
     sx, sy = image_w / float(w), image_h / float(h)
+    box = Box(cols.min() * sx, rows.min() * sy, (cols.max() + 1) * sx, (rows.max() + 1) * sy)
+    return box, False
+
+
+def _bfs_activation_box(cam, image_w, image_h, tau=0.2):
+    """Reference: activation_box as a breadth-first walk of the activated
+    cells, one map at a time, components in row-major order of their
+    first cell."""
+    cam = np.asarray(cam, dtype=np.float64)
+    h, w = cam.shape
+    peak = cam.max()
+    if peak <= 0.0 or peak == cam.min():
+        return full_image_box(image_w, image_h), True
+    cells = np.flatnonzero(cam > tau * peak).tolist()
+    peak_cell = int(cam.argmax())
+    unseen = set(cells)
+    best: list[int] = []
+    for start_cell in cells:
+        if start_cell not in unseen:
+            continue
+        unseen.remove(start_cell)
+        component = [start_cell]
+        for cell in component:  # grows while it is walked: breadth first
+            col = cell % w
+            for nb in (cell - w, cell + w, cell - 1 if col else -1, cell + 1 if col + 1 < w else -1):
+                if nb in unseen:
+                    unseen.remove(nb)
+                    component.append(nb)
+        if len(component) > len(best) or (len(component) == len(best) and peak_cell in component):
+            best = component
+    rows, cols = np.divmod(np.array(best), w)
+    sx = image_w / float(w)
+    sy = image_h / float(h)
     box = Box(cols.min() * sx, rows.min() * sy, (cols.max() + 1) * sx, (rows.max() + 1) * sy)
     return box, False
 
@@ -231,3 +264,85 @@ class TestActivationBox:
             for cam in cams:
                 for tau in (0.2, 0.5):
                     _assert_matches_reference(cam, 64, 64, tau)
+
+
+def _serpentine(h, w, reverse=False):
+    """One component snaking through every other row, linked at
+    alternating ends: the longest path a label has to travel."""
+    cam = np.zeros((h, w))
+    cam[::2] = 1.0
+    for r in range(1, h, 2):
+        cam[r, w - 1 if r % 4 == 1 else 0] = 1.0
+    cam[-1, -1] = 2.0  # the peak at the far end of the walk
+    return cam[::-1, ::-1].copy() if reverse else cam
+
+
+def _map_stacks(rng, shape):
+    """Stacks of [m, h, w] maps of every kind the labelling must handle."""
+    h, w = shape
+    ints = rng.integers(-1, 3, size=(24, h, w)).astype(float)  # ties, plateaus, equal-size components
+    rounded = np.round(rng.normal(size=(24, h, w)), 1)
+    plateau = rng.normal(size=(24, h, w))
+    plateau[rng.random(plateau.shape) < 0.3] = plateau.max()
+    singles = np.where(rng.random((24, h, w)) < 0.3, rng.integers(1, 3, size=(24, h, w)), 0).astype(float)
+    degenerate = np.stack([np.zeros(shape), np.full(shape, 3.0), -np.ones(shape), -rng.random(shape)])
+    return {
+        "integers": ints,
+        "rounded": rounded,
+        "plateau": plateau,
+        "single cells": singles,
+        "normal": rng.normal(size=(24, h, w)),
+        "degenerate": degenerate,
+        "all kinds": np.concatenate([ints[:4], degenerate, rounded[:4], degenerate[:1], singles[:4]]),
+    }
+
+
+def _assert_stack_matches_references(cams, image_w, image_h, tau):
+    corners, degenerate = activation_boxes(cams, image_w, image_h, tau)
+    assert corners.shape == (len(cams), 4) and degenerate.shape == (len(cams),)
+    for cam, row, flag in zip(cams, corners, degenerate):
+        for reference in (_bfs_activation_box, _reference_activation_box):
+            box, want_flag = reference(cam, image_w, image_h, tau)
+            assert flag == want_flag, (cam, tau)
+            assert row.tolist() == [box.x_min, box.y_min, box.x_max, box.y_max], (cam, tau)
+
+
+class TestActivationBoxes:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (8, 8), (5, 7), (16, 16)])
+    def test_stack_matches_bfs_and_full_grid_references(self, rng, shape):
+        for cams in _map_stacks(rng, shape).values():
+            for tau in (0.05, 0.2, 0.5, 0.9):
+                _assert_stack_matches_references(cams, 4 * shape[1], 3 * shape[0], tau)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 16), (9, 16), (16, 3)])
+    def test_serpentine_component(self, shape):
+        cams = np.stack([_serpentine(*shape), _serpentine(*shape, reverse=True), np.zeros(shape)])
+        corners, degenerate = activation_boxes(cams, 64, 64)
+        assert degenerate.tolist() == [False, False, True]
+        assert np.array_equal(corners, np.tile([0.0, 0.0, 64.0, 64.0], (3, 1)))
+        _assert_stack_matches_references(cams, 64, 64, 0.2)
+
+    def test_real_maps_of_a_chunk(self):
+        spec = default_spec()
+        config = preset_config("base", spec.num_attributes)
+        params = init_backbone_params(config, np.random.default_rng(5))
+        images = np.stack([render_sample(spec, _sample_rng(9, "test", i), f"cam_{i}").image for i in range(16)])
+        featmaps, _ = forward_global(params, config, Tensor(images))
+        cams = np.concatenate([class_activation_maps(f, params.head_weight.data) for f in featmaps.data])
+        for tau in (0.2, 0.5):
+            _assert_stack_matches_references(cams, 64, 64, tau)
+
+    @pytest.mark.parametrize("cams, match", [
+        (np.ones((4, 4)), r"\[m, h, w\]"),
+        (np.ones((1, 2, 4, 4)), r"\[m, h, w\]"),
+        (np.array([[[1.0, np.nan]]]), "non-finite"),
+        (np.array([[[1.0, np.inf]]]), "non-finite"),
+    ])
+    def test_bad_input_rejected(self, cams, match):
+        with pytest.raises(ValueError, match=match):
+            activation_boxes(cams, 8, 8)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 1.5])
+    def test_tau_outside_unit_interval_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            activation_boxes(np.ones((2, 3, 3)), 8, 8, tau)

@@ -302,7 +302,18 @@ class TestSuppressionRows:
         assert [r.tolist() for r in proposals._suppression_rows(coords, 0.5)] == [[], []]
         assert [r.tolist() for r in proposals._suppression_rows(coords, 0.4999)] == [[1], [0]]
 
-    def test_built_one_row_at_a_time(self, monkeypatch, rng):
+    @pytest.mark.parametrize("size", [64, 80])
+    def test_rows_match_the_reference_loop_across_blocks(self, size):
+        # 611 and 1160 candidates: 24 and 83 blocks of rows, the last one short
+        coords = proposals._candidate_grid(size, size, CandidateConfig())
+        for threshold in (0.3, 0.5, 0.619, 0.7):
+            got = proposals._suppression_rows(coords, threshold)
+            want = _reference_suppression_rows(coords, threshold)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), threshold
+
+    def test_built_in_blocks_of_rows(self, monkeypatch, rng):
         shapes = []
         real = proposals.pairwise_overlap
 
@@ -312,9 +323,12 @@ class TestSuppressionRows:
             return out
 
         monkeypatch.setattr(proposals, "pairwise_overlap", recording)
-        coords = _overlap_test_sets(rng)["touching"]
-        proposals._suppression_rows(coords, 0.5)
-        assert shapes == [(1, len(coords))] * len(coords)
+        coords = np.concatenate([_overlap_test_sets(rng)["random"]] * 5)  # 300 boxes
+        n = len(coords)
+        rows = proposals._suppression_rows(coords, 0.5)
+        step = (1 << 14) // n  # 54 rows, about 2**14 IoUs a call
+        assert shapes == [(step, n)] * (n // step) + [(n % step, n)]
+        assert len(rows) == n and not any(row.flags.writeable for row in rows)
 
 
 class TestTopK:

@@ -651,6 +651,28 @@ class TestRoiMaxPool:
             got.backward(seed)
             assert np.array_equal(xa.grad, x.grad)
 
+    def test_gradient_free_pooling_equals_graph_mode_on_stem_maps(self):
+        # post-ReLU stem maps are full of exact zeros, so many bins tie
+        from lgnet.backbone import forward_local_stem, init_backbone_params, preset_config
+        from lgnet.proposals import propose_for_image
+        from lgnet.synthdata import _sample_rng, default_spec, render_sample
+
+        spec = default_spec()
+        config = preset_config("base", spec.num_attributes)
+        params = init_backbone_params(config, np.random.default_rng(3), trainable=True)
+        images = [render_sample(spec, _sample_rng(4, "test", i), f"roi_{i}").image for i in range(6)]
+        boxes = np.concatenate([propose_for_image(image, k=50).rows for image in images])
+        stem = forward_local_stem(params, config, Tensor(np.stack(images)))
+        assert stem.requires_grad and (stem.data == 0.0).mean() > 0.2
+        graph = roi_max_pool_batch(stem, boxes, 3, 3, 64, 64)
+        assert graph.requires_grad
+        with no_grad():
+            free = roi_max_pool_batch(stem, boxes, 3, 3, 64, 64)
+        untracked = roi_max_pool_batch(Tensor(stem.data), boxes, 3, 3, 64, 64)
+        for got in (free, untracked):
+            assert not got.requires_grad and got._backward is None
+            assert got.data.flags.c_contiguous and got.data.tobytes() == graph.data.tobytes()
+
     def test_batch_of_maps_rejects_uneven_boxes_and_bad_ranks(self):
         boxes = [Box(0, 0, 4, 4)] * 5
         with pytest.raises(ValueError, match="split evenly"):

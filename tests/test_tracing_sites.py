@@ -81,6 +81,11 @@ CALLED_SITES = [
     ("lgnet.cli", "save_proposals", "propose", 10),
     ("lgnet.training", "load_proposals", "eval", 3),
     ("lgnet.training", "top_k", "eval", 3),
+    # the frozen half takes the 3 test images as one chunk
+    ("lgnet.training", "forward_global", "eval", 1),
+    ("lgnet.training", "class_activation_maps", "eval", 3),
+    ("lgnet.training", "affinity_map", "eval", 3),
+    ("lgnet.training", "normalize_affinity", "eval", 3),
     ("lgnet.training", "forward_local_stem", "train-stage2", GRAPH_CHUNKS),
     ("lgnet.training", "roi_max_pool_batch", "train-stage2", GRAPH_CHUNKS),
     ("lgnet.training", "guided_fusion", "train-stage2", GRAPH_CHUNKS),

@@ -199,18 +199,18 @@ class TestStage2:
 
         train, val, proposals = tiny_data
         real = training.forward_global
-        calls = []
+        images = []  # the images of each call, which may take a chunk
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(params, config, image):
+            images.append(image.data.shape[0] if image.data.ndim == 4 else 1)
+            return real(params, config, image)
 
         monkeypatch.setattr(training, "forward_global", counted)
         for epochs in (1, 2):
-            calls.clear()
+            images.clear()
             config = TrainConfig(seed=2, **dict(FAST, epochs=epochs))
             train_stage2(train, val, stage1.model, proposals, config)
-            assert len(calls) == len(train) + len(val)
+            assert sum(images) == len(train) + len(val)
 
     def test_global_branch_receives_no_gradients(self, tiny_data, stage1):
         train, val, proposals = tiny_data
@@ -500,6 +500,108 @@ class TestBatchedScoring:
             scores = np.concatenate([_fused_logits(model, [s], [guides[s.image_id]]).data for s in samples])
         assert evaluate(model, samples, proposals=proposals) == MetricsReport.from_scores(
             scores, _label_matrix(samples))
+
+
+def _mixed_size_split(train, proposals):
+    """Images of three sizes in runs of several lengths, with their proposals."""
+    odd = [_odd_sized_sample(f"wide_{i}", 64, 128, i) for i in range(3)]
+    odd += [_odd_sized_sample(f"tall_{i}", 96, 64, 10 + i) for i in range(2)]
+    samples = train[:3] + odd[:1] + train[3:20] + odd[3:5] + odd[1:3] + train[20:22]
+    return samples, dict(proposals, **{s.image_id: propose_for_image(s.image, k=24) for s in odd})
+
+
+def _reference_guidance(model, sample, boxes):
+    """The frozen half one image at a time, as it ran before chunking:
+    a one-image trunk pass and a breadth-first walk for each map's box."""
+    from lgnet.backbone import forward_global
+    from lgnet.cam import class_activation_maps
+    from lgnet.guidance import affinity_map, normalize_affinity
+    from lgnet.training import Guidance
+    from test_cam import _bfs_activation_box
+
+    image_h, image_w = sample.image.shape[1:]
+    with no_grad():
+        featmap, logits = forward_global(model.global_params, model.backbone, Tensor(sample.image))
+    if model.affinity_mode == "uniform":
+        c, d = model.backbone.num_attributes, len(boxes)
+        return Guidance(boxes, logits.data, np.full((c, d), 1.0 / d))
+    cams = class_activation_maps(featmap.data, model.cam_weights)
+    found = [_bfs_activation_box(cam, image_w, image_h, model.cam_threshold) for cam in cams]
+    cam_boxes = tuple(box for box, _ in found)
+    raw = affinity_map(cam_boxes, boxes, model.affinity_mode)
+    return Guidance(boxes, logits.data, normalize_affinity(raw).values, cams, cam_boxes,
+                    tuple(degen for _, degen in found), raw.values)
+
+
+class TestFrozenHalfInChunks:
+    @pytest.mark.parametrize("n", [1, 16, 17, "mixed sizes"])
+    def test_global_scores_equal_one_image_logits(self, tiny_data, stage1, n):
+        from lgnet.backbone import forward_global
+
+        train, val, proposals = tiny_data
+        samples = _mixed_size_split(train, proposals)[0] if n == "mixed sizes" else (train + val)[:n]
+        model = stage1.model
+        scores = _global_scores(model, samples)
+        assert scores.shape == (len(samples), 8)
+        for s, row in zip(samples, scores):
+            assert np.array_equal(row, forward_global(model.params, model.backbone, Tensor(s.image))[1].data)
+
+    @pytest.mark.parametrize("mode", ["iou", "overlap_area", "uniform"])
+    @pytest.mark.parametrize("split", ["train and val", "mixed sizes"])
+    def test_guidance_equals_the_per_image_path(self, tiny_data, stage1, mode, split):
+        train, val, proposals = tiny_data
+        if split == "mixed sizes":
+            samples, proposals = _mixed_size_split(train, proposals)
+        else:
+            samples = train + val
+        model = build_lg_model(stage1.model, TrainConfig(seed=2, **dict(FAST, affinity_mode=mode)))
+        model.cam_weights = model.cam_weights.copy()
+        model.cam_weights[0] = 0.0  # attribute 0's maps are all zero: degenerate
+        guides = _guidance_for(model, samples, proposals)
+        boxes = _prepare_proposals(samples, proposals, model.top_k)
+        assert list(guides) == [s.image_id for s in samples]
+        degenerate = 0
+        for s in samples:
+            got, want = guides[s.image_id], _reference_guidance(model, s, boxes[s.image_id])
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.shape == b.shape and np.array_equal(a, b), (s.image_id, field.name)
+                else:
+                    assert a == b, (s.image_id, field.name)
+            assert [type(v) for box in got.cam_boxes for v in vars(box).values()] == \
+                [type(v) for box in want.cam_boxes for v in vars(box).values()]
+            assert all(type(flag) is bool for flag in got.degenerate)
+            degenerate += sum(got.degenerate)
+        if mode != "uniform":
+            assert len(samples) <= degenerate < len(samples) * 8
+
+    def test_guidance_of_one_sample_is_a_chunk_of_one(self, tiny_data, stage1):
+        train, _, proposals = tiny_data
+        model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
+        guides = _guidance_for(model, train[:17], proposals)
+        for s in (train[0], train[16]):
+            _, guide = _lg_forward(model, s, proposals[s.image_id].boxes[: model.top_k])
+            want = guides[s.image_id]
+            assert np.array_equal(guide.global_logits, want.global_logits)
+            assert guide.cam_boxes == want.cam_boxes and guide.degenerate == want.degenerate
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 40])
+    def test_guidance_runs_the_trunk_once_per_chunk(self, tiny_data, stage1, monkeypatch, n):
+        from lgnet import training
+
+        train, _, proposals = tiny_data
+        model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
+        real = training.forward_global
+        images = []
+
+        def counted(params, config, image):
+            images.append(image.data.shape[0])
+            return real(params, config, image)
+
+        monkeypatch.setattr(training, "forward_global", counted)
+        _guidance_for(model, train[:n], proposals)
+        assert images == [min(SCORE_BATCH, n - i) for i in range(0, n, SCORE_BATCH)]
 
 
 def _per_image_gradients(model, batch, guides, pos, sigma):
