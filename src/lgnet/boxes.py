@@ -60,16 +60,22 @@ def box_array(boxes, scored: bool = False) -> np.ndarray:
 
 
 def pairwise_overlap(a, b, mode: str = "iou") -> np.ndarray:
-    """[n, m] intersection areas ("overlap_area") or IoUs, taken as
-    ``inter / ((area_a + area_b) - inter)``, of each box of ``a`` with each
-    box of ``b``. Either side is anything :func:`box_array` takes."""
+    """[n, m] :func:`overlap` of each box of ``a`` with each box of ``b``.
+    Either side is anything :func:`box_array` takes."""
+    return overlap(box_array(a).T[:, :, None], box_array(b).T, mode)  # [4, n, 1] and [4, m]
+
+
+def overlap(a: np.ndarray, b: np.ndarray, mode: str = "iou") -> np.ndarray:
+    """Intersection areas ("overlap_area") or IoUs, taken as
+    ``inter / ((area_a + area_b) - inter)``, of boxes laid out coordinate
+    first: ``a[0]`` to ``a[3]`` hold the x_min, y_min, x_max and y_max of
+    every box of ``a``, and broadcast against those of ``b``."""
     if mode not in ("iou", "overlap_area"):
         raise ValueError(f"unknown overlap mode {mode!r}")
-    a, b = box_array(a)[:, :, None], box_array(b).T  # [n, 4, 1] and [4, m]
-    iw = np.minimum(a[:, 2], b[2]) - np.maximum(a[:, 0], b[0])
-    ih = np.minimum(a[:, 3], b[3]) - np.maximum(a[:, 1], b[1])
+    iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     if mode == "overlap_area":
         return inter
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
     return inter / ((area_a + (b[2] - b[0]) * (b[3] - b[1])) - inter)

@@ -13,6 +13,7 @@ value to propagate.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -35,18 +36,23 @@ __all__ = [
 ]
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True  # each thread starts out recording
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Record no graph inside the block; nests, and restores the mode on any exit."""
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
+    """Record no graph inside the block; nests, and restores the mode on
+    any exit. The mode belongs to the calling thread: a block in one
+    thread leaves every other thread's mode as it was."""
+    previous, _grad_mode.enabled = _grad_mode.enabled, False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
@@ -93,7 +99,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_mode.enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
@@ -562,7 +568,7 @@ def roi_max_pool_batch(
     # channels last: row r holds cell r of the maps laid end to end
     rows = x.data.reshape(n, c, hw).transpose(0, 2, 1).reshape(n * hw, c)
     # only a recorded backward reads the argmax cells
-    recorded = _grad_enabled and x.requires_grad
+    recorded = _grad_mode.enabled and x.requires_grad
     pooled = np.empty((len(first), c))
     argpos = np.empty((len(first), c), dtype=np.intp) if recorded else None
     for members in np.split(order, starts[1:]):

@@ -3,16 +3,23 @@
 Stage 1 trains the whole-image classifier. Stage 2 freezes it, transplants
 its classifier weights into the activation-map generator, and trains the
 region branch plus the guidance head on the fused logits. Everything is
-seeded and single-threaded, so runs are byte-reproducible.
+seeded and SGD runs on one thread, so runs are byte-reproducible; the
+gradient-free passes spread their image chunks over every core, and each
+chunk's results are the same bits on any thread.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,8 +70,12 @@ __all__ = [
 AFFINITY_CHOICES = ("iou", "overlap_area", "uniform")
 # images per gradient-free pass (stage-1 and stage-2 scoring, the frozen
 # half); one BLAS thread, the trunk read 0.31 ms per image in chunks of
-# 8-16, 0.37 ms one image at a time and 0.47 ms in chunks of 64
-SCORE_BATCH = 16
+# 8-16, 0.37 ms one image at a time and 0.47 ms in chunks of 64. Every
+# core holds a chunk in flight: on 2 cores, 4 runs each of the benchmark's
+# eval and train workloads read 118-120 and 114-115 MB peak RSS with
+# chunks of 8 and 123-128 and 119-125 MB with 16 (about 114 and 107 MB
+# on one thread with 16); eval scored 654-678 and 717-753 images/s
+SCORE_BATCH = 8
 # images per stage-2 SGD graph. Peak RSS of the benchmark's eval and
 # train workloads (one run each) read 113.5 and 107.9 MB with chunks of
 # 4, 114.7 and 108.8 with 8, and 130.0 and 124.3 with whole batches of 16
@@ -312,6 +323,60 @@ def _same_size_chunks(samples: Sequence[Sample], size: int):
         yield chunk
 
 
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _helper_pool(helpers: int) -> ThreadPoolExecutor:
+    """The process's one pool of helper threads, started on first use."""
+    return ThreadPoolExecutor(helpers, thread_name_prefix="lgnet-chunks")
+
+
+def _map_chunks(fn: Callable[[list[Sample]], object], chunks: Iterable[list[Sample]]) -> list:
+    """``[fn(chunk) for chunk in chunks]``, every call gradient-free.
+
+    The calling thread and up to ``cores - 1`` helper threads take the
+    chunks in order from one shared queue; on one core the caller runs
+    them all. ``fn`` must only read shared state. Once a chunk fails no
+    new chunk starts, and when the started ones have finished, the error
+    of the first failing chunk in order is raised: every chunk before it
+    ran, so it is the error the serial loop raises.
+    """
+    chunks = list(chunks)
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(len(chunks)):
+        todo.put(i)
+    results: list = [None] * len(chunks)
+    errors: dict[int, BaseException] = {}
+
+    def work() -> None:
+        with no_grad():  # grad mode is per thread
+            while not errors:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    results[i] = fn(chunks[i])
+                except BaseException as exc:
+                    errors[i] = exc
+
+    cores = _cores()
+    helpers = [_helper_pool(cores - 1).submit(work) for _ in range(min(cores, len(chunks)) - 1)]
+    work()
+    for helper in helpers:
+        if not helper.cancel():  # a helper that never started has nothing left to do
+            helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _frozen_forward(params: BackboneParams, config: BackboneConfig,
                     chunk: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
     """The final feature maps [n, k, h, w] and the logits [n, c] of n
@@ -325,13 +390,13 @@ def _frozen_forward(params: BackboneParams, config: BackboneConfig,
 
 
 def _global_scores(model: GlobalModel, samples: Sequence[Sample]) -> np.ndarray:
-    """Stage-1 logits of consecutive same-size images, in chunks of up to
-    ``SCORE_BATCH``; each row equals the image's own ``forward_global``
-    logits bit for bit, as the frozen half of a stage-2 model computes them."""
-    return np.concatenate([
-        _frozen_forward(model.params, model.backbone, chunk)[1]
-        for chunk in _same_size_chunks(samples, SCORE_BATCH)
-    ])
+    """Stage-1 logits of consecutive same-size images, gradient-free, in
+    chunks of up to ``SCORE_BATCH`` spread over every core; each row
+    equals the image's own ``forward_global`` logits bit for bit, as the
+    frozen half of a stage-2 model computes them."""
+    return np.concatenate(_map_chunks(
+        lambda chunk: _frozen_forward(model.params, model.backbone, chunk)[1],
+        _same_size_chunks(samples, SCORE_BATCH)))
 
 
 def train_stage1(
@@ -491,13 +556,12 @@ def _guidance_for(
     proposals: Mapping[str, ProposalSet],
 ) -> dict[str, Guidance]:
     """The guidance of every sample, keyed by image id, computed over
-    consecutive same-size images in chunks of up to ``SCORE_BATCH``."""
+    consecutive same-size images in chunks of up to ``SCORE_BATCH``
+    spread over every core."""
     boxes = _prepare_proposals(samples, proposals, model.top_k)
-    guides = {}
-    for chunk in _same_size_chunks(samples, SCORE_BATCH):
-        found = _guidance_chunk(model, chunk, [boxes[s.image_id] for s in chunk])
-        guides.update((s.image_id, g) for s, g in zip(chunk, found))
-    return guides
+    found = _map_chunks(lambda chunk: _guidance_chunk(model, chunk, [boxes[s.image_id] for s in chunk]),
+                        _same_size_chunks(samples, SCORE_BATCH))
+    return {s.image_id: g for s, g in zip(samples, itertools.chain.from_iterable(found))}
 
 
 def _stage2_gradients(
@@ -570,23 +634,21 @@ def evaluate(
     """Score a split and compute the five metrics at the given threshold.
 
     Scoring is gradient-free and runs over consecutive images of one
-    size, in chunks of up to ``SCORE_BATCH``. Each image's scores carry
-    the bits of scoring it alone.
+    size, in chunks of up to ``SCORE_BATCH`` spread over every core.
+    Each image's scores carry the bits of scoring it alone.
     """
     labels = _label_matrix(samples)
-    with no_grad():
-        if isinstance(model, GlobalModel):
-            scores = _global_scores(model, samples)
-        else:
-            if not proposals:
-                raise DataError("stage-2 evaluation requires proposals")
-            first = next(iter(proposals.values()))
-            if isinstance(first, ProposalSet):
-                proposals = _guidance_for(model, samples, proposals)
-            scores = np.concatenate([
-                _fused_logits(model, chunk, [proposals[s.image_id] for s in chunk]).data
-                for chunk in _same_size_chunks(samples, SCORE_BATCH)
-            ])
+    if isinstance(model, GlobalModel):
+        scores = _global_scores(model, samples)
+    else:
+        if not proposals:
+            raise DataError("stage-2 evaluation requires proposals")
+        first = next(iter(proposals.values()))
+        if isinstance(first, ProposalSet):
+            proposals = _guidance_for(model, samples, proposals)
+        scores = np.concatenate(_map_chunks(
+            lambda chunk: _fused_logits(model, chunk, [proposals[s.image_id] for s in chunk]).data,
+            _same_size_chunks(samples, SCORE_BATCH)))
     return MetricsReport.from_scores(scores, labels, threshold)
 
 

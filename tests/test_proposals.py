@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lgnet import proposals
-from lgnet.boxes import Box, full_image_box
+from lgnet.boxes import Box, full_image_box, pairwise_overlap
 from lgnet.proposals import (
     INTERIOR_PENALTY,
     MIN_SIDE,
@@ -264,6 +264,22 @@ def _reference_suppression_rows(coords, iou_threshold):
     return rows
 
 
+def _block_suppression_rows(coords, iou_threshold):
+    """The builder that tested every pair, as ``_suppression_rows`` ran
+    before it sorted the boxes by x: blocks of about 2**14 IoUs, each
+    block of rows against all n boxes."""
+    n = len(coords)
+    step = max(1, (1 << 14) // max(n, 1))
+    rows = []
+    for start in range(0, n, step):
+        hit = pairwise_overlap(coords[start : start + step], coords) > iou_threshold
+        diagonal = np.arange(len(hit))
+        hit[diagonal, diagonal + start] = False
+        found, cols = np.nonzero(hit)
+        rows += np.split(cols, np.searchsorted(found, diagonal[1:]))
+    return rows
+
+
 def _overlap_test_sets(rng):
     """Box sets with random, touching, nested and identical boxes."""
     floats = np.sort(rng.uniform(0, 40, (60, 2, 2)), axis=1)  # [n, (min, max), (x, y)]
@@ -313,22 +329,38 @@ class TestSuppressionRows:
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), threshold
 
-    def test_built_in_blocks_of_rows(self, monkeypatch, rng):
-        shapes = []
-        real = proposals.pairwise_overlap
+    @pytest.mark.parametrize("size", [64, 80, 128])
+    def test_rows_equal_the_block_builder(self, size):
+        # 611, 1160 and 3732 candidates
+        coords = proposals._candidate_grid(size, size, CandidateConfig())
+        for threshold in (0.3, 0.5, 0.619, 0.7):
+            got = proposals._suppression_rows(coords, threshold)
+            want = _block_suppression_rows(coords, threshold)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), threshold
+
+    def test_tests_only_boxes_whose_x_ranges_meet(self, monkeypatch):
+        tested = []
+        real = proposals.overlap
 
         def recording(a, b, mode="iou"):
             out = real(a, b, mode)
-            shapes.append(out.shape)
+            tested.append(out.shape)
             return out
 
-        monkeypatch.setattr(proposals, "pairwise_overlap", recording)
-        coords = np.concatenate([_overlap_test_sets(rng)["random"]] * 5)  # 300 boxes
+        monkeypatch.setattr(proposals, "overlap", recording)
+        coords = proposals._candidate_grid(128, 128, CandidateConfig())
         n = len(coords)
         rows = proposals._suppression_rows(coords, 0.5)
-        step = (1 << 14) // n  # 54 rows, about 2**14 IoUs a call
-        assert shapes == [(step, n)] * (n // step) + [(n % step, n)]
+        # 35% of the pairs meet in x; blocks of rows test a few more than those
+        assert sum(height * width for height, width in tested) < n * n / 3
+        assert all(height <= 16 for height, _ in tested)
         assert len(rows) == n and not any(row.flags.writeable for row in rows)
+
+    def test_no_boxes_and_one_box(self):
+        assert proposals._suppression_rows(np.zeros((0, 4)), 0.5) == ()
+        assert [r.tolist() for r in proposals._suppression_rows(np.array([[0.0, 0.0, 4.0, 4.0]]), 0.5)] == [[]]
 
 
 class TestTopK:

@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -749,6 +750,39 @@ class TestNoGrad:
             frozen = x * 3.0
         (x * x + frozen).sum().backward()
         assert np.array_equal(x.grad, 2.0 * np.arange(3.0))
+
+    def test_mode_is_per_thread(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        entered, leave = threading.Event(), threading.Event()
+        seen = []
+
+        def other():
+            with no_grad():
+                entered.set()
+                leave.wait(10)
+                seen.append((x + x).requires_grad)
+            seen.append((x + x).requires_grad)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        assert entered.wait(10)
+        assert (x + x).requires_grad  # the other thread's block leaves this one recording
+        with no_grad():
+            leave.set()
+            thread.join(10)
+            # the other thread left its block: this one is still gradient-free
+            assert not (x + x).requires_grad
+        assert (x + x).requires_grad
+        assert seen == [False, True]  # and the other thread got its own mode back
+
+    def test_a_new_thread_starts_recording(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+        with no_grad():
+            thread = threading.Thread(target=lambda: seen.append((x + x).requires_grad))
+            thread.start()
+            thread.join(10)
+        assert seen == [True]
 
 
 class TestCheckGradients:

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import re
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from lgnet.backbone import BackboneConfig, init_backbone_params, preset_config
+from lgnet.backbone import BackboneConfig, forward_global, init_backbone_params, preset_config
 from lgnet.boxes import Box
 from lgnet.loss_metrics import MetricsReport, positive_ratio, weighted_sigmoid_ce_node
 from lgnet.proposals import ProposalSet, propose_for_image, save_proposals, top_k
@@ -404,7 +405,7 @@ class TestEvaluate:
         assert made and not any(made)
         # outside evaluate the same forward does build a graph, and is counted
         if kind == "global":
-            _global_scores(model, val[:1])
+            forward_global(model.params, model.backbone, Tensor(val[0].image))
         else:
             _lg_forward(model, val[0], proposals[val[0].image_id].boxes)
         assert any(made)
@@ -513,7 +514,6 @@ def _mixed_size_split(train, proposals):
 def _reference_guidance(model, sample, boxes):
     """The frozen half one image at a time, as it ran before chunking:
     a one-image trunk pass and a breadth-first walk for each map's box."""
-    from lgnet.backbone import forward_global
     from lgnet.cam import class_activation_maps
     from lgnet.guidance import affinity_map, normalize_affinity
     from lgnet.training import Guidance
@@ -536,8 +536,6 @@ def _reference_guidance(model, sample, boxes):
 class TestFrozenHalfInChunks:
     @pytest.mark.parametrize("n", [1, 16, 17, "mixed sizes"])
     def test_global_scores_equal_one_image_logits(self, tiny_data, stage1, n):
-        from lgnet.backbone import forward_global
-
         train, val, proposals = tiny_data
         samples = _mixed_size_split(train, proposals)[0] if n == "mixed sizes" else (train + val)[:n]
         model = stage1.model
@@ -601,7 +599,129 @@ class TestFrozenHalfInChunks:
 
         monkeypatch.setattr(training, "forward_global", counted)
         _guidance_for(model, train[:n], proposals)
-        assert images == [min(SCORE_BATCH, n - i) for i in range(0, n, SCORE_BATCH)]
+        # helper threads may reach the trunk in any order
+        assert sorted(images) == sorted(min(SCORE_BATCH, n - i) for i in range(0, n, SCORE_BATCH))
+
+
+def _plain_loop(fn, chunks):
+    """The serial loop the chunk mapper replaces, as the reference."""
+    with no_grad():
+        return [fn(chunk) for chunk in chunks]
+
+
+class TestChunksOnEveryCore:
+    """``_map_chunks`` with no helper thread (one core) and with three
+    helpers gives the plain loop's outputs bit for bit."""
+
+    @pytest.fixture(params=[1, 4], ids=["0 helpers", "3 helpers"])
+    def cores(self, request, monkeypatch):
+        from lgnet import training
+
+        monkeypatch.setattr(training, "_cores", lambda: request.param)
+        return request.param
+
+    def test_helpers_share_the_chunks_and_keep_their_order(self, cores):
+        from lgnet.training import _map_chunks
+
+        meet = threading.Barrier(2, timeout=10)
+        threads = set()
+
+        def fn(chunk):
+            if cores > 1 and chunk[0] < 2:
+                meet.wait()  # the first two chunks run at once, on two threads
+            threads.add(threading.get_ident())
+            x = Tensor(np.asarray(chunk, dtype=float), requires_grad=True)
+            assert not (x * 2.0).requires_grad  # gradient-free on every thread
+            return [v * 10 for v in chunk]
+
+        chunks = [[i, i + 100] for i in range(9)]
+        assert _map_chunks(fn, chunks) == [[10 * i, 10 * i + 1000] for i in range(9)]
+        if cores == 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert len(threads) >= 2
+        assert (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad  # the caller records again
+        assert _map_chunks(fn, []) == []
+
+    def test_first_failing_chunk_in_order_raises(self, cores):
+        from lgnet.training import _map_chunks
+
+        finished = []
+
+        def fn(chunk):
+            if chunk == 2:
+                time.sleep(0.05)  # chunk 5 fails first in time
+                raise ValueError("chunk 2 failed")
+            if chunk == 5:
+                raise KeyError("chunk 5 failed")
+            time.sleep(0.005)
+            finished.append(chunk)
+            return chunk
+
+        with pytest.raises(ValueError, match="^chunk 2 failed$"):
+            _map_chunks(fn, range(12))
+        if cores == 1:
+            assert finished == [0, 1]  # the serial loop stops at chunk 2
+        else:
+            assert {0, 1, 3, 4} <= set(finished)  # every chunk before chunk 5 ran
+
+    def test_global_scores_equal_the_plain_loop(self, tiny_data, stage1, cores):
+        from lgnet.training import _frozen_forward
+
+        train, val, proposals = tiny_data
+        model = stage1.model
+        for samples in (train + val, _mixed_size_split(train, proposals)[0]):
+            want = _plain_loop(lambda chunk: _frozen_forward(model.params, model.backbone, chunk)[1],
+                               _same_size_chunks(samples, SCORE_BATCH))
+            assert np.array_equal(_global_scores(model, samples), np.concatenate(want))
+
+    @pytest.mark.parametrize("mode", ["iou", "overlap_area", "uniform"])
+    @pytest.mark.parametrize("split", ["train and val", "mixed sizes"])
+    def test_guidance_equals_the_plain_loop(self, tiny_data, stage1, cores, mode, split):
+        from lgnet.training import _guidance_chunk
+
+        train, val, proposals = tiny_data
+        if split == "mixed sizes":
+            samples, proposals = _mixed_size_split(train, proposals)
+        else:
+            samples = train + val
+        model = build_lg_model(stage1.model, TrainConfig(seed=2, **dict(FAST, affinity_mode=mode)))
+        boxes = _prepare_proposals(samples, proposals, model.top_k)
+        found = _plain_loop(lambda chunk: _guidance_chunk(model, chunk, [boxes[s.image_id] for s in chunk]),
+                            _same_size_chunks(samples, SCORE_BATCH))
+        want = [g for chunk in found for g in chunk]
+        got = _guidance_for(model, samples, proposals)
+        assert list(got) == [s.image_id for s in samples]
+        for s, w in zip(samples, want):
+            g = got[s.image_id]
+            for field in dataclasses.fields(w):
+                a, b = getattr(g, field.name), getattr(w, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.shape == b.shape and np.array_equal(a, b), (s.image_id, field.name)
+                else:
+                    assert a == b, (s.image_id, field.name)
+
+    @pytest.mark.parametrize("split", ["train and val", "mixed sizes"])
+    def test_stage2_scores_equal_the_plain_loop(self, tiny_data, stage1, cores, monkeypatch, split):
+        from lgnet import training
+
+        train, val, proposals = tiny_data
+        if split == "mixed sizes":
+            samples, proposals = _mixed_size_split(train, proposals)
+        else:
+            samples = train + val
+        model = _random_head(build_lg_model(stage1.model, TrainConfig(seed=2, **FAST)), 6)
+        guides = _guidance_for(model, samples, proposals)
+        want = _plain_loop(lambda chunk: _fused_logits(model, chunk, [guides[s.image_id] for s in chunk]).data,
+                           _same_size_chunks(samples, SCORE_BATCH))
+        scored = []
+        real = training.MetricsReport.from_scores
+        monkeypatch.setattr(training.MetricsReport, "from_scores",
+                            lambda scores, *args: scored.append(scores) or real(scores, *args))
+        for given in (guides, proposals):
+            report = evaluate(model, samples, proposals=given)
+            assert np.array_equal(scored.pop(), np.concatenate(want))
+            assert report == real(np.concatenate(want), _label_matrix(samples))
 
 
 def _per_image_gradients(model, batch, guides, pos, sigma):
@@ -669,9 +789,6 @@ class TestSgdStep:
 
     def test_single_step_descends_with_small_lr(self, tiny_data):
         """Line-search sanity: the analytic gradient points downhill."""
-        from lgnet.backbone import forward_global, preset_config
-        from lgnet.tensor import Tensor
-
         train, _, _ = tiny_data
         bb = preset_config("base", 8)
         params = init_backbone_params(bb, np.random.default_rng(0), trainable=True)
