@@ -454,6 +454,10 @@ def main(argv=None) -> int:
     except (DataError, CheckpointError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:  # finite weights whose products overflow float64
+        model = getattr(args, "model", None)
+        print(f"error: model {model}: {exc}" if model else f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

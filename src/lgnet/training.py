@@ -3,9 +3,9 @@
 Stage 1 trains the whole-image classifier. Stage 2 freezes it, transplants
 its classifier weights into the activation-map generator, and trains the
 region branch plus the guidance head on the fused logits. Everything is
-seeded and SGD runs on one thread, so runs are byte-reproducible; the
-gradient-free passes spread their image chunks over every core, and each
-chunk's results are the same bits on any thread.
+seeded and byte-reproducible: SGD and the gradient-free passes spread
+their image chunks over every core, each chunk's results are the same bits
+on any thread, and the calling thread sums them in chunk order.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import itertools
 import json
 import os
 import queue
+import threading
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -76,9 +78,10 @@ AFFINITY_CHOICES = ("iou", "overlap_area", "uniform")
 # chunks of 8 and 123-128 and 119-125 MB with 16 (about 114 and 107 MB
 # on one thread with 16); eval scored 654-678 and 717-753 images/s
 SCORE_BATCH = 8
-# images per stage-2 SGD graph. Peak RSS of the benchmark's eval and
-# train workloads (one run each) read 113.5 and 107.9 MB with chunks of
-# 4, 114.7 and 108.8 with 8, and 130.0 and 124.3 with whole batches of 16
+# images per SGD graph, in both stages; every core holds a chunk graph in
+# flight and keeps its last. On 2 cores the benchmark's train and eval
+# workloads read 117-118 and 122 MB peak RSS with chunks of 4, and 146-150
+# and 152 MB with 8 (a single-threaded 16-image stage 1: 113-118 and 119-124)
 SGD_CHUNK = 4
 
 
@@ -224,7 +227,7 @@ class Stage1Result:
     log_rows: list[dict]
     best_val_ma: float
     best_epoch: int
-    step_losses: list[list[float]]  # per epoch, per optimizer step
+    step_losses: list[list[float]]  # per epoch and step: sum of chunk losses x batch shares
 
 
 @dataclass
@@ -294,7 +297,10 @@ def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int, n_train: 
             except FloatingPointError as exc:
                 raise RuntimeError(f"stage-{stage} training diverged at epoch {epoch} step {i}: {exc}") from exc
             _sgd_step(named, lr, config.weight_decay, config.momentum, velocity)
-        val_ma = validate(epoch)
+        try:
+            val_ma = validate(epoch)
+        except FloatingPointError as exc:
+            raise RuntimeError(f"stage-{stage} validation diverged at epoch {epoch}: {exc}") from exc
         log_rows.append({"epoch": epoch, "lr": lr, "train_loss": total_loss / n_train, "val_mA": val_ma})
         if val_ma > best_ma:
             best_ma, best_epoch = val_ma, epoch
@@ -337,8 +343,8 @@ def _helper_pool(helpers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(helpers, thread_name_prefix="lgnet-chunks")
 
 
-def _map_chunks(fn: Callable[[list[Sample]], object], chunks: Iterable[list[Sample]]) -> list:
-    """``[fn(chunk) for chunk in chunks]``, every call gradient-free.
+def _map_chunks(fn: Callable[[list[Sample]], object], chunks: Iterable[list[Sample]], grad=False) -> list:
+    """``[fn(chunk) for chunk in chunks]``, every call gradient-free unless ``grad``.
 
     The calling thread and up to ``cores - 1`` helper threads take the
     chunks in order from one shared queue; on one core the caller runs
@@ -355,7 +361,7 @@ def _map_chunks(fn: Callable[[list[Sample]], object], chunks: Iterable[list[Samp
     errors: dict[int, BaseException] = {}
 
     def work() -> None:
-        with no_grad():  # grad mode is per thread
+        with nullcontext() if grad else no_grad():  # grad mode is per thread
             while not errors:
                 try:
                     i = todo.get_nowait()
@@ -375,6 +381,42 @@ def _map_chunks(fn: Callable[[list[Sample]], object], chunks: Iterable[list[Samp
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def _leaf_views(params: BackboneParams) -> BackboneParams:
+    """``params`` as fresh leaves over the same arrays, each with its own gradient."""
+    def leaf(t: Tensor | None) -> Tensor | None:
+        return None if t is None else Tensor(t.data, requires_grad=True)
+    return BackboneParams([leaf(k) for k in params.stage_kernels], [leaf(b) for b in params.stage_biases],
+                          leaf(params.head_weight), leaf(params.head_bias))
+
+
+# each thread's last SGD chunk graph, kept until it has built its next one; freed at once, its
+# buffers were faulted in anew (fresh 3-epoch stage 1, 1000 images: 650 k faults, 3.0 s, not 22 k, 2.2 s)
+_last_graph = threading.local()
+
+
+def _chunked_gradients(named: Mapping[str, Tensor], batch: Sequence[Sample],
+                       chunk_loss: Callable[[list[Sample]], tuple]) -> tuple[float, float]:
+    """Accumulate the gradient of the batch's mean loss into ``named``, one graph
+    per same-size chunk of at most ``SGD_CHUNK`` images on every core.
+    ``chunk_loss(chunk)`` returns private leaves named as in ``named`` and the
+    chunk's mean loss built on them, seeded with its share of the batch; the
+    caller adds the chunks' gradients in chunk order, the same bits on any
+    number of cores. Returns the images' loss sum and the batch's mean loss."""
+    def run(chunk: list[Sample]) -> tuple[int, float, dict[str, np.ndarray]]:
+        leaves, loss = chunk_loss(chunk)
+        _last_graph.loss = loss  # frees the thread's previous graph
+        loss.backward(np.asarray(len(chunk) / len(batch)))
+        return len(chunk), loss.item(), {name: t.grad for name, t in leaves.items()}
+
+    total = mean = 0.0
+    for n, loss, grads in _map_chunks(run, _same_size_chunks(batch, SGD_CHUNK), grad=True):
+        total += loss * n
+        mean += loss * (n / len(batch))
+        for name, g in grads.items():
+            named[name]._accumulate(g)
+    return total, mean
 
 
 def _frozen_forward(params: BackboneParams, config: BackboneConfig,
@@ -399,6 +441,17 @@ def _global_scores(model: GlobalModel, samples: Sequence[Sample]) -> np.ndarray:
         _same_size_chunks(samples, SCORE_BATCH)))
 
 
+def _stage1_gradients(params: BackboneParams, config: BackboneConfig, batch: Sequence[Sample],
+                      pos: np.ndarray, sigma: float) -> tuple[float, float]:
+    """:func:`_chunked_gradients` on the whole-image classifier."""
+    def chunk_loss(chunk: list[Sample]) -> tuple[dict[str, Tensor], Tensor]:
+        views = _leaf_views(params)
+        _, logits = forward_global(views, config, Tensor(np.stack([s.image for s in chunk])))
+        return views.named(), weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, sigma)
+
+    return _chunked_gradients(params.named(), batch, chunk_loss)
+
+
 def train_stage1(
     train: Sequence[Sample],
     val: Sequence[Sample],
@@ -411,22 +464,13 @@ def train_stage1(
     params = init_backbone_params(bb, rng, trainable=True)
     named = params.named()
     pos = positive_ratio(_label_matrix(train))
-    labels = _label_matrix(train)
-
     eval_model = GlobalModel(bb, params)
     step_losses: list[float] = []  # each step's mean loss, epoch after epoch
-    # the last step's graph lives until the next one is built: freed on return,
-    # its buffers were unmapped and faulted in again each step (8x the page
-    # faults; 0.9-1.1 s, not 0.6 s, for a 48-image 12-epoch stage 1, 2 cores)
-    last: list[Tensor] = []
 
     def step(batch_idx: np.ndarray) -> float:
-        _, logits = forward_global(params, bb, Tensor(np.stack([train[i].image for i in batch_idx])))
-        loss = weighted_sigmoid_ce_node(logits, labels[batch_idx], pos, config.loss_sigma)
-        last[:] = [loss]
-        loss.backward()
-        step_losses.append(loss.item())
-        return loss.item() * len(batch_idx)
+        total, mean = _stage1_gradients(params, bb, [train[i] for i in batch_idx], pos, config.loss_sigma)
+        step_losses.append(mean)
+        return total
 
     log_rows, best_ma, best_epoch = _fit(
         named, config, 1, len(train), step, lambda epoch: evaluate(eval_model, val).ma, -1.0)
@@ -567,17 +611,14 @@ def _guidance_for(
 def _stage2_gradients(
     model: LGModel, batch: Sequence[Sample], guides: Mapping[str, Guidance], pos: np.ndarray, sigma: float
 ) -> float:
-    """Accumulate the gradient of the batch's mean loss into the trainable
-    parameters, one graph per same-size chunk of at most ``SGD_CHUNK``
-    images. Returns the sum of the images' losses."""
-    total = 0.0
-    for chunk in _same_size_chunks(batch, SGD_CHUNK):
-        fused = _fused_logits(model, chunk, [guides[s.image_id] for s in chunk])
-        loss = weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, sigma)
-        # the chunk's loss is its images' mean; weighted, the batch's
-        loss.backward(np.asarray(len(chunk) / len(batch)))
-        total += loss.item() * len(chunk)
-    return total
+    """:func:`_chunked_gradients` on the trainable half; returns the images' loss sum."""
+    def chunk_loss(chunk: list[Sample]) -> tuple[dict[str, Tensor], Tensor]:
+        head = GuidanceHead(Tensor(model.head.weight.data, True), Tensor(model.head.bias.data, True))
+        views = replace(model, local_params=_leaf_views(model.local_params), head=head)
+        fused = _fused_logits(views, chunk, [guides[s.image_id] for s in chunk])
+        return views.trainable(), weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, sigma)
+
+    return _chunked_gradients(model.trainable(), batch, chunk_loss)[0]
 
 
 def train_stage2(

@@ -431,6 +431,65 @@ class TestMixedSizeSplit:
         assert json.loads(out.read_text()) == expected.as_dict()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestOverflowingModel:
+    """Finite weights whose products overflow float64 exit 2 with an error
+    line that names the model, never a traceback."""
+
+    @staticmethod
+    def _scaled(workspace, tmp_path, model, prefix=""):
+        """``model`` with every trunk kernel (of the frozen branch, in a
+        stage-2 checkpoint) scaled by 1e120: finite, but three stages deep
+        the activations overflow."""
+        from lgnet import checkpoint
+
+        meta, tensors = checkpoint.load_container(workspace / model)
+        for name in list(tensors):
+            if name.startswith(f"{prefix}stage") and name.endswith("/kernel"):
+                tensors[name] = tensors[name] * 1e120
+        if prefix:
+            tensors["cam/weight"] = tensors["global/head/weight"]
+        path = tmp_path / f"huge-{model}"
+        checkpoint.save_container(path, meta, tensors)
+        return path
+
+    @pytest.mark.parametrize("command, model, prefix", [
+        ("eval", "stage1.lgn", ""),
+        ("eval", "stage2.lgn", "global/"),
+        ("localize", "stage2.lgn", "global/"),
+        ("train-stage2", "stage1.lgn", ""),
+    ], ids=["eval-stage1", "eval-stage2", "localize", "train-stage2"])
+    def test_command_names_the_model(self, workspace, tmp_path, capsys, command, model, prefix):
+        huge = self._scaled(workspace, tmp_path, model, prefix)
+        argv = [command, "--model", huge, "--data", workspace / "data", "--proposals", workspace / "props"]
+        if command in ("localize", "train-stage2"):
+            argv += ["--out", tmp_path / "out"]
+        if command == "train-stage2":
+            argv += ["--epochs", "1", "--top-k", "16"]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: model {huge}: non-finite values produced by 'conv2d'\n"
+
+    def test_validation_pass(self, workspace, tmp_path, capsys, monkeypatch):
+        from lgnet import training
+
+        real = training.evaluate
+
+        def huge(model, *args, **kwargs):  # validates a copy with overflowing kernels
+            params = model.params.copy(requires_grad=False)
+            for kernel in params.stage_kernels:
+                kernel.data *= 1e120
+            return real(training.GlobalModel(model.backbone, params), *args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate", huge)
+        out = tmp_path / "s1.lgn"
+        assert main(["train-stage1", "--data", str(workspace / "data"), "--out", str(out),
+                     "--epochs", "2", "--batch-size", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: stage-1 validation diverged at epoch 0: non-finite values produced by 'conv2d'\n"
+        assert not out.exists()
+
+
 class TestLocalizeUniformModel:
     def test_uniform_checkpoint_cannot_localize(self, workspace, tmp_path, capsys):
         uniform = tmp_path / "uniform.lgn"

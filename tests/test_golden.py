@@ -8,16 +8,21 @@ round matrix products differently.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lgnet
 from lgnet.cli import main
 
 GOLDEN = {
     "proposals": "b02025079397581862a449f3353af816ceb9e0ba4ca49a9abc0e8d6099a630c0",
-    "stage1": "965e3567fbd84011701837bb360f603ce301fe5c9f91e2755f5803e62483f30f",
-    "stage2": "26591199dc2d4d20298c360d7539df2ba6e0455baa453061afe34abdb2b30f47",
+    "stage1": "f1acfad936e177dafec2f8a54dda71460a602f4ae9c8350fc9d1a71d8a6e7e5c",
+    "stage2": "5eff6b8c81e7abb6ca7b27870e76b261999678a901aa7a385fc01eba80f584af",
     "stage2_log": "622c28b241a7405cf246d84d746f135e1a2940dbb95f181bcd7ec9e2cd4e5a89",
     "eval_report": "f272c47bd69659011c3bf0e8f79555d1f633b980c9ed5919db0156ed43a6dae7",
     "localize": "1fa0734d2421752a9d99e989e342778401df536ca881aaa8958d1522c699f61f",
@@ -37,9 +42,8 @@ def _dir_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def _pipeline_digests(root: Path) -> dict[str, str]:
+    """Run the pipeline in ``root`` and return the digest of each output."""
     data, props = root / "data", root / "props"
     stage1, stage2 = root / "stage1.lgn", root / "stage2.lgn"
     stage2_log, report = root / "stage2.log.csv", root / "report.json"
@@ -71,6 +75,38 @@ def outputs(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return _pipeline_digests(tmp_path_factory.mktemp("golden"))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden_digest(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+# pins its own process to one CPU, then prints the number of cores lgnet
+# sees and the pipeline's digests as the last line
+ONE_CPU = """
+import json, os, sys
+from pathlib import Path
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+import test_golden
+from lgnet import training
+print(json.dumps([training._cores(), test_golden._pipeline_digests(Path(sys.argv[2]))]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_one_cpu_process_matches_golden_digests(tmp_path):
+    """The digests hold end to end in a process that may run on one CPU
+    only, where no helper thread starts."""
+    src = str(Path(lgnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", ONE_CPU, str(Path(__file__).parent), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    cores, digests = json.loads(done.stdout.splitlines()[-1])
+    assert cores == 1
+    assert digests == GOLDEN

@@ -775,6 +775,133 @@ class TestChunkedSgd:
         assert got_loss == pytest.approx(want_loss, rel=SGD_REL)
 
 
+def _serial_chunk_gradients(named, batch, chunk_loss):
+    """The chunked SGD step as a plain serial loop, kept as the reference:
+    each chunk's graph is built on the shared leaves ``named`` themselves,
+    its mean loss seeded with the chunk's share of the batch. For stage 2
+    this is the loop ``_stage2_gradients`` ran before its chunks went onto
+    every core. Returns the gradients, the images' loss sum and the
+    batch's mean loss."""
+    for t in named.values():
+        t.zero_grad()
+    total = mean = 0.0
+    for chunk in _same_size_chunks(batch, SGD_CHUNK):
+        loss = chunk_loss(chunk)
+        loss.backward(np.asarray(len(chunk) / len(batch)))
+        total += loss.item() * len(chunk)
+        mean += loss.item() * (len(chunk) / len(batch))
+    return {name: t.grad.copy() for name, t in named.items()}, total, mean
+
+
+def _sgd_batch(train, proposals, case):
+    """A batch for one SGD step, with the proposals its images need."""
+    if case == "mixed sizes":
+        wide = [_odd_sized_sample(f"wide_{i}", 64, 128, i) for i in range(3)]
+        batch = train[:2] + wide[:2] + train[2:5] + wide[2:] + train[5:7]
+        return batch, dict(proposals, **{s.image_id: propose_for_image(s.image, k=24) for s in wide})
+    return train[: int(case.split()[0])], proposals
+
+
+SGD_CASES = [("16 images", [4, 4, 4, 4]), ("10 images", [4, 4, 2]), ("mixed sizes", [2, 2, 3, 1, 2])]
+
+
+class TestSgdChunksOnEveryCore:
+    """Both stages' chunked SGD step on one core and with one and three
+    helper threads gives the serial loop's gradients and losses bit for
+    bit, and so whole runs give the same bytes on any number of cores."""
+
+    @pytest.fixture(params=[1, 2, 4], ids=["0 helpers", "1 helper", "3 helpers"])
+    def cores(self, request, monkeypatch):
+        from lgnet import training
+
+        monkeypatch.setattr(training, "_cores", lambda: request.param)
+        return request.param
+
+    @staticmethod
+    def _assert_same(named, want, got, want_losses):
+        for name, t in named.items():
+            assert t.grad is not None and np.array_equal(t.grad, want[name]), name
+        assert got == want_losses
+
+    @pytest.mark.parametrize("case, chunks", SGD_CASES, ids=[c for c, _ in SGD_CASES])
+    def test_stage1_step_equals_the_serial_loop(self, tiny_data, cores, case, chunks):
+        from lgnet.training import _stage1_gradients
+
+        train, _, proposals = tiny_data
+        batch, _ = _sgd_batch(train, proposals, case)
+        assert [len(c) for c in _same_size_chunks(batch, SGD_CHUNK)] == chunks
+        bb = preset_config("base", 8)
+        params = init_backbone_params(bb, np.random.default_rng(5))
+        pos = positive_ratio(_label_matrix(train))
+
+        def chunk_loss(chunk):
+            _, logits = forward_global(params, bb, Tensor(np.stack([s.image for s in chunk])))
+            return weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, 1.0)
+
+        want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
+        for t in params.named().values():
+            t.zero_grad()
+        got = _stage1_gradients(params, bb, batch, pos, 1.0)
+        self._assert_same(params.named(), want, list(got), want_losses)
+
+    @pytest.mark.parametrize("case, chunks", SGD_CASES, ids=[c for c, _ in SGD_CASES])
+    def test_stage2_step_equals_the_serial_loop(self, tiny_data, stage1, cores, case, chunks):
+        train, _, proposals = tiny_data
+        batch, proposals = _sgd_batch(train, proposals, case)
+        assert [len(c) for c in _same_size_chunks(batch, SGD_CHUNK)] == chunks
+        model = _random_head(build_lg_model(stage1.model, TrainConfig(seed=2, **FAST)), 7)
+        guides = _guidance_for(model, batch, proposals)
+        pos = positive_ratio(_label_matrix(train))
+
+        def chunk_loss(chunk):
+            fused = _fused_logits(model, chunk, [guides[s.image_id] for s in chunk])
+            return weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, 1.0)
+
+        want, want_total, _ = _serial_chunk_gradients(model.trainable(), batch, chunk_loss)
+        for t in model.trainable().values():
+            t.zero_grad()
+        got = _stage2_gradients(model, batch, guides, pos, 1.0)
+        self._assert_same(model.trainable(), want, [got], [want_total])
+
+    def test_first_failing_chunk_in_order_is_reported(self, cores, monkeypatch):
+        from lgnet import training
+
+        train, val = _make_samples(24, "train", seed=8), _make_samples(4, "val", seed=8)
+        config = TrainConfig(epochs=1, batch_size=24, seed=3, lr0=0.05)
+        order = _epoch_permutation(config.seed, 1, 0, len(train)).tolist()
+        real = training.forward_global
+
+        def failing(params, bb, images):
+            first = next(i for i, s in enumerate(train) if np.array_equal(s.image, images.data[0]))
+            chunk = order.index(first) // SGD_CHUNK
+            if chunk == 2:
+                time.sleep(0.05)  # chunk 5 fails first in time
+            if chunk in (2, 5):
+                raise FloatingPointError(f"chunk {chunk} failed")
+            return real(params, bb, images)
+
+        monkeypatch.setattr(training, "forward_global", failing)
+        with pytest.raises(RuntimeError, match="^stage-1 training diverged at epoch 0 step 0: chunk 2 failed$"):
+            train_stage1(train, val, config)
+
+    def test_both_stages_write_the_same_bytes_on_any_number_of_cores(self, tiny_data, monkeypatch, tmp_path):
+        from lgnet import training
+        from lgnet.backbone import save_stage1_checkpoint
+
+        train, val, proposals = tiny_data
+        config = TrainConfig(seed=6, **dict(FAST, epochs=2, batch_size=10))  # chunks of 4, 4 and 2
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(training, "_cores", lambda: cores)
+            s1 = train_stage1(train, val, config)
+            s2 = train_stage2(train, val, s1.model, proposals, config)
+            save_stage1_checkpoint(tmp_path / "s1.lgn", s1.model.backbone, s1.model.params)
+            save_stage2_checkpoint(tmp_path / "s2.lgn", s2.model)
+            runs.append([(tmp_path / "s1.lgn").read_bytes(), (tmp_path / "s2.lgn").read_bytes(),
+                         s1.step_losses, s1.log_rows, s2.log_rows])
+        assert runs[0] == runs[1]
+
+
 class TestSgdStep:
     def test_weight_decay_skips_biases(self, rng):
         from lgnet.tensor import Tensor
