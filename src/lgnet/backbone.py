@@ -9,7 +9,7 @@ pushed through the remaining stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -269,28 +269,9 @@ def forward_local_tail(params: BackboneParams, config: BackboneConfig, pooled: T
     return global_avg_pool(x)
 
 
-def _config_dict(config: BackboneConfig) -> dict:
-    return {
-        "stage_channels": list(config.stage_channels),
-        "strides": list(config.strides),
-        "dilations": list(config.dilations),
-        "split_index": config.split_index,
-        "num_attributes": config.num_attributes,
-        "in_channels": config.in_channels,
-        "kernel_size": config.kernel_size,
-    }
-
-
 def _config_from_dict(d: dict) -> BackboneConfig:
-    return BackboneConfig(
-        stage_channels=tuple(d["stage_channels"]),
-        strides=tuple(d["strides"]),
-        dilations=tuple(d["dilations"]),
-        split_index=int(d["split_index"]),
-        num_attributes=int(d["num_attributes"]),
-        in_channels=int(d["in_channels"]),
-        kernel_size=int(d["kernel_size"]),
-    )
+    """A checkpoint's ``backbone`` block, which must give every field."""
+    return checkpoint.config_from_dict(BackboneConfig, {f.name: d[f.name] for f in fields(BackboneConfig)})
 
 
 def save_stage1_checkpoint(
@@ -299,7 +280,7 @@ def save_stage1_checkpoint(
     params: BackboneParams,
     extra: dict | None = None,
 ) -> None:
-    meta = {"kind": "global", "backbone": _config_dict(config)}
+    meta = {"kind": "global", "backbone": asdict(config)}
     if extra:
         meta.update(extra)
     checkpoint.save_container(path, meta, params.named_arrays())

@@ -13,13 +13,16 @@ import json
 import math
 import struct
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
 MAGIC = b"LGN1"
 
-__all__ = ["save_container", "load_container", "metadata_errors", "CheckpointError"]
+__all__ = [
+    "save_container", "load_container", "metadata_errors", "check_fields", "config_from_dict",
+    "CheckpointError",
+]
 
 
 class CheckpointError(ValueError):
@@ -37,6 +40,39 @@ def metadata_errors(path: str | Path) -> Iterator[None]:
         raise CheckpointError(f"{path}: metadata lacks {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad metadata: {exc}") from exc
+
+
+def check_fields(d, defaults: Mapping) -> dict:
+    """Return ``d`` if it is a dict whose every key names a field of
+    ``defaults`` with a value that can stand in that field; otherwise raise
+    ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config must be a JSON object, not {type(d).__name__}")
+    for key, value in d.items():
+        if key not in defaults:
+            raise ValueError(f"unknown config field {key!r}")
+        if not _fits(value, defaults[key]):
+            raise ValueError(f"config field {key!r} cannot be {value!r}")
+    return d
+
+
+def config_from_dict(cls, d):
+    """The dataclass ``cls``, whose fields all have defaults, built from the
+    parsed JSON ``d`` as :func:`check_fields` allows; lists become tuples."""
+    defaults = cls().__dict__
+    check_fields(d, defaults)
+    return cls(**{key: tuple(v) if isinstance(defaults[key], tuple) else v for key, v in d.items()})
+
+
+def _fits(value, default) -> bool:
+    """Whether a parsed JSON value can stand in a field with this default."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def save_container(path: str | Path, config: dict, tensors: dict[str, np.ndarray]) -> None:

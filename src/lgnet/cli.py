@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import _stage1_from_container, load_stage1_checkpoint, save_stage1_checkpoint
-from .checkpoint import CheckpointError, load_container
+from .checkpoint import CheckpointError, check_fields, load_container
 from .guidance import iou
 from .ppm import write_pgm, write_ppm
 from .synthdata import (
@@ -72,7 +72,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("propose", help="generate region proposals for images")
-    _add_common(p)
     p.add_argument("--images", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--top-k", type=int, default=100)
@@ -80,25 +79,26 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_propose)
 
     p = sub.add_parser("train-stage1", help="train the whole-image classifier")
-    _add_common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--log", type=Path, default=None)
-    _add_train_overrides(p)
+    _add_train_flags(p)
+    p.add_argument("--backbone", default=None)
     p.set_defaults(func=_cmd_train_stage1)
 
     p = sub.add_parser("train-stage2", help="train the guided local branch")
-    _add_common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True, help="stage-1 checkpoint")
     p.add_argument("--proposals", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--log", type=Path, default=None)
-    _add_train_overrides(p)
+    _add_train_flags(p)
+    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--threshold", type=float, default=None, help="activation threshold")
+    p.add_argument("--affinity", choices=("iou", "overlap", "uniform"), default=None)
     p.set_defaults(func=_cmd_train_stage2)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    _add_common(p)
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
@@ -109,7 +109,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("localize", help="write per-attribute activation boxes")
-    _add_common(p)
     p.add_argument("--model", type=Path, required=True, help="stage-2 checkpoint")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
@@ -120,16 +119,17 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("ablate", help="train and compare both arms of an ablation")
-    _add_common(p)
     p.add_argument("--name", required=True, choices=sorted(ABLATIONS))
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--proposals", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="write paired reports as JSON")
-    _add_train_overrides(p)
+    _add_train_flags(p)
+    p.add_argument("--backbone", default=None)
+    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--threshold", type=float, default=None, help="activation threshold")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("plot", help="render a training log as an SVG")
-    _add_common(p)
     p.add_argument("--log", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_plot)
@@ -137,14 +137,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _add_train_overrides(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """``--seed``, ``--config`` and the overrides every training command reads."""
+    _add_common(p)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--backbone", default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None, help="activation threshold")
-    p.add_argument("--affinity", choices=("iou", "overlap", "uniform"), default=None)
 
 
 def _train_config(args) -> TrainConfig:
@@ -171,13 +169,14 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_gen_data(args) -> int:
-    defaults = {
+    cfg = {
         "num_attributes": args.num_attributes, "image_size": args.image_size,
         "n_train": args.n_train, "n_val": args.n_val, "n_test": args.n_test,
         **{key: getattr(SynthSpec, key)
            for key in ("positive_rate", "noise_sigma", "background", "clutter_range")},
     }
-    cfg = {**defaults, **(read_config(args.config, defaults) if args.config else {})}
+    if args.config:  # each field in the file must fit the type of its default
+        cfg.update(read_config(args.config, lambda d: check_fields(d, cfg)))
     spec = dataclasses.replace(
         default_spec(num_attributes=cfg["num_attributes"], image_size=cfg["image_size"]),
         positive_rate=cfg["positive_rate"],

@@ -262,7 +262,7 @@ def generate_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"seed": seed, "n_train": n_train, "n_val": n_val, "n_test": n_test,
-            "spec": _spec_dict(spec)}
+            "spec": asdict(spec)}
     (out_dir / "spec.json").write_text(json.dumps(meta, indent=2, sort_keys=True), encoding="utf-8")
     for split, count in (("train", n_train), ("val", n_val), ("test", n_test)):
         split_dir = out_dir / split
@@ -287,30 +287,36 @@ def generate_dataset(
             writer.writerows(rows)
 
 
-def _spec_dict(spec: SynthSpec) -> dict:
-    d = asdict(spec)
-    d["attributes"] = [asdict(t) for t in spec.attributes]
-    return d
+def _field(obj: dict, key: str, kind, is_list: bool = False):
+    """``obj[key]`` checked to be a ``kind``, or with ``is_list`` a list of
+    them (returned as a tuple); KeyError if it is missing, TypeError if not."""
+    value = obj[key]
+    items = value if is_list else [value]
+    if not isinstance(items, list) or not all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in items):
+        raise TypeError(f"field {key!r} cannot be {value!r}")
+    return tuple(value) if is_list else value
 
 
 def _spec_from_dict(d: dict) -> SynthSpec:
+    number = (int, float)
     attrs = tuple(
         AttributeTemplate(
-            name=t["name"],
-            shape=t["shape"],
-            color=tuple(t["color"]),
-            size_range=tuple(t["size_range"]),
-            region=tuple(t["region"]) if t["region"] is not None else None,
+            name=_field(t, "name", str),
+            shape=_field(t, "shape", str),
+            color=_field(t, "color", number, True),
+            size_range=_field(t, "size_range", int, True),
+            region=None if t["region"] is None else _field(t, "region", number, True),
         )
-        for t in d["attributes"]
+        for t in _field(d, "attributes", dict, True)
     )
     return SynthSpec(
-        image_size=d["image_size"],
+        image_size=_field(d, "image_size", int),
         attributes=attrs,
-        positive_rate=d["positive_rate"],
-        clutter_range=tuple(d["clutter_range"]),
-        noise_sigma=d["noise_sigma"],
-        background=d["background"],
+        positive_rate=_field(d, "positive_rate", number),
+        clutter_range=_field(d, "clutter_range", int, True),
+        noise_sigma=_field(d, "noise_sigma", number),
+        background=_field(d, "background", number),
     )
 
 
@@ -375,7 +381,15 @@ def load_dataset(root: str | Path) -> tuple[dict[str, list[Sample]], SynthSpec |
     spec = None
     spec_path = root / "spec.json"
     if spec_path.exists():
-        spec = _spec_from_dict(json.loads(spec_path.read_text(encoding="utf-8"))["spec"])
+        try:
+            meta = json.loads(spec_path.read_text(encoding="utf-8"))
+            if not isinstance(meta, dict):
+                raise TypeError(f"want a JSON object, not {type(meta).__name__}")
+            spec = _spec_from_dict(_field(meta, "spec", dict))
+        except KeyError as exc:
+            raise DataError(f"{spec_path}: lacks field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{spec_path}: {exc}") from exc
     splits = {}
     for split in ("train", "val", "test"):
         if (root / split).is_dir():

@@ -18,7 +18,7 @@ import queue
 import threading
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -30,7 +30,6 @@ from .backbone import (
     BACKBONE_PRESETS,
     BackboneConfig,
     BackboneParams,
-    _config_dict,
     _config_from_dict,
     _params_from_tensors,
     forward_global,
@@ -50,7 +49,6 @@ from .tensor import Tensor, no_grad, roi_max_pool_batch
 
 __all__ = [
     "TrainConfig",
-    "check_fields",
     "read_config",
     "GlobalModel",
     "LGModel",
@@ -127,53 +125,20 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         """Build from parsed JSON; every key must name a field of a fitting type."""
-        check_fields(d, cls().__dict__)
-        d = dict(d)
-        if "roi_out" in d:
-            d["roi_out"] = tuple(d["roi_out"])
-        return cls(**d)
+        return checkpoint.config_from_dict(cls, d)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
-        d = read_config(path, cls().__dict__)
-        try:
-            return cls.from_dict(d)
-        except ValueError as exc:  # a value out of its field's range
-            raise DataError(f"{path}: {exc}") from exc
+        return read_config(path, cls.from_dict)
 
 
-def check_fields(d, defaults: Mapping) -> None:
-    """Raise ValueError unless ``d`` is a dict whose every key names a
-    field of ``defaults`` with a value that can stand in that field."""
-    if not isinstance(d, dict):
-        raise ValueError(f"config must be a JSON object, not {type(d).__name__}")
-    for key, value in d.items():
-        if key not in defaults:
-            raise ValueError(f"unknown config field {key!r}")
-        if not _fits(value, defaults[key]):
-            raise ValueError(f"config field {key!r} cannot be {value!r}")
-
-
-def read_config(path: str | Path, defaults: Mapping) -> dict:
-    """The JSON object in ``path``, checked by :func:`check_fields`; a file
-    that is not UTF-8 JSON or fails the check raises DataError naming it."""
+def read_config(path: str | Path, parse: Callable):
+    """``parse`` applied to the JSON in ``path``; a file that is not UTF-8
+    JSON or that ``parse`` refuses with ValueError raises DataError naming it."""
     try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-        check_fields(d, defaults)
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return d
-
-
-def _fits(value, default) -> bool:
-    """Whether a parsed JSON value can stand in a field with this default."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    if isinstance(value, bool):
-        return isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:
@@ -718,7 +683,7 @@ def load_proposal_dir(directory: str | Path, image_ids: Sequence[str]) -> dict[s
 def save_stage2_checkpoint(path: str | Path, model: LGModel, extra: dict | None = None) -> None:
     meta = {
         "kind": "lg",
-        "backbone": _config_dict(model.backbone),
+        "backbone": asdict(model.backbone),
         "affinity_mode": model.affinity_mode,
         "cam_threshold": model.cam_threshold,
         "roi_out": list(model.roi_out),

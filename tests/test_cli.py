@@ -12,6 +12,8 @@ COMMANDS = [
     "gen-data", "propose", "train-stage1", "train-stage2",
     "eval", "localize", "ablate", "plot",
 ]
+# the commands that read --seed and --config
+SEEDED = {"gen-data", "train-stage1", "train-stage2", "ablate"}
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +46,27 @@ class TestParsing:
     def test_help_exits_zero(self, command, capsys):
         assert main([command, "--help"]) == 0
         out = capsys.readouterr().out
-        assert "--seed" in out and "--config" in out
+        assert ("--seed" in out) == ("--config" in out) == (command in SEEDED)
+
+    # each command's required flags, then a flag it does not read
+    @pytest.mark.parametrize("argv", [
+        *([command, *required, flag, value]
+          for command, required in [
+              ("propose", ["--images", "i", "--out", "o"]),
+              ("eval", ["--model", "m.lgn", "--data", "d"]),
+              ("localize", ["--model", "m.lgn", "--data", "d", "--proposals", "p", "--out", "o"]),
+              ("plot", ["--log", "l.csv", "--out", "o.svg"]),
+          ]
+          for flag, value in [("--seed", "1"), ("--config", "c.json")]),
+        *(["train-stage1", "--data", "d", "--out", "o.lgn", flag, value]
+          for flag, value in [("--top-k", "5"), ("--threshold", "0.3"), ("--affinity", "uniform")]),
+        ["train-stage2", "--data", "d", "--model", "m.lgn", "--proposals", "p", "--out", "o.lgn",
+         "--backbone", "dilated"],
+        ["ablate", "--name", "no_guidance", "--data", "d", "--affinity", "uniform"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["gen-data", "--out", "x", "--frobnicate"]) == 1
@@ -124,8 +146,15 @@ class TestMalformedInput:
         ("stage2.lgn", lambda meta: {k: v for k, v in meta.items() if k != "top_k"}, "'top_k'"),
         ("stage2.lgn", lambda meta: {**meta, "top_k": "16"}, "'top_k_proposals'"),
         ("stage1.lgn", lambda meta: {k: v for k, v in meta.items() if k != "backbone"}, "'backbone'"),
+        ("stage1.lgn", lambda meta: {**meta, "backbone": {**meta["backbone"], "split_index": 2.7}},
+         "'split_index'"),
+        ("stage2.lgn", lambda meta: {**meta, "backbone": {**meta["backbone"], "strides": [2.5, 2, 2]}},
+         "'strides'"),
+        ("stage1.lgn", lambda meta: {**meta, "backbone": {**meta["backbone"], "num_attributes": True}},
+         "'num_attributes'"),
     ], ids=["list", "no-kind", "no-backbone", "bad-backbone", "no-roi_out", "no-top_k",
-            "string-top_k", "stage1-no-backbone"])
+            "string-top_k", "stage1-no-backbone", "float-split_index", "float-strides",
+            "bool-num_attributes"])
     def test_bad_checkpoint_metadata(self, workspace, tmp_path, capsys, model, change, named):
         from lgnet import checkpoint
 
@@ -134,7 +163,24 @@ class TestMalformedInput:
         checkpoint.save_container(bad, change(meta), tensors)
         err = self._assert_data_error(["eval", "--model", bad, "--data", workspace / "data",
                                        "--proposals", workspace / "props"], capsys)
-        assert named in err
+        assert str(bad) in err and named in err
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda meta: [1, 2], "JSON object"),
+        (lambda meta: {**meta, "spec": {k: v for k, v in meta["spec"].items() if k != "noise_sigma"}},
+         "'noise_sigma'"),
+        (lambda meta: {**meta, "spec": {**meta["spec"], "noise_sigma": "0.03"}}, "'noise_sigma'"),
+        (lambda meta: {**meta, "spec": {**meta["spec"], "attributes": [
+            {**meta["spec"]["attributes"][0], "region": "top"}]}}, "'region'"),
+    ], ids=["list", "no-noise_sigma", "string-noise_sigma", "string-region"])
+    def test_bad_spec_json(self, workspace, tmp_path, capsys, change, named):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        spec = data / "spec.json"
+        spec.write_text(json.dumps(change(json.loads(spec.read_text()))))
+        out = tmp_path / "s1.lgn"
+        err = self._assert_data_error(["train-stage1", "--data", data, "--out", out], capsys)
+        assert str(spec) in err and named in err and not out.exists()
 
     @pytest.mark.parametrize("bias", [None, np.zeros(3)], ids=["missing", "mis-shaped"])
     def test_bad_head_bias(self, workspace, tmp_path, capsys, bias):
