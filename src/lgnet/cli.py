@@ -121,10 +121,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ablate", help="train and compare both arms of an ablation")
     p.add_argument("--name", required=True, choices=sorted(ABLATIONS))
     p.add_argument("--data", type=Path, required=True)
+    p.add_argument("--model", type=Path, default=None, help="stage-1 checkpoint for both arms")
     p.add_argument("--proposals", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None, help="write paired reports as JSON")
     _add_train_flags(p)
-    p.add_argument("--backbone", default=None)
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None, help="activation threshold")
     p.set_defaults(func=_cmd_ablate)
@@ -175,15 +175,19 @@ def _cmd_gen_data(args) -> int:
         **{key: getattr(SynthSpec, key)
            for key in ("positive_rate", "noise_sigma", "background", "clutter_range")},
     }
-    if args.config:  # each field in the file must fit the type of its default
-        cfg.update(read_config(args.config, lambda d: check_fields(d, cfg)))
-    spec = dataclasses.replace(
-        default_spec(num_attributes=cfg["num_attributes"], image_size=cfg["image_size"]),
-        positive_rate=cfg["positive_rate"],
-        noise_sigma=cfg["noise_sigma"],
-        background=cfg["background"],
-        clutter_range=tuple(cfg["clutter_range"]),
-    )
+
+    def parse(d: dict) -> SynthSpec:  # each field must fit the type of its default
+        cfg.update(check_fields(d, cfg))
+        return dataclasses.replace(
+            default_spec(num_attributes=cfg["num_attributes"], image_size=cfg["image_size"]),
+            positive_rate=cfg["positive_rate"],
+            noise_sigma=cfg["noise_sigma"],
+            background=cfg["background"],
+            clutter_range=tuple(cfg["clutter_range"]),
+        )
+
+    # a config the spec refuses is named before anything is written
+    spec = read_config(args.config, parse) if args.config else parse({})
     generate_dataset(
         spec,
         seed=args.seed,
@@ -231,18 +235,23 @@ def _cmd_train_stage1(args) -> int:
 def _cmd_train_stage2(args) -> int:
     config = _train_config(args)
     splits, _ = load_dataset(args.data)
-    bb_config, params, _ = load_stage1_checkpoint(args.model)
-    stage1 = GlobalModel(bb_config, params)
-    ids = [s.image_id for s in splits["train"]] + [s.image_id for s in splits["val"]]
-    proposals = load_proposal_dir(args.proposals, ids)
-    result = train_stage2(splits["train"], splits["val"], stage1, proposals, config)
+    proposals = _train_val_proposals(args.proposals, splits)
+    result = train_stage2(splits["train"], splits["val"], _load_stage1(args.model), proposals, config)
     return _finish_training(args, config, result, lambda extra: save_stage2_checkpoint(
         args.out, result.model, extra=extra))
 
 
+def _load_stage1(path: Path) -> GlobalModel:
+    return GlobalModel(*load_stage1_checkpoint(path)[:2])
+
+
+def _train_val_proposals(directory: Path, splits) -> dict:
+    return load_proposal_dir(directory, [s.image_id for s in splits["train"] + splits["val"]])
+
+
 def _finish_training(args, config: TrainConfig, result, save) -> int:
     """Save the best model through ``save(extra)``, write the epoch log and report both."""
-    save({"best_val_ma": result.best_val_ma, "train_config": config.as_dict()})
+    save({"best_val_ma": result.best_val_ma, "train_config": dataclasses.asdict(config)})
     log_path = args.log or args.out.with_suffix(".log.csv")
     write_training_log(log_path, result.log_rows)
     print(f"best val mA {result.best_val_ma:.4f} at epoch {result.best_epoch}")
@@ -359,9 +368,9 @@ def _cmd_ablate(args) -> int:
     if ABLATIONS[args.name]["kind"] == "stage2":
         if args.proposals is None:
             raise DataError(f"ablation {args.name!r} needs --proposals")
-        ids = [s.image_id for s in splits["train"]] + [s.image_id for s in splits["val"]]
-        proposals = load_proposal_dir(args.proposals, ids)
-    result = run_ablation(args.name, splits["train"], splits["val"], config, proposals)
+        proposals = _train_val_proposals(args.proposals, splits)
+    stage1 = _load_stage1(args.model) if args.model else None
+    result = run_ablation(args.name, splits["train"], splits["val"], config, proposals, stage1)
 
     print(f"ablation: {result.name}")
     print(f"{'arm':<16}\tmA\tAcc\tPrec\tRec\tF1")
@@ -371,7 +380,7 @@ def _cmd_ablate(args) -> int:
         payload = {
             "name": result.name,
             "arms": [
-                {"label": a.label, "config": a.config.as_dict(),
+                {"label": a.label, "config": dataclasses.asdict(a.config),
                  "best_val_ma": a.best_val_ma, "report": a.report.as_dict()}
                 for a in result.arms
             ],

@@ -71,7 +71,14 @@ class SynthSpec:
 
     def __post_init__(self):
         if not (0.0 < self.positive_rate < 1.0):
-            raise ValueError("positive rate must lie in (0, 1)")
+            raise ValueError("positive_rate must lie in (0, 1)")
+        clutter = self.clutter_range
+        if len(clutter) != 2 or not all(isinstance(v, int) for v in clutter) or not 0 <= clutter[0] <= clutter[1]:
+            raise ValueError(f"clutter_range must be two integers 0 <= low <= high, not {list(clutter)}")
+        if not (0.0 <= self.noise_sigma < np.inf):
+            raise ValueError("noise_sigma must be finite and at least 0")
+        if not (0.0 <= self.background <= 1.0):
+            raise ValueError("background must lie in [0, 1]")
         for tpl in self.attributes:
             region = tpl.region or (0.0, 0.0, 1.0, 1.0)
             rw = (region[2] - region[0]) * self.image_size

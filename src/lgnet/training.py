@@ -117,11 +117,6 @@ class TrainConfig:
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must lie in [0, 1)")
 
-    def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["roi_out"] = list(self.roi_out)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         """Build from parsed JSON; every key must name a field of a fitting type."""
@@ -785,31 +780,33 @@ def run_ablation(
     val: Sequence[Sample],
     base_config: TrainConfig,
     proposals: Mapping[str, ProposalSet] | None = None,
+    stage1: GlobalModel | None = None,
 ) -> AblationResult:
     """Train both arms of a named ablation with identical seeds and data.
 
-    Stage-1 ablations (feature-map geometry) compare classifiers directly;
-    stage-2 ablations share one stage-1 model per backbone and differ only
+    Stage-1 ablations (feature-map geometry) compare classifiers directly
+    and take no ``stage1``. Stage-2 ablations train both arms on ``stage1``
+    (by default one classifier trained with ``base_config``) and differ only
     in the guidance configuration. Reports are on the validation split.
     """
     if name not in ABLATIONS:
         raise ValueError(f"unknown ablation {name!r}; have {sorted(ABLATIONS)}")
     spec = ABLATIONS[name]
+    if spec["kind"] == "stage1":
+        if stage1 is not None:
+            raise ValueError(f"ablation {name!r} trains its own classifiers; it takes no stage-1 model")
+    elif proposals is None:
+        raise DataError(f"ablation {name!r} needs proposals")
+    elif stage1 is None:
+        stage1 = train_stage1(train, val, base_config).model
     arms: list[AblationArm] = []
-    stage1_cache: dict[str, Stage1Result] = {}
     for label, overrides in spec["arms"]:
         config = replace(base_config, **overrides)
         if spec["kind"] == "stage1":
             result = train_stage1(train, val, config)
             report = evaluate(result.model, val)
-            arms.append(AblationArm(label, config, report, result.best_val_ma))
         else:
-            if proposals is None:
-                raise DataError(f"ablation {name!r} needs proposals")
-            if config.backbone not in stage1_cache:
-                stage1_cache[config.backbone] = train_stage1(train, val, config)
-            s1 = stage1_cache[config.backbone]
-            result = train_stage2(train, val, s1.model, proposals, config)
+            result = train_stage2(train, val, stage1, proposals, config)
             report = evaluate(result.model, val, proposals=proposals)
-            arms.append(AblationArm(label, config, report, result.best_val_ma))
+        arms.append(AblationArm(label, config, report, result.best_val_ma))
     return AblationResult(name, arms)

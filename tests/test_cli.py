@@ -62,7 +62,8 @@ class TestParsing:
           for flag, value in [("--top-k", "5"), ("--threshold", "0.3"), ("--affinity", "uniform")]),
         ["train-stage2", "--data", "d", "--model", "m.lgn", "--proposals", "p", "--out", "o.lgn",
          "--backbone", "dilated"],
-        ["ablate", "--name", "no_guidance", "--data", "d", "--affinity", "uniform"],
+        *(["ablate", "--name", "no_guidance", "--data", "d", flag, value]
+          for flag, value in [("--affinity", "uniform"), ("--backbone", "dilated")]),
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_flag_the_command_does_not_read_is_usage_error(self, argv, capsys):
         assert main(argv) == 1
@@ -172,7 +173,8 @@ class TestMalformedInput:
         (lambda meta: {**meta, "spec": {**meta["spec"], "noise_sigma": "0.03"}}, "'noise_sigma'"),
         (lambda meta: {**meta, "spec": {**meta["spec"], "attributes": [
             {**meta["spec"]["attributes"][0], "region": "top"}]}}, "'region'"),
-    ], ids=["list", "no-noise_sigma", "string-noise_sigma", "string-region"])
+        (lambda meta: {**meta, "spec": {**meta["spec"], "clutter_range": [5, 1]}}, "clutter_range"),
+    ], ids=["list", "no-noise_sigma", "string-noise_sigma", "string-region", "reversed-clutter_range"])
     def test_bad_spec_json(self, workspace, tmp_path, capsys, change, named):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
@@ -269,6 +271,17 @@ class TestMalformedInput:
         path.write_text(json.dumps({"n_trian": 1, "n_train": 1, "n_val": 1, "n_test": 1}))
         for err in self._assert_config_errors(workspace, tmp_path, capsys, path):
             assert "'n_trian'" in err
+
+    @pytest.mark.parametrize("config", [
+        {"clutter_range": [5, 1]}, {"clutter_range": [-2, 1]}, {"clutter_range": [1, 2, 3]},
+        {"positive_rate": 1.5}, {"noise_sigma": -0.1}, {"background": 3.0}, {"num_attributes": 9},
+    ], ids=lambda config: "-".join(map(str, next(iter(config.items())))))
+    def test_gen_data_config_out_of_range(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        err = self._assert_data_error(["gen-data", "--out", out, "--config", path], capsys)
+        assert str(path) in err and next(iter(config)) in err and not out.exists()
 
     @pytest.mark.parametrize("raw", [b"{n_train: 1}", b'{"n_train": 1\xff}'], ids=["not-json", "not-utf8"])
     def test_gen_data_config_not_json(self, workspace, tmp_path, capsys, raw):
@@ -568,6 +581,28 @@ class TestAblate:
         assert lines[3].split("\t")[0].strip() == "guided"
         payload = json.loads(out.read_text())
         assert [arm["label"] for arm in payload["arms"]] == ["uniform", "guided"]
+
+    def test_arms_from_a_stage1_model_match_train_stage2(self, workspace, tmp_path, capsys):
+        from lgnet import checkpoint
+
+        flags = ["--data", str(workspace / "data"), "--model", str(workspace / "stage1.lgn"),
+                 "--proposals", str(workspace / "props"), "--seed", "3",
+                 "--epochs", "1", "--batch-size", "6", "--top-k", "16"]
+        out = tmp_path / "ablation.json"
+        assert main(["ablate", "--name", "no_guidance", *flags, "--out", str(out)]) == 0
+        arms = {arm["label"]: arm["best_val_ma"] for arm in json.loads(out.read_text())["arms"]}
+        for label, affinity in (("uniform", "uniform"), ("guided", "iou")):
+            model = tmp_path / f"{affinity}.lgn"
+            assert main(["train-stage2", *flags, "--affinity", affinity, "--out", str(model)]) == 0
+            meta, _ = checkpoint.load_container(model)
+            assert arms[label] == meta["best_val_ma"]
+
+    @pytest.mark.parametrize("name", ["resolution", "dilation"])
+    def test_stage1_ablation_refuses_a_stage1_model(self, workspace, capsys, name):
+        assert main(["ablate", "--name", name, "--data", str(workspace / "data"),
+                     "--model", str(workspace / "stage1.lgn")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trains its own classifiers" in err
 
 
 class TestPlot:

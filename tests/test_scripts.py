@@ -24,12 +24,3 @@ def test_run_pipeline(tmp_path, monkeypatch, capsys):
         assert (out / artifact).is_file(), artifact
     assert any((out / "localize").iterdir())
     assert f"done; artifacts under {out}" in capsys.readouterr().out
-
-
-def test_guidance_ablation(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "ablation"
-    argv = ["--out", out, "--n-train", 16, "--n-val", 8, "--epochs", 1, "--seeds", 0]
-    assert _run_script("guidance_ablation.py", argv, monkeypatch) == 0
-    assert (out / "data" / "spec.json").is_file()
-    printed = capsys.readouterr().out
-    assert "seed 0: stage-1 mA" in printed and "guided wins" in printed

@@ -86,7 +86,7 @@ class TestSchedule:
         path = tmp_path / "c.json"
         import json
 
-        path.write_text(json.dumps(config.as_dict()), encoding="utf-8")
+        path.write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
         assert TrainConfig.from_file(path) == config
 
     def test_config_file_value_out_of_range_names_the_file(self, tmp_path):
@@ -962,7 +962,7 @@ class TestAblations:
 
         base = TrainConfig(seed=4, **FAST)
         arms = ABLATIONS["no_guidance"]["arms"]
-        configs = [dataclasses.replace(base, **ov).as_dict() for _, ov in arms]
+        configs = [dataclasses.asdict(dataclasses.replace(base, **ov)) for _, ov in arms]
         diff = {k for k in configs[0] if configs[0][k] != configs[1][k]}
         assert diff == {"affinity_mode"}
 
@@ -983,6 +983,23 @@ class TestAblations:
         for arm in result.arms:
             for value in arm.report.as_dict().values():
                 assert 0.0 <= value <= 1.0
+
+    def test_stage2_ablation_defaults_to_a_classifier_trained_with_the_base_config(self, tiny_data):
+        train, val, proposals = tiny_data
+        base = TrainConfig(seed=4, **dict(FAST, epochs=1))
+        stage1 = train_stage1(train, val, base).model
+        given, default = (run_ablation("no_guidance", train, val, base, proposals, stage1=model)
+                          for model in (stage1, None))
+        assert [arm.report for arm in given.arms] == [arm.report for arm in default.arms]
+        assert [arm.best_val_ma for arm in given.arms] == [arm.best_val_ma for arm in default.arms]
+
+    @pytest.mark.parametrize("name", ["resolution", "dilation"])
+    def test_stage1_ablation_refuses_a_stage1_model(self, tiny_data, name):
+        train, val, _ = tiny_data
+        bb = preset_config("base", len(train[0].labels))
+        stage1 = GlobalModel(bb, init_backbone_params(bb, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="trains its own classifiers"):
+            run_ablation(name, train, val, TrainConfig(), stage1=stage1)
 
     def test_unknown_ablation_rejected(self, tiny_data):
         train, val, _ = tiny_data
