@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import _stage1_from_container, load_stage1_checkpoint, save_stage1_checkpoint
+from .backbone import (
+    BACKBONE_PRESETS, _stage1_from_container, load_stage1_checkpoint, preset_config, save_stage1_checkpoint,
+)
 from .checkpoint import CheckpointError, check_fields, load_container
 from .guidance import iou
 from .ppm import write_pgm, write_ppm
@@ -176,8 +178,13 @@ def _cmd_gen_data(args) -> int:
            for key in ("positive_rate", "noise_sigma", "background", "clutter_range")},
     }
 
+    splits = ("n_train", "n_val", "n_test")
+
     def parse(d: dict) -> SynthSpec:  # each field must fit the type of its default
         cfg.update(check_fields(d, cfg))
+        for key in splits:
+            if key in d and d[key] < 1:
+                raise ValueError(f"{key} must be at least 1, not {d[key]}")
         return dataclasses.replace(
             default_spec(num_attributes=cfg["num_attributes"], image_size=cfg["image_size"]),
             positive_rate=cfg["positive_rate"],
@@ -188,6 +195,9 @@ def _cmd_gen_data(args) -> int:
 
     # a config the spec refuses is named before anything is written
     spec = read_config(args.config, parse) if args.config else parse({})
+    for key in splits:  # a size below 1 the config did not set came from its flag
+        if cfg[key] < 1:
+            raise DataError(f"--{key.replace('_', '-')} must be at least 1, not {cfg[key]}")
     generate_dataset(
         spec,
         seed=args.seed,
@@ -236,13 +246,21 @@ def _cmd_train_stage2(args) -> int:
     config = _train_config(args)
     splits, _ = load_dataset(args.data)
     proposals = _train_val_proposals(args.proposals, splits)
-    result = train_stage2(splits["train"], splits["val"], _load_stage1(args.model), proposals, config)
+    stage1, config = _load_stage1(args.model, config)
+    result = train_stage2(splits["train"], splits["val"], stage1, proposals, config)
     return _finish_training(args, config, result, lambda extra: save_stage2_checkpoint(
         args.out, result.model, extra=extra))
 
 
-def _load_stage1(path: Path) -> GlobalModel:
-    return GlobalModel(*load_stage1_checkpoint(path)[:2])
+def _load_stage1(path: Path, config: TrainConfig) -> tuple[GlobalModel, TrainConfig]:
+    """The stage-1 model at ``path``, and ``config`` naming the preset of its
+    trunk, which is the trunk a run on it uses; a trunk that is no preset
+    keeps the name ``config`` gives."""
+    model = GlobalModel(*load_stage1_checkpoint(path)[:2])
+    bb = model.backbone
+    preset = next((name for name in BACKBONE_PRESETS if preset_config(name, bb.num_attributes) == bb),
+                  config.backbone)
+    return model, dataclasses.replace(config, backbone=preset)
 
 
 def _train_val_proposals(directory: Path, splits) -> dict:
@@ -269,13 +287,13 @@ def _load_any_model(path: Path):
 def _cmd_eval(args) -> int:
     model = _load_any_model(args.model)
     samples = load_split(args.data / args.split)
-    guides = None
+    proposals = guides = None
     if not isinstance(model, GlobalModel):
         if args.proposals is None:
             raise DataError("stage-2 model evaluation needs --proposals")
         proposals = load_proposal_dir(args.proposals, [s.image_id for s in samples])
-        guides = _guidance_for(model, samples, proposals)
-    report = evaluate(model, samples, proposals=guides, threshold=args.threshold)
+        guides = {} if args.dump_affinity is not None else None
+    report = evaluate(model, samples, proposals=proposals, threshold=args.threshold, guides=guides)
     print("mA\tAcc\tPrec\tRec\tF1")
     print(report.tsv_line())
     if args.out:
@@ -369,7 +387,9 @@ def _cmd_ablate(args) -> int:
         if args.proposals is None:
             raise DataError(f"ablation {args.name!r} needs --proposals")
         proposals = _train_val_proposals(args.proposals, splits)
-    stage1 = _load_stage1(args.model) if args.model else None
+    stage1 = None
+    if args.model:
+        stage1, config = _load_stage1(args.model, config)
     result = run_ablation(args.name, splits["train"], splits["val"], config, proposals, stage1)
 
     print(f"ablation: {result.name}")

@@ -45,7 +45,7 @@ def _read_header(raw: bytes, magic: bytes, path) -> tuple[int, int, int, int]:
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary PPM into a [3, H, W] float array in [0, 1]."""
+    """Read a binary PPM into a C-contiguous [3, H, W] float array in [0, 1]."""
     path = Path(path)
     raw = path.read_bytes()
     w, h, maxval, offset = _read_header(raw, b"P6", path)
@@ -57,7 +57,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
     if len(body) != 3 * w * h:
         raise ValueError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
-    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
+    # C order: a channel-major view of the interleaved rows makes every later pass over a channel strided
+    return pixels.transpose(2, 0, 1).astype(np.float64, order="C") / 255.0
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:

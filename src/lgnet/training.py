@@ -4,8 +4,10 @@ Stage 1 trains the whole-image classifier. Stage 2 freezes it, transplants
 its classifier weights into the activation-map generator, and trains the
 region branch plus the guidance head on the fused logits. Everything is
 seeded and byte-reproducible: SGD and the gradient-free passes spread
-their image chunks over every core, each chunk's results are the same bits
-on any thread, and the calling thread sums them in chunk order.
+their image chunks over the calling process and worker processes forked
+once per stage or per evaluation (:class:`_Workers`), chunk i on process
+i mod cores. Each chunk's results are the same bits on any process, and
+the caller adds them in chunk order.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ import hashlib
 import itertools
 import json
 import os
-import queue
-import threading
+import signal
 from contextlib import nullcontext
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from multiprocessing import Pipe
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -70,16 +71,17 @@ __all__ = [
 AFFINITY_CHOICES = ("iou", "overlap_area", "uniform")
 # images per gradient-free pass (stage-1 and stage-2 scoring, the frozen
 # half); one BLAS thread, the trunk read 0.31 ms per image in chunks of
-# 8-16, 0.37 ms one image at a time and 0.47 ms in chunks of 64. Every
-# core holds a chunk in flight: on 2 cores, 4 runs each of the benchmark's
-# eval and train workloads read 118-120 and 114-115 MB peak RSS with
-# chunks of 8 and 123-128 and 119-125 MB with 16 (about 114 and 107 MB
-# on one thread with 16); eval scored 654-678 and 717-753 images/s
+# 8-16, 0.37 ms one image at a time and 0.47 ms in chunks of 64. Each
+# process holds one chunk in flight: on 2 cores (one worker), one run each
+# of the benchmark's train and eval workloads read 94 and 99 MB peak RSS in
+# the calling process with chunks of 8, and 102 and 105 MB with 16; the
+# worker's peak, pages shared with the caller included, was 78 and 83 MB
+# against 85 and 89 MB
 SCORE_BATCH = 8
-# images per SGD graph, in both stages; every core holds a chunk graph in
+# images per SGD graph, in both stages; each process holds a chunk graph in
 # flight and keeps its last. On 2 cores the benchmark's train and eval
-# workloads read 117-118 and 122 MB peak RSS with chunks of 4, and 146-150
-# and 152 MB with 8 (a single-threaded 16-image stage 1: 113-118 and 119-124)
+# workloads read 94 and 99 MB peak RSS in the calling process with chunks
+# of 4 (worker 78 and 83 MB), and 112 and 114 MB with 8 (worker 97 and 99 MB)
 SGD_CHUNK = 4
 
 
@@ -277,16 +279,16 @@ def _label_matrix(samples: Sequence[Sample]) -> np.ndarray:
     return np.stack([s.labels for s in samples]).astype(np.float64)
 
 
-def _same_size_chunks(samples: Sequence[Sample], size: int):
-    """Runs of at most ``size`` consecutive samples whose images share a shape."""
-    chunk: list[Sample] = []
-    for s in samples:
-        if chunk and (len(chunk) == size or s.image.shape != chunk[0].image.shape):
-            yield chunk
-            chunk = []
-        chunk.append(s)
-    if chunk:
-        yield chunk
+def _same_size_chunks(samples: Sequence[Sample], size: int, order: Iterable[int] | None = None) -> list[list[int]]:
+    """Runs of at most ``size`` consecutive indices of ``order`` (by default
+    every index of ``samples``) whose images share a shape."""
+    chunks: list[list[int]] = []
+    for i in range(len(samples)) if order is None else order:
+        if chunks and len(chunks[-1]) < size and samples[i].image.shape == samples[chunks[-1][0]].image.shape:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
 
 
 def _cores() -> int:
@@ -297,50 +299,132 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=1)
-def _helper_pool(helpers: int) -> ThreadPoolExecutor:
-    """The process's one pool of helper threads, started on first use."""
-    return ThreadPoolExecutor(helpers, thread_name_prefix="lgnet-chunks")
+def _run(task: Callable, payloads: Sequence, grad: bool) -> tuple[list, Exception | None]:
+    """``task`` on each payload in order, gradient-free unless ``grad``, up
+    to the first that fails: the results before it and its error."""
+    done: list = []
+    with nullcontext() if grad else no_grad():
+        for payload in payloads:
+            try:
+                done.append(task(payload))
+            except Exception as exc:  # raised by the caller in chunk order
+                return done, exc
+    return done, None
 
 
-def _map_chunks(fn: Callable[[list[Sample]], object], chunks: Iterable[list[Sample]], grad=False) -> list:
-    """``[fn(chunk) for chunk in chunks]``, every call gradient-free unless ``grad``.
+def _serve(tasks: Sequence[Callable], conn: Connection) -> None:
+    """A worker's loop: run each call's payloads and send back what
+    :func:`_run` returns, until the call marked last or until the caller
+    closes its end of the pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    while True:
+        try:
+            index, payloads, grad, last = conn.recv()
+        except EOFError:
+            return
+        conn.send(_run(tasks[index], payloads, grad))
+        if last:
+            return
 
-    The calling thread and up to ``cores - 1`` helper threads take the
-    chunks in order from one shared queue; on one core the caller runs
-    them all. ``fn`` must only read shared state. Once a chunk fails no
-    new chunk starts, and when the started ones have finished, the error
-    of the first failing chunk in order is raised: every chunk before it
-    ran, so it is the error the serial loop raises.
+
+class _Workers:
+    """The calling process plus up to ``cores - 1`` worker processes,
+    forked here, that run ``tasks`` on chunks; ``most`` bounds the chunks
+    of one call, and no more processes than that are used.
+
+    Forked, a worker inherits everything the tasks read (samples, frozen
+    parameters, guidance records), and the GIL of each process is its
+    own. Per call it receives only its payloads over a pipe, so every task
+    a pool will run is given here, before the fork. Forking is safe here
+    because lgnet starts no thread, and numpy's OpenBLAS stops its thread
+    pool at a fork and starts it again on its next call. Use it in a
+    ``with`` block: on any exit the pipes close, which ends the workers'
+    loops, and the workers are joined. On one core, or where ``os.fork``
+    does not exist, the caller runs every payload itself.
     """
-    chunks = list(chunks)
-    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for i in range(len(chunks)):
-        todo.put(i)
-    results: list = [None] * len(chunks)
-    errors: dict[int, BaseException] = {}
 
-    def work() -> None:
-        with nullcontext() if grad else no_grad():  # grad mode is per thread
-            while not errors:
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    results[i] = fn(chunks[i])
-                except BaseException as exc:
-                    errors[i] = exc
+    def __init__(self, most: int, *tasks: Callable) -> None:
+        self.tasks = tasks
+        self.workers: list[tuple[int, Connection]] = []
+        try:
+            for _ in range(min(_cores(), most) - 1 if hasattr(os, "fork") else 0):
+                ours, theirs = Pipe()
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        ours.close()
+                        for _, conn in self.workers:  # only the caller may hold an earlier worker's pipe
+                            conn.close()
+                        _serve(tasks, theirs)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                theirs.close()
+                self.workers.append((pid, ours))
+        except BaseException:
+            self.close()
+            raise
 
-    cores = _cores()
-    helpers = [_helper_pool(cores - 1).submit(work) for _ in range(min(cores, len(chunks)) - 1)]
-    work()
-    for helper in helpers:
-        if not helper.cancel():  # a helper that never started has nothing left to do
-            helper.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    @property
+    def processes(self) -> int:
+        return len(self.workers) + 1
+
+    def map(self, task: Callable, payloads: Sequence, grad: bool = False, last: bool = False) -> list:
+        """``[task(p) for p in payloads]``, gradient-free unless ``grad``.
+
+        Payload i runs on process i mod ``processes``, the caller being
+        process 0, so each process's share of the work repeats from run
+        to run. Each process runs its payloads in order and stops at its
+        first failure; the error raised is that of the first failing
+        payload in order, as in the serial loop, since every payload
+        before it ran. After the ``last`` call each worker exits as soon
+        as it has replied, while the caller may still be busy.
+        """
+        index, n = self.tasks.index(task), self.processes
+        busy = [(w, pid, conn) for w, (pid, conn) in enumerate(self.workers, 1) if w < len(payloads) or last]
+        for w, _, conn in busy:
+            conn.send((index, payloads[w::n], grad, last))
+        replies = [(0, _run(task, payloads[::n], grad))]
+        for w, pid, conn in busy:
+            try:
+                replies.append((w, conn.recv()))
+            except EOFError:
+                raise RuntimeError(f"worker process {pid} exited during a call") from None
+        results, errors = [None] * len(payloads), {}
+        for first, (done, exc) in replies:
+            results[first : first + n * len(done) : n] = done
+            if exc is not None:
+                errors[first + n * len(done)] = exc
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+    def close(self) -> None:
+        """Close every worker's pipe, which ends its loop, and join it."""
+        workers, self.workers = self.workers, []
+        for _, conn in workers:
+            conn.close()
+        for pid, _ in workers:
+            os.waitpid(pid, 0)
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _load(named: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]) -> None:
+    """Point the parameters ``named`` at ``arrays``: in the caller, whose
+    arrays they are, this changes nothing; in a worker it loads their
+    current values into the worker's copy."""
+    for name, t in named.items():
+        t.data = arrays[name]
+
+
+def _arrays(named: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+    return {name: t.data for name, t in named.items()}
 
 
 def _leaf_views(params: BackboneParams) -> BackboneParams:
@@ -351,32 +435,73 @@ def _leaf_views(params: BackboneParams) -> BackboneParams:
                           leaf(params.head_weight), leaf(params.head_bias))
 
 
-# each thread's last SGD chunk graph, kept until it has built its next one; freed at once, its
-# buffers were faulted in anew (fresh 3-epoch stage 1, 1000 images: 650 k faults, 3.0 s, not 22 k, 2.2 s)
-_last_graph = threading.local()
+def _sgd_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
+              chunk_loss: Callable[[list[Sample]], tuple]) -> Callable:
+    """The SGD task of a stage whose trainable parameters are ``named``.
+    Its payload is (their arrays, a chunk of indices into ``samples``, the
+    chunk's share of the batch). ``chunk_loss(chunk)`` returns private
+    leaves named as in ``named`` and the chunk's mean loss built on them;
+    the task seeds that loss with the share and returns the chunk's size,
+    its mean loss and the leaves' gradients."""
+    last = None
 
-
-def _chunked_gradients(named: Mapping[str, Tensor], batch: Sequence[Sample],
-                       chunk_loss: Callable[[list[Sample]], tuple]) -> tuple[float, float]:
-    """Accumulate the gradient of the batch's mean loss into ``named``, one graph
-    per same-size chunk of at most ``SGD_CHUNK`` images on every core.
-    ``chunk_loss(chunk)`` returns private leaves named as in ``named`` and the
-    chunk's mean loss built on them, seeded with its share of the batch; the
-    caller adds the chunks' gradients in chunk order, the same bits on any
-    number of cores. Returns the images' loss sum and the batch's mean loss."""
-    def run(chunk: list[Sample]) -> tuple[int, float, dict[str, np.ndarray]]:
-        leaves, loss = chunk_loss(chunk)
-        _last_graph.loss = loss  # frees the thread's previous graph
-        loss.backward(np.asarray(len(chunk) / len(batch)))
+    def task(payload: tuple) -> tuple[int, float, dict[str, np.ndarray]]:
+        nonlocal last
+        arrays, chunk, share = payload
+        _load(named, arrays)
+        leaves, loss = chunk_loss([samples[i] for i in chunk])
+        # each process keeps its last graph until it has built the next; freed at once, its buffers
+        # were faulted in anew (fresh 3-epoch stage 1, 1000 images: 650 k faults, 3.0 s, not 22 k, 2.2 s)
+        last = loss
+        loss.backward(np.asarray(share))
         return len(chunk), loss.item(), {name: t.grad for name, t in leaves.items()}
 
+    return task
+
+
+def _chunked_gradients(workers: _Workers, task: Callable, named: Mapping[str, Tensor],
+                       samples: Sequence[Sample], batch: Sequence[int]) -> tuple[float, float]:
+    """Accumulate into ``named`` the gradient of the mean loss of the
+    samples ``batch`` indexes, one graph per same-size chunk of at most
+    ``SGD_CHUNK`` images, by the :func:`_sgd_task` ``task`` over
+    ``samples`` on every process. The caller adds the chunks' gradients in chunk order, the
+    same bits on any number of cores. Returns the images' loss sum and
+    the batch's mean loss."""
+    arrays = _arrays(named)
+    payloads = [(arrays, chunk, len(chunk) / len(batch)) for chunk in _same_size_chunks(samples, SGD_CHUNK, batch)]
     total = mean = 0.0
-    for n, loss, grads in _map_chunks(run, _same_size_chunks(batch, SGD_CHUNK), grad=True):
+    for n, loss, grads in workers.map(task, payloads, grad=True):
         total += loss * n
         mean += loss * (n / len(batch))
         for name, g in grads.items():
             named[name]._accumulate(g)
     return total, mean
+
+
+def _map_once(task: Callable, payloads: Sequence) -> list:
+    """``_Workers.map``, gradient-free, on workers forked for this one call."""
+    with _Workers(len(payloads), task) as workers:
+        return workers.map(task, payloads, last=True)
+
+
+def _score_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
+                score: Callable[[list[Sample]], np.ndarray]) -> Callable:
+    """A scoring task over ``samples`` for a model whose parameters are
+    ``named``: payload (their arrays, a chunk of indices), result
+    ``score(chunk)``, the chunk's [n, c] logits."""
+    def task(payload: tuple) -> np.ndarray:
+        arrays, chunk = payload
+        _load(named, arrays)
+        return score([samples[i] for i in chunk])
+
+    return task
+
+
+def _score_payloads(named: Mapping[str, Tensor], samples: Sequence[Sample]) -> list[tuple]:
+    """The payloads of a :func:`_score_task` over ``samples``: chunks of up
+    to ``SCORE_BATCH`` consecutive same-size images."""
+    arrays = _arrays(named)
+    return [(arrays, chunk) for chunk in _same_size_chunks(samples, SCORE_BATCH)]
 
 
 def _frozen_forward(params: BackboneParams, config: BackboneConfig,
@@ -391,25 +516,31 @@ def _frozen_forward(params: BackboneParams, config: BackboneConfig,
     return featmap, np.stack([weight @ row + bias for row in featmap.mean(axis=(2, 3))])
 
 
+def _global_score_task(model: GlobalModel, samples: Sequence[Sample]) -> Callable:
+    """Stage-1 scoring of ``samples``: each row the bits of the image's own
+    ``forward_global``, as the frozen half of a stage-2 model computes them."""
+    return _score_task(model.params.named(), samples,
+                       lambda chunk: _frozen_forward(model.params, model.backbone, chunk)[1])
+
+
 def _global_scores(model: GlobalModel, samples: Sequence[Sample]) -> np.ndarray:
-    """Stage-1 logits of consecutive same-size images, gradient-free, in
-    chunks of up to ``SCORE_BATCH`` spread over every core; each row
-    equals the image's own ``forward_global`` logits bit for bit, as the
-    frozen half of a stage-2 model computes them."""
-    return np.concatenate(_map_chunks(
-        lambda chunk: _frozen_forward(model.params, model.backbone, chunk)[1],
-        _same_size_chunks(samples, SCORE_BATCH)))
+    """Stage-1 logits of ``samples``, on every core."""
+    return np.concatenate(_map_once(_global_score_task(model, samples), _score_payloads(model.params.named(), samples)))
 
 
-def _stage1_gradients(params: BackboneParams, config: BackboneConfig, batch: Sequence[Sample],
-                      pos: np.ndarray, sigma: float) -> tuple[float, float]:
-    """:func:`_chunked_gradients` on the whole-image classifier."""
+def _stage1_chunk_loss(params: BackboneParams, config: BackboneConfig, pos: np.ndarray, sigma: float) -> Callable:
+    """The chunk loss of :func:`_sgd_task` for the whole-image classifier."""
     def chunk_loss(chunk: list[Sample]) -> tuple[dict[str, Tensor], Tensor]:
         views = _leaf_views(params)
         _, logits = forward_global(views, config, Tensor(np.stack([s.image for s in chunk])))
         return views.named(), weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, sigma)
 
-    return _chunked_gradients(params.named(), batch, chunk_loss)
+    return chunk_loss
+
+
+def _sgd_chunks(config: TrainConfig) -> int:
+    """The chunks of a full batch of same-size images."""
+    return -(-config.batch_size // SGD_CHUNK)
 
 
 def train_stage1(
@@ -424,16 +555,23 @@ def train_stage1(
     params = init_backbone_params(bb, rng, trainable=True)
     named = params.named()
     pos = positive_ratio(_label_matrix(train))
-    eval_model = GlobalModel(bb, params)
+    val_labels = _label_matrix(val)
     step_losses: list[float] = []  # each step's mean loss, epoch after epoch
+    sgd = _sgd_task(named, train, _stage1_chunk_loss(params, bb, pos, config.loss_sigma))
+    score = _global_score_task(GlobalModel(bb, params), val)
 
-    def step(batch_idx: np.ndarray) -> float:
-        total, mean = _stage1_gradients(params, bb, [train[i] for i in batch_idx], pos, config.loss_sigma)
-        step_losses.append(mean)
-        return total
+    with _Workers(max(_sgd_chunks(config), len(_same_size_chunks(val, SCORE_BATCH))), sgd, score) as workers:
+        def step(batch_idx: np.ndarray) -> float:
+            total, mean = _chunked_gradients(workers, sgd, named, train, batch_idx.tolist())
+            step_losses.append(mean)
+            return total
 
-    log_rows, best_ma, best_epoch = _fit(
-        named, config, 1, len(train), step, lambda epoch: evaluate(eval_model, val).ma, -1.0)
+        def validate(epoch: int) -> float:
+            last = epoch == config.epochs - 1  # the stage's last call
+            scores = np.concatenate(workers.map(score, _score_payloads(named, val), last=last))
+            return MetricsReport.from_scores(scores, val_labels).ma
+
+        log_rows, best_ma, best_epoch = _fit(named, config, 1, len(train), step, validate, -1.0)
     per_epoch = len(step_losses) // config.epochs
     by_epoch = [step_losses[i : i + per_epoch] for i in range(0, len(step_losses), per_epoch)]
     model = GlobalModel(bb, params.copy(requires_grad=False))
@@ -554,31 +692,49 @@ def _prepare_proposals(
     return ready
 
 
+def _guidance_task(model: LGModel, samples: Sequence[Sample], boxes: Mapping[str, np.ndarray]) -> Callable:
+    """The frozen half over ``samples``: payload a chunk of indices, result
+    its images' :class:`Guidance` records; ``boxes`` holds each image's
+    [k, 4] proposal corners."""
+    def task(chunk: list[int]) -> list[Guidance]:
+        batch = [samples[i] for i in chunk]
+        return _guidance_chunk(model, batch, [boxes[s.image_id] for s in batch])
+
+    return task
+
+
+def _records(samples: Sequence[Sample], found: Iterable[list[Guidance]]) -> dict[str, Guidance]:
+    """Each chunk's records, keyed by image id."""
+    return {s.image_id: g for s, g in zip(samples, itertools.chain.from_iterable(found))}
+
+
 def _guidance_for(
     model: LGModel,
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet],
 ) -> dict[str, Guidance]:
     """The guidance of every sample, keyed by image id, computed over
-    consecutive same-size images in chunks of up to ``SCORE_BATCH``
-    spread over every core."""
-    boxes = _prepare_proposals(samples, proposals, model.top_k)
-    found = _map_chunks(lambda chunk: _guidance_chunk(model, chunk, [boxes[s.image_id] for s in chunk]),
-                        _same_size_chunks(samples, SCORE_BATCH))
-    return {s.image_id: g for s, g in zip(samples, itertools.chain.from_iterable(found))}
+    consecutive same-size images in chunks of up to ``SCORE_BATCH`` on
+    every core."""
+    task = _guidance_task(model, samples, _prepare_proposals(samples, proposals, model.top_k))
+    return _records(samples, _map_once(task, _same_size_chunks(samples, SCORE_BATCH)))
 
 
-def _stage2_gradients(
-    model: LGModel, batch: Sequence[Sample], guides: Mapping[str, Guidance], pos: np.ndarray, sigma: float
-) -> float:
-    """:func:`_chunked_gradients` on the trainable half; returns the images' loss sum."""
+def _stage2_chunk_loss(model: LGModel, guides: Mapping[str, Guidance], pos: np.ndarray, sigma: float) -> Callable:
+    """The chunk loss of :func:`_sgd_task` for the trainable half."""
     def chunk_loss(chunk: list[Sample]) -> tuple[dict[str, Tensor], Tensor]:
         head = GuidanceHead(Tensor(model.head.weight.data, True), Tensor(model.head.bias.data, True))
         views = replace(model, local_params=_leaf_views(model.local_params), head=head)
         fused = _fused_logits(views, chunk, [guides[s.image_id] for s in chunk])
         return views.trainable(), weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, sigma)
 
-    return _chunked_gradients(model.trainable(), batch, chunk_loss)[0]
+    return chunk_loss
+
+
+def _lg_score_task(model: LGModel, samples: Sequence[Sample], guides: Mapping[str, Guidance]) -> Callable:
+    """Stage-2 scoring of ``samples`` from their guidance records."""
+    return _score_task(model.trainable(), samples,
+                       lambda chunk: _fused_logits(model, chunk, [guides[s.image_id] for s in chunk]).data)
 
 
 def train_stage2(
@@ -597,21 +753,36 @@ def train_stage2(
     model = build_lg_model(stage1, config)
     named = model.trainable()
     pos = positive_ratio(_label_matrix(train))
-    train_guides = _guidance_for(model, train, proposals)
-    val_guides = _guidance_for(model, val, proposals)
+    val_labels = _label_matrix(val)
+    both = [*train, *val]
+    chunks = _same_size_chunks(both, SCORE_BATCH)
+    find_all = _guidance_task(model, both, _prepare_proposals(both, proposals, model.top_k))
 
+    def find(chunk: list[int]) -> list[Guidance]:  # the fields the trainable half reads
+        return [Guidance(g.boxes, g.global_logits, g.affinity) for g in find_all(chunk)]
+
+    guides: dict[str, Guidance] = {}  # each process's copy is filled before the first step
+    share = guides.update
+    sgd = _sgd_task(named, train, _stage2_chunk_loss(model, guides, pos, config.loss_sigma))
+    score = _lg_score_task(model, val, guides)
     digest = model.frozen_digest()
 
-    def step(batch_idx: np.ndarray) -> float:
-        return _stage2_gradients(model, [train[i] for i in batch_idx], train_guides, pos, config.loss_sigma)
+    with _Workers(max(_sgd_chunks(config), len(chunks)), find, share, sgd, score) as workers:
+        share(_records(both, workers.map(find, chunks)))
+        workers.map(share, [{}] + [guides] * (workers.processes - 1))  # each worker gets every record once
 
-    def validate(epoch: int) -> float:
-        if model.frozen_digest() != digest:
-            raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
-        return evaluate(model, val, proposals=val_guides).ma
+        def step(batch_idx: np.ndarray) -> float:
+            return _chunked_gradients(workers, sgd, named, train, batch_idx.tolist())[0]
 
-    best_ma = _untrained_report(val, val_guides).ma  # the fresh model is a candidate
-    log_rows, best_ma, best_epoch = _fit(named, config, 2, len(train), step, validate, best_ma)
+        def validate(epoch: int) -> float:
+            if model.frozen_digest() != digest:
+                raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
+            last = epoch == config.epochs - 1  # the stage's last call
+            scores = np.concatenate(workers.map(score, _score_payloads(named, val), last=last))
+            return MetricsReport.from_scores(scores, val_labels).ma
+
+        best_ma = _untrained_report(val, guides).ma  # the fresh model is a candidate
+        log_rows, best_ma, best_epoch = _fit(named, config, 2, len(train), step, validate, best_ma)
     return Stage2Result(model, pos, log_rows, best_ma, best_epoch)
 
 
@@ -626,31 +797,51 @@ def _untrained_report(samples: Sequence[Sample], guides: Mapping[str, Guidance])
     return MetricsReport.from_scores(scores, _label_matrix(samples))
 
 
+def _guided_scores(model: LGModel, samples: Sequence[Sample], proposals: Mapping[str, ProposalSet],
+                   guides: dict[str, Guidance] | None) -> np.ndarray:
+    """Stage-2 logits of ``samples`` from proposal sets: one task per chunk
+    finds the chunk's guidance, then its fused logits. ``guides``, when
+    given, receives every image's record."""
+    boxes = _prepare_proposals(samples, proposals, model.top_k)
+    find = _guidance_task(model, samples, boxes)
+
+    def task(chunk: list[int]) -> tuple[list[Guidance] | None, np.ndarray]:
+        found = find(chunk)
+        scores = _fused_logits(model, [samples[i] for i in chunk], found).data
+        return (None if guides is None else found), scores
+
+    results = _map_once(task, _same_size_chunks(samples, SCORE_BATCH))
+    if guides is not None:
+        guides.update(_records(samples, (found for found, _ in results)))
+    return np.concatenate([scores for _, scores in results])
+
+
 def evaluate(
     model: GlobalModel | LGModel,
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet] | Mapping[str, Guidance] | None = None,
     threshold: float = 0.5,
+    guides: dict[str, Guidance] | None = None,
 ) -> MetricsReport:
     """Score a split and compute the five metrics at the given threshold.
 
     Scoring is gradient-free and runs over consecutive images of one
-    size, in chunks of up to ``SCORE_BATCH`` spread over every core.
-    Each image's scores carry the bits of scoring it alone.
+    size, in chunks of up to ``SCORE_BATCH`` on every core. Each image's
+    scores carry the bits of scoring it alone. A stage-2 model needs each
+    image's proposal set or guidance record; given proposal sets, one
+    task per chunk finds its guidance and scores it, and ``guides``, when
+    given, receives every image's record.
     """
-    labels = _label_matrix(samples)
     if isinstance(model, GlobalModel):
         scores = _global_scores(model, samples)
+    elif not proposals:
+        raise DataError("stage-2 evaluation requires proposals")
+    elif isinstance(next(iter(proposals.values())), ProposalSet):
+        scores = _guided_scores(model, samples, proposals, guides)
     else:
-        if not proposals:
-            raise DataError("stage-2 evaluation requires proposals")
-        first = next(iter(proposals.values()))
-        if isinstance(first, ProposalSet):
-            proposals = _guidance_for(model, samples, proposals)
-        scores = np.concatenate(_map_chunks(
-            lambda chunk: _fused_logits(model, chunk, [proposals[s.image_id] for s in chunk]).data,
-            _same_size_chunks(samples, SCORE_BATCH)))
-    return MetricsReport.from_scores(scores, labels, threshold)
+        scores = np.concatenate(_map_once(_lg_score_task(model, samples, proposals),
+                                          _score_payloads(model.trainable(), samples)))
+    return MetricsReport.from_scores(scores, _label_matrix(samples), threshold)
 
 
 # -- persistence -----------------------------------------------------------------

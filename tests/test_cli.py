@@ -283,6 +283,18 @@ class TestMalformedInput:
         err = self._assert_data_error(["gen-data", "--out", out, "--config", path], capsys)
         assert str(path) in err and next(iter(config)) in err and not out.exists()
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_gen_data_split_below_one_is_named(self, tmp_path, capsys, source):
+        out, path = tmp_path / "out", tmp_path / "config.json"
+        path.write_text(json.dumps({"n_train": 0}))
+        argv = ["--config", path] if source == "config" else ["--n-val", "0"]
+        err = self._assert_data_error(["gen-data", "--out", out, *argv], capsys)
+        assert not out.exists()
+        if source == "config":
+            assert str(path) in err and "n_train" in err
+        else:
+            assert "--n-val" in err
+
     @pytest.mark.parametrize("raw", [b"{n_train: 1}", b'{"n_train": 1\xff}'], ids=["not-json", "not-utf8"])
     def test_gen_data_config_not_json(self, workspace, tmp_path, capsys, raw):
         path = tmp_path / "config.json"
@@ -447,6 +459,25 @@ class TestFrozenBranchReuse:
         assert counts == {"forward_global": 6, "forward_local_stem": 6}
 
 
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("model", ["stage1.lgn", "stage2.lgn"])
+    def test_no_process_outlives_eval(self, workspace, tmp_path, capsys, monkeypatch, model):
+        from lgnet import training
+        from test_training import _no_children
+
+        monkeypatch.setattr(training, "_cores", lambda: 2)
+        common = ["--model", str(workspace / model), "--data", str(workspace / "data"),
+                  "--proposals", str(workspace / "props")]
+        # the train split's 12 images make two chunks, so a worker is forked
+        assert main(["eval", *common, "--split", "train"]) == 0
+        assert _no_children()
+        if model == "stage2.lgn":
+            assert main(["eval", *common, "--split", "train", "--dump-affinity", str(tmp_path / "a")]) == 0
+            assert main(["localize", *common, "--split", "train", "--out", str(tmp_path / "loc")]) == 0
+            assert _no_children()
+        capsys.readouterr()
+
+
 class TestMixedSizeSplit:
     @pytest.mark.parametrize("kind", ["stage1", "stage2"])
     def test_eval_scores_a_split_holding_a_wider_image(self, workspace, tmp_path, capsys, kind):
@@ -532,15 +563,15 @@ class TestOverflowingModel:
     def test_validation_pass(self, workspace, tmp_path, capsys, monkeypatch):
         from lgnet import training
 
-        real = training.evaluate
+        real = training._frozen_forward
 
-        def huge(model, *args, **kwargs):  # validates a copy with overflowing kernels
-            params = model.params.copy(requires_grad=False)
+        def huge(params, *args):  # validation scores with a copy whose kernels overflow
+            params = params.copy(requires_grad=False)
             for kernel in params.stage_kernels:
                 kernel.data *= 1e120
-            return real(training.GlobalModel(model.backbone, params), *args, **kwargs)
+            return real(params, *args)
 
-        monkeypatch.setattr(training, "evaluate", huge)
+        monkeypatch.setattr(training, "_frozen_forward", huge)
         out = tmp_path / "s1.lgn"
         assert main(["train-stage1", "--data", str(workspace / "data"), "--out", str(out),
                      "--epochs", "2", "--batch-size", "6"]) == 2
@@ -596,6 +627,26 @@ class TestAblate:
             assert main(["train-stage2", *flags, "--affinity", affinity, "--out", str(model)]) == 0
             meta, _ = checkpoint.load_container(model)
             assert arms[label] == meta["best_val_ma"]
+
+    def test_a_stage1_model_names_its_own_backbone(self, workspace, tmp_path, capsys):
+        """``train-stage2`` and ``ablate --model`` record the trunk of the
+        classifier they ran on, not the ``--config`` preset."""
+        from lgnet import checkpoint
+
+        dilated = tmp_path / "dilated.lgn"
+        assert main(["train-stage1", "--data", str(workspace / "data"), "--out", str(dilated),
+                     "--seed", "3", "--epochs", "1", "--batch-size", "6", "--backbone", "dilated"]) == 0
+        flags = ["--data", str(workspace / "data"), "--model", str(dilated),
+                 "--proposals", str(workspace / "props"), "--seed", "3",
+                 "--epochs", "1", "--batch-size", "6", "--top-k", "16"]
+        model, out = tmp_path / "stage2.lgn", tmp_path / "ablation.json"
+        assert main(["train-stage2", *flags, "--out", str(model)]) == 0
+        assert main(["ablate", "--name", "no_guidance", *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        meta, _ = checkpoint.load_container(model)
+        assert meta["backbone"]["dilations"] == [1, 1, 2]
+        assert meta["train_config"]["backbone"] == "dilated"
+        assert [arm["config"]["backbone"] for arm in json.loads(out.read_text())["arms"]] == ["dilated"] * 2
 
     @pytest.mark.parametrize("name", ["resolution", "dilation"])
     def test_stage1_ablation_refuses_a_stage1_model(self, workspace, capsys, name):

@@ -108,6 +108,19 @@ class TestLoading:
         assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
         assert np.allclose(sample.image * 255.0, np.rint(sample.image * 255.0), atol=1e-9)
 
+    def test_read_ppm_is_c_contiguous_and_equals_a_plain_decode(self, small_dataset):
+        from lgnet.ppm import read_ppm
+
+        for path in sorted((small_dataset / "train" / "images").glob("*.ppm"))[:3]:
+            image = read_ppm(path)
+            assert image.flags.c_contiguous and image.dtype == np.float64
+            # a plain decode: the header is "P6\n64 64\n255\n", then interleaved RGB rows
+            raw = path.read_bytes()
+            assert raw.startswith(b"P6\n64 64\n255\n")
+            rgb = np.frombuffer(raw[len(b"P6\n64 64\n255\n"):], dtype=np.uint8).reshape(64, 64, 3)
+            plain = np.stack([rgb[:, :, c] / 255.0 for c in range(3)])
+            assert image.shape == plain.shape and np.array_equal(image, plain)
+
     def test_missing_image_error_names_file(self, small_dataset, tmp_path):
         import shutil
 

@@ -96,9 +96,12 @@ CALLED_SITES = [
 @pytest.mark.parametrize("module_name, attr, command, expected", CALLED_SITES,
                          ids=[f"{m}.{a}-{c}" for m, a, c, _ in CALLED_SITES])
 def test_traced_site_is_called_on_its_path(cli_workspace, monkeypatch, module_name, attr, command, expected):
+    from lgnet import training
     from lgnet.cli import main
 
     assert (module_name, attr) in FUNCTION_SITES
+    # a worker process would count in its own copy, as the tracer would
+    monkeypatch.setattr(training, "_cores", lambda: 1)
     module = importlib.import_module(module_name)
     original, calls = getattr(module, attr), []
 

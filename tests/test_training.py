@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
+import os
 import re
-import threading
+import signal
 import time
 
 import numpy as np
@@ -18,6 +20,8 @@ from lgnet.training import (
     SGD_CHUNK,
     GlobalModel,
     TrainConfig,
+    _Workers,
+    _chunked_gradients,
     _epoch_permutation,
     _fused_logits,
     _global_scores,
@@ -27,7 +31,9 @@ from lgnet.training import (
     _prepare_proposals,
     _same_size_chunks,
     _sgd_step,
-    _stage2_gradients,
+    _sgd_task,
+    _stage1_chunk_loss,
+    _stage2_chunk_loss,
     _untrained_report,
     build_lg_model,
     evaluate,
@@ -58,6 +64,15 @@ def tiny_data():
 
 
 FAST = dict(epochs=3, batch_size=8, top_k_proposals=24, lr0=0.05)
+
+
+@pytest.fixture
+def one_core(monkeypatch):
+    """Every chunk runs on the calling process, where a patched function
+    counts its calls; a worker process counts in its own copy."""
+    from lgnet import training
+
+    monkeypatch.setattr(training, "_cores", lambda: 1)
 
 
 class TestSchedule:
@@ -146,7 +161,7 @@ class TestStage1:
             train_stage1(train, val, config)
 
     @pytest.mark.parametrize("batch_size, lengths", [(4, [4, 4, 2]), (3, [3, 3, 3, 1])])
-    def test_step_losses_per_epoch_add_up_to_the_log(self, monkeypatch, batch_size, lengths):
+    def test_step_losses_per_epoch_add_up_to_the_log(self, monkeypatch, one_core, batch_size, lengths):
         from lgnet import training
 
         losses = []
@@ -195,7 +210,7 @@ class TestStage2:
         for name, t in result.model.global_params.named().items():
             assert np.array_equal(t.data, stage1.model.params.named()[name].data)
 
-    def test_frozen_branch_runs_once_per_image(self, tiny_data, stage1, monkeypatch):
+    def test_frozen_branch_runs_once_per_image(self, tiny_data, stage1, monkeypatch, one_core):
         from lgnet import training
 
         train, val, proposals = tiny_data
@@ -250,6 +265,7 @@ class TestStage2:
         config = TrainConfig(seed=2, **dict(FAST, epochs=2, lr0=1e18))
         with pytest.raises(RuntimeError, match="stage-2 training diverged at epoch"):
             train_stage2(train[:16], val[:4], stage1.model, proposals, config)
+        assert _no_children()
 
     def test_missing_proposal_file_is_an_error(self, tmp_path, tiny_data):
         train, _, _ = tiny_data
@@ -285,7 +301,7 @@ class TestStage2:
                 expected = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
                 assert np.array_equal(ready[s.image_id], expected)
 
-    def test_evaluate_builds_only_the_activation_boxes(self, tmp_path, tiny_data, stage1, monkeypatch):
+    def test_evaluate_builds_only_the_activation_boxes(self, tmp_path, tiny_data, stage1, monkeypatch, one_core):
         # the files hold 20 proposals and the model takes 24, so every
         # image is padded as well
         _, val, _ = tiny_data
@@ -463,7 +479,7 @@ class TestBatchedScoring:
             _fused_logits(model, train[:2], [guides[train[0].image_id], short])
 
     @pytest.mark.parametrize("n", [1, 16, 17, 40])
-    def test_evaluate_runs_the_local_stem_once_per_chunk(self, tiny_data, stage1, monkeypatch, n):
+    def test_evaluate_runs_the_local_stem_once_per_chunk(self, tiny_data, stage1, monkeypatch, one_core, n):
         from lgnet import training
 
         train, _, proposals = tiny_data
@@ -585,7 +601,7 @@ class TestFrozenHalfInChunks:
             assert guide.cam_boxes == want.cam_boxes and guide.degenerate == want.degenerate
 
     @pytest.mark.parametrize("n", [1, 16, 17, 40])
-    def test_guidance_runs_the_trunk_once_per_chunk(self, tiny_data, stage1, monkeypatch, n):
+    def test_guidance_runs_the_trunk_once_per_chunk(self, tiny_data, stage1, monkeypatch, one_core, n):
         from lgnet import training
 
         train, _, proposals = tiny_data
@@ -603,15 +619,32 @@ class TestFrozenHalfInChunks:
         assert sorted(images) == sorted(min(SCORE_BATCH, n - i) for i in range(0, n, SCORE_BATCH))
 
 
-def _plain_loop(fn, chunks):
-    """The serial loop the chunk mapper replaces, as the reference."""
+def _plain_loop(fn, samples, size):
+    """The serial loop the chunk mapper replaces, as the reference: ``fn``
+    on each same-size run of at most ``size`` samples, gradient-free."""
     with no_grad():
-        return [fn(chunk) for chunk in chunks]
+        return [fn([samples[i] for i in chunk]) for chunk in _same_size_chunks(samples, size)]
+
+
+def _spread(payload):
+    """A task for the tests below: the process it ran on, its payload
+    times ten, and whether its arithmetic records a graph."""
+    x = Tensor(np.asarray(payload, dtype=float), requires_grad=True)
+    return os.getpid(), [v * 10 for v in payload], (x * 2.0).requires_grad
+
+
+def _no_children():
+    """True when this process has no child process, running or exited."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 class TestChunksOnEveryCore:
-    """``_map_chunks`` with no helper thread (one core) and with three
-    helpers gives the plain loop's outputs bit for bit."""
+    """``_Workers`` with no helper process (one core) and with three gives
+    the plain loop's outputs bit for bit."""
 
     @pytest.fixture(params=[1, 4], ids=["0 helpers", "3 helpers"])
     def cores(self, request, monkeypatch):
@@ -621,32 +654,36 @@ class TestChunksOnEveryCore:
         return request.param
 
     def test_helpers_share_the_chunks_and_keep_their_order(self, cores):
-        from lgnet.training import _map_chunks
-
-        meet = threading.Barrier(2, timeout=10)
-        threads = set()
-
-        def fn(chunk):
-            if cores > 1 and chunk[0] < 2:
-                meet.wait()  # the first two chunks run at once, on two threads
-            threads.add(threading.get_ident())
-            x = Tensor(np.asarray(chunk, dtype=float), requires_grad=True)
-            assert not (x * 2.0).requires_grad  # gradient-free on every thread
-            return [v * 10 for v in chunk]
+        """Chunk i runs on process i mod cores, the caller being process 0."""
+        from lgnet.training import _Workers
 
         chunks = [[i, i + 100] for i in range(9)]
-        assert _map_chunks(fn, chunks) == [[10 * i, 10 * i + 1000] for i in range(9)]
-        if cores == 1:
-            assert threads == {threading.get_ident()}
-        else:
-            assert len(threads) >= 2
+        with _Workers(len(chunks), _spread) as workers:
+            assert workers.processes == cores
+            found = workers.map(_spread, chunks)
+            assert [out for _, out, _ in found] == [[10 * i, 10 * i + 1000] for i in range(9)]
+            pids = [pid for pid, _, _ in found]
+            assert pids[0] == os.getpid()
+            assert len(set(pids)) == cores
+            assert all(pid == pids[i % cores] for i, pid in enumerate(pids))
+            assert not any(grad for _, _, grad in found)  # gradient-free on every process
+            assert all(grad for _, _, grad in workers.map(_spread, chunks, grad=True))
+            assert workers.map(_spread, []) == []
         assert (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad  # the caller records again
-        assert _map_chunks(fn, []) == []
+        assert _no_children()
 
-    def test_first_failing_chunk_in_order_raises(self, cores):
-        from lgnet.training import _map_chunks
+    def test_a_worker_count_never_exceeds_the_chunks_of_a_call(self, cores):
+        from lgnet.training import _Workers
 
-        finished = []
+        with _Workers(2, _spread) as workers:
+            assert workers.processes == min(cores, 2)
+        with _Workers(0, _spread) as workers:
+            assert workers.processes == 1
+
+    def test_first_failing_chunk_in_order_raises(self, cores, tmp_path):
+        from lgnet.training import _Workers
+
+        finished = tmp_path / "finished"
 
         def fn(chunk):
             if chunk == 2:
@@ -654,16 +691,40 @@ class TestChunksOnEveryCore:
                 raise ValueError("chunk 2 failed")
             if chunk == 5:
                 raise KeyError("chunk 5 failed")
-            time.sleep(0.005)
-            finished.append(chunk)
+            with open(finished, "a") as fh:  # one short append per chunk, from any process
+                fh.write(f"{chunk}\n")
             return chunk
 
-        with pytest.raises(ValueError, match="^chunk 2 failed$"):
-            _map_chunks(fn, range(12))
-        if cores == 1:
-            assert finished == [0, 1]  # the serial loop stops at chunk 2
-        else:
-            assert {0, 1, 3, 4} <= set(finished)  # every chunk before chunk 5 ran
+        with _Workers(12, fn) as workers:
+            with pytest.raises(ValueError, match="^chunk 2 failed$"):
+                workers.map(fn, range(12))
+            done = {int(v) for v in finished.read_text().split()}
+            # every chunk before chunk 2 ran; each process runs its chunks in
+            # order up to its first failure, so on one core the serial loop
+            # stops at chunk 2
+            want = set()
+            for first in range(cores):
+                want.update(itertools.takewhile(lambda c: c not in (2, 5), range(first, 12, cores)))
+            assert {0, 1} <= done == want
+            assert workers.map(fn, [0, 1]) == [0, 1]  # the pool outlives a failed call
+        assert _no_children()
+
+    def test_workers_ignore_an_interrupt_and_are_joined_after_one(self, cores):
+        from lgnet.training import _Workers
+
+        def fn(chunk):
+            if chunk == 0:
+                raise KeyboardInterrupt
+            return chunk
+
+        with pytest.raises(KeyboardInterrupt):
+            with _Workers(4, fn) as workers:
+                assert workers.map(fn, [1, 2, 3, 4]) == [1, 2, 3, 4]  # every worker is in its loop
+                for pid, _ in workers.workers:
+                    os.kill(pid, signal.SIGINT)
+                assert workers.map(fn, [1, 2, 3, 4]) == [1, 2, 3, 4]
+                workers.map(fn, range(4))  # chunk 0 runs on the caller
+        assert _no_children()
 
     def test_global_scores_equal_the_plain_loop(self, tiny_data, stage1, cores):
         from lgnet.training import _frozen_forward
@@ -672,7 +733,7 @@ class TestChunksOnEveryCore:
         model = stage1.model
         for samples in (train + val, _mixed_size_split(train, proposals)[0]):
             want = _plain_loop(lambda chunk: _frozen_forward(model.params, model.backbone, chunk)[1],
-                               _same_size_chunks(samples, SCORE_BATCH))
+                               samples, SCORE_BATCH)
             assert np.array_equal(_global_scores(model, samples), np.concatenate(want))
 
     @pytest.mark.parametrize("mode", ["iou", "overlap_area", "uniform"])
@@ -688,7 +749,7 @@ class TestChunksOnEveryCore:
         model = build_lg_model(stage1.model, TrainConfig(seed=2, **dict(FAST, affinity_mode=mode)))
         boxes = _prepare_proposals(samples, proposals, model.top_k)
         found = _plain_loop(lambda chunk: _guidance_chunk(model, chunk, [boxes[s.image_id] for s in chunk]),
-                            _same_size_chunks(samples, SCORE_BATCH))
+                            samples, SCORE_BATCH)
         want = [g for chunk in found for g in chunk]
         got = _guidance_for(model, samples, proposals)
         assert list(got) == [s.image_id for s in samples]
@@ -713,7 +774,7 @@ class TestChunksOnEveryCore:
         model = _random_head(build_lg_model(stage1.model, TrainConfig(seed=2, **FAST)), 6)
         guides = _guidance_for(model, samples, proposals)
         want = _plain_loop(lambda chunk: _fused_logits(model, chunk, [guides[s.image_id] for s in chunk]).data,
-                           _same_size_chunks(samples, SCORE_BATCH))
+                           samples, SCORE_BATCH)
         scored = []
         real = training.MetricsReport.from_scores
         monkeypatch.setattr(training.MetricsReport, "from_scores",
@@ -767,7 +828,7 @@ class TestChunkedSgd:
         want, want_loss = _per_image_gradients(model, batch, guides, pos, 1.0)
         for t in model.trainable().values():
             t.zero_grad()
-        got_loss = _stage2_gradients(model, batch, guides, pos, 1.0)
+        got_loss = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)[0]
         for name, t in model.trainable().items():
             scale = np.abs(want[name]).max()
             assert scale > 0, name
@@ -775,17 +836,26 @@ class TestChunkedSgd:
         assert got_loss == pytest.approx(want_loss, rel=SGD_REL)
 
 
+def _step(named, chunk_loss, batch):
+    """One chunked SGD step over all of ``batch`` on every core, as a
+    stage takes it; returns the images' loss sum and the batch's mean loss."""
+    task = _sgd_task(named, batch, chunk_loss)
+    with _Workers(len(batch), task) as workers:
+        return _chunked_gradients(workers, task, named, batch, range(len(batch)))
+
+
 def _serial_chunk_gradients(named, batch, chunk_loss):
     """The chunked SGD step as a plain serial loop, kept as the reference:
     each chunk's graph is built on the shared leaves ``named`` themselves,
     its mean loss seeded with the chunk's share of the batch. For stage 2
-    this is the loop ``_stage2_gradients`` ran before its chunks went onto
+    this is the loop the stage-2 step ran before its chunks went onto
     every core. Returns the gradients, the images' loss sum and the
     batch's mean loss."""
     for t in named.values():
         t.zero_grad()
     total = mean = 0.0
     for chunk in _same_size_chunks(batch, SGD_CHUNK):
+        chunk = [batch[i] for i in chunk]
         loss = chunk_loss(chunk)
         loss.backward(np.asarray(len(chunk) / len(batch)))
         total += loss.item() * len(chunk)
@@ -807,7 +877,7 @@ SGD_CASES = [("16 images", [4, 4, 4, 4]), ("10 images", [4, 4, 2]), ("mixed size
 
 class TestSgdChunksOnEveryCore:
     """Both stages' chunked SGD step on one core and with one and three
-    helper threads gives the serial loop's gradients and losses bit for
+    helper processes gives the serial loop's gradients and losses bit for
     bit, and so whole runs give the same bytes on any number of cores."""
 
     @pytest.fixture(params=[1, 2, 4], ids=["0 helpers", "1 helper", "3 helpers"])
@@ -825,8 +895,6 @@ class TestSgdChunksOnEveryCore:
 
     @pytest.mark.parametrize("case, chunks", SGD_CASES, ids=[c for c, _ in SGD_CASES])
     def test_stage1_step_equals_the_serial_loop(self, tiny_data, cores, case, chunks):
-        from lgnet.training import _stage1_gradients
-
         train, _, proposals = tiny_data
         batch, _ = _sgd_batch(train, proposals, case)
         assert [len(c) for c in _same_size_chunks(batch, SGD_CHUNK)] == chunks
@@ -841,7 +909,7 @@ class TestSgdChunksOnEveryCore:
         want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
         for t in params.named().values():
             t.zero_grad()
-        got = _stage1_gradients(params, bb, batch, pos, 1.0)
+        got = _step(params.named(), _stage1_chunk_loss(params, bb, pos, 1.0), batch)
         self._assert_same(params.named(), want, list(got), want_losses)
 
     @pytest.mark.parametrize("case, chunks", SGD_CASES, ids=[c for c, _ in SGD_CASES])
@@ -860,7 +928,7 @@ class TestSgdChunksOnEveryCore:
         want, want_total, _ = _serial_chunk_gradients(model.trainable(), batch, chunk_loss)
         for t in model.trainable().values():
             t.zero_grad()
-        got = _stage2_gradients(model, batch, guides, pos, 1.0)
+        got = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)[0]
         self._assert_same(model.trainable(), want, [got], [want_total])
 
     def test_first_failing_chunk_in_order_is_reported(self, cores, monkeypatch):
@@ -883,6 +951,7 @@ class TestSgdChunksOnEveryCore:
         monkeypatch.setattr(training, "forward_global", failing)
         with pytest.raises(RuntimeError, match="^stage-1 training diverged at epoch 0 step 0: chunk 2 failed$"):
             train_stage1(train, val, config)
+        assert _no_children()
 
     def test_both_stages_write_the_same_bytes_on_any_number_of_cores(self, tiny_data, monkeypatch, tmp_path):
         from lgnet import training
@@ -891,7 +960,7 @@ class TestSgdChunksOnEveryCore:
         train, val, proposals = tiny_data
         config = TrainConfig(seed=6, **dict(FAST, epochs=2, batch_size=10))  # chunks of 4, 4 and 2
         runs = []
-        for cores in (1, 2):
+        for cores in (1, 2, 4):
             monkeypatch.setattr(training, "_cores", lambda: cores)
             s1 = train_stage1(train, val, config)
             s2 = train_stage2(train, val, s1.model, proposals, config)
@@ -899,7 +968,8 @@ class TestSgdChunksOnEveryCore:
             save_stage2_checkpoint(tmp_path / "s2.lgn", s2.model)
             runs.append([(tmp_path / "s1.lgn").read_bytes(), (tmp_path / "s2.lgn").read_bytes(),
                          s1.step_losses, s1.log_rows, s2.log_rows])
-        assert runs[0] == runs[1]
+            assert _no_children()  # no process outlives its stage
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestSgdStep:
