@@ -292,8 +292,9 @@ def _cmd_eval(args) -> int:
         if args.proposals is None:
             raise DataError("stage-2 model evaluation needs --proposals")
         proposals = load_proposal_dir(args.proposals, [s.image_id for s in samples])
-        guides = {} if args.dump_affinity is not None else None
-    report = evaluate(model, samples, proposals=proposals, threshold=args.threshold, guides=guides)
+        if args.dump_affinity is not None:
+            proposals = guides = _guidance_for(model, samples, proposals)
+    report = evaluate(model, samples, proposals=proposals, threshold=args.threshold)
     print("mA\tAcc\tPrec\tRec\tF1")
     print(report.tsv_line())
     if args.out:

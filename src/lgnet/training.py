@@ -12,6 +12,8 @@ the caller adds them in chunk order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import itertools
 import json
@@ -314,17 +316,39 @@ def _run(task: Callable, payloads: Sequence, grad: bool) -> tuple[list, Exceptio
 
 def _serve(tasks: Sequence[Callable], conn: Connection) -> None:
     """A worker's loop: run each call's payloads and send back what
-    :func:`_run` returns, until the call marked last or until the caller
-    closes its end of the pipe."""
+    :func:`_run` returns, until the caller stops it or closes its end of
+    the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the caller stops a worker so, whatever it handles itself
     while True:
         try:
-            index, payloads, grad, last = conn.recv()
+            index, payloads, grad = conn.recv()
         except EOFError:
             return
         conn.send(_run(tasks[index], payloads, grad))
-        if last:
-            return
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS numpy has loaded,
+    or None where they cannot be found (no ``/proc/self/maps``, or another
+    BLAS)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is gone or is no library
+            continue
+        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
 
 
 class _Workers:
@@ -337,17 +361,27 @@ class _Workers:
     own. Per call it receives only its payloads over a pipe, so every task
     a pool will run is given here, before the fork. Forking is safe here
     because lgnet starts no thread, and numpy's OpenBLAS stops its thread
-    pool at a fork and starts it again on its next call. Use it in a
-    ``with`` block: on any exit the pipes close, which ends the workers'
-    loops, and the workers are joined. On one core, or where ``os.fork``
-    does not exist, the caller runs every payload itself.
+    pool at a fork and starts it again on its next call. While the pool is
+    open, each process runs at most ``cores // processes`` BLAS threads,
+    so the processes do not oversubscribe the cores; the caller's count
+    comes back at :meth:`close`. Use it in a ``with`` block: on any exit
+    the workers are stopped, mid-call or not, and joined. On one core,
+    where ``os.fork`` does not exist or where OpenBLAS's thread count
+    cannot be set, the caller runs every payload itself.
     """
 
     def __init__(self, most: int, *tasks: Callable) -> None:
         self.tasks = tasks
         self.workers: list[tuple[int, Connection]] = []
+        self.blas_threads: int | None = None  # the caller's own count, while it is lowered
+        blas = _openblas() if hasattr(os, "fork") else None
+        processes = 1 if blas is None else min(_cores(), most)
         try:
-            for _ in range(min(_cores(), most) - 1 if hasattr(os, "fork") else 0):
+            if processes > 1:
+                get, put = blas
+                self.blas_threads = get()
+                put(min(self.blas_threads, max(1, _cores() // processes)))  # the workers inherit it
+            for _ in range(processes - 1):
                 ours, theirs = Pipe()
                 pid = os.fork()
                 if pid == 0:
@@ -370,7 +404,7 @@ class _Workers:
     def processes(self) -> int:
         return len(self.workers) + 1
 
-    def map(self, task: Callable, payloads: Sequence, grad: bool = False, last: bool = False) -> list:
+    def map(self, task: Callable, payloads: Sequence, grad: bool = False) -> list:
         """``[task(p) for p in payloads]``, gradient-free unless ``grad``.
 
         Payload i runs on process i mod ``processes``, the caller being
@@ -378,13 +412,12 @@ class _Workers:
         to run. Each process runs its payloads in order and stops at its
         first failure; the error raised is that of the first failing
         payload in order, as in the serial loop, since every payload
-        before it ran. After the ``last`` call each worker exits as soon
-        as it has replied, while the caller may still be busy.
+        before it ran.
         """
         index, n = self.tasks.index(task), self.processes
-        busy = [(w, pid, conn) for w, (pid, conn) in enumerate(self.workers, 1) if w < len(payloads) or last]
+        busy = [(w, pid, conn) for w, (pid, conn) in enumerate(self.workers, 1) if w < len(payloads)]
         for w, _, conn in busy:
-            conn.send((index, payloads[w::n], grad, last))
+            conn.send((index, payloads[w::n], grad))
         replies = [(0, _run(task, payloads[::n], grad))]
         for w, pid, conn in busy:
             try:
@@ -401,12 +434,17 @@ class _Workers:
         return results
 
     def close(self) -> None:
-        """Close every worker's pipe, which ends its loop, and join it."""
+        """Stop every worker, mid-call or not, join it, and give the caller
+        back its BLAS thread count."""
         workers, self.workers = self.workers, []
-        for _, conn in workers:
+        for pid, conn in workers:
+            os.kill(pid, signal.SIGTERM)
             conn.close()
         for pid, _ in workers:
             os.waitpid(pid, 0)
+        if self.blas_threads is not None:
+            _openblas()[1](self.blas_threads)
+            self.blas_threads = None
 
     def __enter__(self) -> "_Workers":
         return self
@@ -481,7 +519,7 @@ def _chunked_gradients(workers: _Workers, task: Callable, named: Mapping[str, Te
 def _map_once(task: Callable, payloads: Sequence) -> list:
     """``_Workers.map``, gradient-free, on workers forked for this one call."""
     with _Workers(len(payloads), task) as workers:
-        return workers.map(task, payloads, last=True)
+        return workers.map(task, payloads)
 
 
 def _score_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
@@ -567,8 +605,7 @@ def train_stage1(
             return total
 
         def validate(epoch: int) -> float:
-            last = epoch == config.epochs - 1  # the stage's last call
-            scores = np.concatenate(workers.map(score, _score_payloads(named, val), last=last))
+            scores = np.concatenate(workers.map(score, _score_payloads(named, val)))
             return MetricsReport.from_scores(scores, val_labels).ma
 
         log_rows, best_ma, best_epoch = _fit(named, config, 1, len(train), step, validate, -1.0)
@@ -755,30 +792,25 @@ def train_stage2(
     pos = positive_ratio(_label_matrix(train))
     val_labels = _label_matrix(val)
     both = [*train, *val]
-    chunks = _same_size_chunks(both, SCORE_BATCH)
-    find_all = _guidance_task(model, both, _prepare_proposals(both, proposals, model.top_k))
+    find = _guidance_task(model, both, _prepare_proposals(both, proposals, model.top_k))
 
-    def find(chunk: list[int]) -> list[Guidance]:  # the fields the trainable half reads
-        return [Guidance(g.boxes, g.global_logits, g.affinity) for g in find_all(chunk)]
+    def trimmed(chunk: list[int]) -> list[Guidance]:  # the fields the trainable half reads
+        return [Guidance(g.boxes, g.global_logits, g.affinity) for g in find(chunk)]
 
-    guides: dict[str, Guidance] = {}  # each process's copy is filled before the first step
-    share = guides.update
+    # found before the stage's workers are forked, so they inherit the records
+    guides = _records(both, _map_once(trimmed, _same_size_chunks(both, SCORE_BATCH)))
     sgd = _sgd_task(named, train, _stage2_chunk_loss(model, guides, pos, config.loss_sigma))
     score = _lg_score_task(model, val, guides)
     digest = model.frozen_digest()
 
-    with _Workers(max(_sgd_chunks(config), len(chunks)), find, share, sgd, score) as workers:
-        share(_records(both, workers.map(find, chunks)))
-        workers.map(share, [{}] + [guides] * (workers.processes - 1))  # each worker gets every record once
-
+    with _Workers(max(_sgd_chunks(config), len(_same_size_chunks(val, SCORE_BATCH))), sgd, score) as workers:
         def step(batch_idx: np.ndarray) -> float:
             return _chunked_gradients(workers, sgd, named, train, batch_idx.tolist())[0]
 
         def validate(epoch: int) -> float:
             if model.frozen_digest() != digest:
                 raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
-            last = epoch == config.epochs - 1  # the stage's last call
-            scores = np.concatenate(workers.map(score, _score_payloads(named, val), last=last))
+            scores = np.concatenate(workers.map(score, _score_payloads(named, val)))
             return MetricsReport.from_scores(scores, val_labels).ma
 
         best_ma = _untrained_report(val, guides).ma  # the fresh model is a candidate
@@ -797,23 +829,15 @@ def _untrained_report(samples: Sequence[Sample], guides: Mapping[str, Guidance])
     return MetricsReport.from_scores(scores, _label_matrix(samples))
 
 
-def _guided_scores(model: LGModel, samples: Sequence[Sample], proposals: Mapping[str, ProposalSet],
-                   guides: dict[str, Guidance] | None) -> np.ndarray:
+def _guided_scores(model: LGModel, samples: Sequence[Sample], proposals: Mapping[str, ProposalSet]) -> np.ndarray:
     """Stage-2 logits of ``samples`` from proposal sets: one task per chunk
-    finds the chunk's guidance, then its fused logits. ``guides``, when
-    given, receives every image's record."""
-    boxes = _prepare_proposals(samples, proposals, model.top_k)
-    find = _guidance_task(model, samples, boxes)
+    finds the chunk's guidance, then its fused logits."""
+    find = _guidance_task(model, samples, _prepare_proposals(samples, proposals, model.top_k))
 
-    def task(chunk: list[int]) -> tuple[list[Guidance] | None, np.ndarray]:
-        found = find(chunk)
-        scores = _fused_logits(model, [samples[i] for i in chunk], found).data
-        return (None if guides is None else found), scores
+    def task(chunk: list[int]) -> np.ndarray:
+        return _fused_logits(model, [samples[i] for i in chunk], find(chunk)).data
 
-    results = _map_once(task, _same_size_chunks(samples, SCORE_BATCH))
-    if guides is not None:
-        guides.update(_records(samples, (found for found, _ in results)))
-    return np.concatenate([scores for _, scores in results])
+    return np.concatenate(_map_once(task, _same_size_chunks(samples, SCORE_BATCH)))
 
 
 def evaluate(
@@ -821,7 +845,6 @@ def evaluate(
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet] | Mapping[str, Guidance] | None = None,
     threshold: float = 0.5,
-    guides: dict[str, Guidance] | None = None,
 ) -> MetricsReport:
     """Score a split and compute the five metrics at the given threshold.
 
@@ -829,15 +852,14 @@ def evaluate(
     size, in chunks of up to ``SCORE_BATCH`` on every core. Each image's
     scores carry the bits of scoring it alone. A stage-2 model needs each
     image's proposal set or guidance record; given proposal sets, one
-    task per chunk finds its guidance and scores it, and ``guides``, when
-    given, receives every image's record.
+    task per chunk finds its guidance and scores it.
     """
     if isinstance(model, GlobalModel):
         scores = _global_scores(model, samples)
     elif not proposals:
         raise DataError("stage-2 evaluation requires proposals")
     elif isinstance(next(iter(proposals.values())), ProposalSet):
-        scores = _guided_scores(model, samples, proposals, guides)
+        scores = _guided_scores(model, samples, proposals)
     else:
         scores = np.concatenate(_map_once(_lg_score_task(model, samples, proposals),
                                           _score_payloads(model.trainable(), samples)))

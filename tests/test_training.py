@@ -726,6 +726,55 @@ class TestChunksOnEveryCore:
                 workers.map(fn, range(4))  # chunk 0 runs on the caller
         assert _no_children()
 
+    def test_an_interrupt_stops_a_busy_worker_at_once(self, monkeypatch):
+        from lgnet import training
+
+        monkeypatch.setattr(training, "_cores", lambda: 2)
+        caller = os.getpid()
+
+        def fn(chunk):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the worker's chunk would hold the join for a minute
+            return chunk
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            with _Workers(2, fn) as workers:
+                assert workers.processes == 2
+                workers.map(fn, [0, 1])
+        assert time.perf_counter() - start < 10
+        assert _no_children()
+
+    def test_each_process_runs_its_share_of_the_blas_threads(self, monkeypatch):
+        """An open pool splits the cores' BLAS threads over its processes,
+        the workers included, and the caller gets its count back after."""
+        from lgnet import training
+
+        get, put = training._openblas()
+        monkeypatch.setattr(training, "_cores", lambda: 4)
+        before = get()
+        put(4)
+        try:
+            def fn(chunk):
+                return get()
+
+            for most, share in ((1, 4), (2, 2), (4, 1)):
+                with _Workers(most, fn) as workers:
+                    assert workers.processes == most
+                    assert workers.map(fn, range(most)) == [share] * most
+                assert get() == 4
+            put(3)
+            with _Workers(2, fn) as workers:
+                assert workers.map(fn, range(2)) == [2, 2]
+            assert get() == 3
+            put(1)  # a count below the share is kept
+            with _Workers(2, fn) as workers:
+                assert workers.map(fn, range(2)) == [1, 1]
+        finally:
+            put(before)
+        assert _no_children()
+
     def test_global_scores_equal_the_plain_loop(self, tiny_data, stage1, cores):
         from lgnet.training import _frozen_forward
 
