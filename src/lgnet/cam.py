@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxes import Box, full_image_box
+from .boxes import Box
 
-__all__ = ["class_activation_maps", "activation_boxes", "activation_box", "corner_box"]
+__all__ = ["class_activation_maps", "activation_boxes", "activation_box"]
 
 
 def class_activation_maps(featmap: np.ndarray, fc_weight: np.ndarray) -> np.ndarray:
@@ -123,10 +123,4 @@ def activation_box(
     if cam.ndim != 2:
         raise ValueError(f"cam must be 2-D, got shape {cam.shape}")
     corners, degenerate = activation_boxes(cam[None], image_w, image_h, tau)
-    flag = bool(degenerate[0])
-    return corner_box(corners[0], flag, image_w, image_h), flag
-
-
-def corner_box(corners: np.ndarray, degenerate: bool, image_w: int, image_h: int) -> Box:
-    """The :class:`Box` of one row of :func:`activation_boxes`."""
-    return full_image_box(image_w, image_h) if degenerate else Box(*corners)
+    return Box(*corners[0].tolist()), bool(degenerate[0])

@@ -16,6 +16,7 @@ import numpy as np
 from .backbone import (
     BACKBONE_PRESETS, _stage1_from_container, load_stage1_checkpoint, preset_config, save_stage1_checkpoint,
 )
+from .boxes import Box
 from .checkpoint import CheckpointError, check_fields, load_container
 from .guidance import iou
 from .ppm import write_pgm, write_ppm
@@ -286,14 +287,16 @@ def _load_any_model(path: Path):
 
 def _cmd_eval(args) -> int:
     model = _load_any_model(args.model)
+    if args.dump_affinity is not None and isinstance(model, GlobalModel):
+        raise DataError("--dump-affinity needs a stage-2 model")
     samples = load_split(args.data / args.split)
-    proposals = guides = None
+    proposals = None
     if not isinstance(model, GlobalModel):
         if args.proposals is None:
             raise DataError("stage-2 model evaluation needs --proposals")
         proposals = load_proposal_dir(args.proposals, [s.image_id for s in samples])
         if args.dump_affinity is not None:
-            proposals = guides = _guidance_for(model, samples, proposals)
+            proposals = _guidance_for(model, samples, proposals)
     report = evaluate(model, samples, proposals=proposals, threshold=args.threshold)
     print("mA\tAcc\tPrec\tRec\tF1")
     print(report.tsv_line())
@@ -302,9 +305,7 @@ def _cmd_eval(args) -> int:
         args.out.write_text(report.to_json() + "\n", encoding="utf-8")
         args.out.with_suffix(".tsv").write_text(report.tsv_line() + "\n", encoding="utf-8")
     if args.dump_affinity is not None:
-        if guides is None:
-            raise DataError("--dump-affinity needs a stage-2 model")
-        _dump_affinity(guides, args.dump_affinity)
+        _dump_affinity(proposals, args.dump_affinity)
     return 0
 
 
@@ -346,14 +347,15 @@ def _cmd_localize(args) -> int:
         guide = guides[sample.image_id]
         boxes = guide.boxes
         overlay = sample.image.copy()
-        for i, cam_box in enumerate(guide.cam_boxes):
+        for i, (corners, degenerate) in enumerate(zip(guide.cam_boxes, guide.degenerate.tolist())):
+            cam_box = Box(*corners.tolist())
             affinity_row = guide.affinity_raw[i]
             top = np.argsort(-affinity_row, kind="stable")[: args.top_n]
             record = {
                 "image_id": sample.image_id,
                 "attribute_id": i,
                 "box": [cam_box.x_min, cam_box.y_min, cam_box.x_max, cam_box.y_max],
-                "degenerate": guide.degenerate[i],
+                "degenerate": degenerate,
                 "top_proposals": [
                     {
                         "box": boxes[j].tolist(),
@@ -365,7 +367,7 @@ def _cmd_localize(args) -> int:
             if i in sample.gt_boxes:
                 record["iou_gt"] = iou(cam_box, sample.gt_boxes[i])
             records.append(record)
-            if not guide.degenerate[i]:
+            if not degenerate:
                 _draw_box_outline(overlay, cam_box, _OVERLAY_COLORS[i % len(_OVERLAY_COLORS)])
             if args.heatmaps:
                 write_pgm(args.out / "heatmaps" / f"{sample.image_id}_attr{i}.pgm",

@@ -339,6 +339,8 @@ def load_split(split_dir: str | Path) -> list[Sample]:
         if not header or header[0] != "image_id":
             raise DataError(f"{labels_path}: malformed header")
         rows = list(reader)
+        if not rows:
+            raise DataError(f"{labels_path}: lists no image")
         first_line: dict[str, int] = {}
         for lineno, row in enumerate(rows, 2):
             if len(row) != len(header) or not set(row[1:]) <= {"0", "1"}:

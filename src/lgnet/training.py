@@ -43,7 +43,7 @@ from .backbone import (
 )
 from .boxes import Box, box_array
 # activation_box is not called here; the benchmark's tracer still wraps it at this name
-from .cam import activation_box, activation_boxes, class_activation_maps, corner_box  # noqa: F401
+from .cam import activation_box, activation_boxes, class_activation_maps  # noqa: F401
 from .guidance import GuidanceHead, affinity_map, guided_fusion, normalize_affinity
 from .loss_metrics import MetricsReport, positive_ratio, weighted_sigmoid_ce_node
 from .proposals import ProposalSet, load_proposals, top_k
@@ -178,8 +178,9 @@ class LGModel:
     def frozen_digest(self) -> str:
         """Hash of the frozen branch; must not move during stage 2."""
         h = hashlib.sha256()
-        for name in sorted(self.global_params.named_arrays()):
-            h.update(self.global_params.named_arrays()[name].tobytes())
+        arrays = self.global_params.named_arrays()
+        for name in sorted(arrays):
+            h.update(arrays[name].tobytes())
         h.update(self.cam_weights.tobytes())
         return h.hexdigest()
 
@@ -314,17 +315,20 @@ def _run(task: Callable, payloads: Sequence, grad: bool) -> tuple[list, Exceptio
     return done, None
 
 
-def _serve(tasks: Sequence[Callable], conn: Connection) -> None:
-    """A worker's loop: run each call's payloads and send back what
+def _serve(named: Mapping[str, Tensor], tasks: Sequence[Callable], conn: Connection) -> None:
+    """A worker's loop: point its copies of the parameters ``named`` at the
+    arrays a call brings, run the call's payloads and send back what
     :func:`_run` returns, until the caller stops it or closes its end of
     the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the caller stops a worker so, whatever it handles itself
     while True:
         try:
-            index, payloads, grad = conn.recv()
+            index, arrays, payloads, grad = conn.recv()
         except EOFError:
             return
+        for name, t in named.items():
+            t.data = arrays[name]
         conn.send(_run(tasks[index], payloads, grad))
 
 
@@ -358,8 +362,10 @@ class _Workers:
 
     Forked, a worker inherits everything the tasks read (samples, frozen
     parameters, guidance records), and the GIL of each process is its
-    own. Per call it receives only its payloads over a pipe, so every task
-    a pool will run is given here, before the fork. Forking is safe here
+    own. Per call it receives over a pipe only its payloads and the
+    current arrays of the parameters ``named`` (``{}`` for a pool of one
+    call), which the caller may change between calls. So every task a
+    pool will run is given here, before the fork. Forking is safe here
     because lgnet starts no thread, and numpy's OpenBLAS stops its thread
     pool at a fork and starts it again on its next call. While the pool is
     open, each process runs at most ``cores // processes`` BLAS threads,
@@ -370,7 +376,8 @@ class _Workers:
     cannot be set, the caller runs every payload itself.
     """
 
-    def __init__(self, most: int, *tasks: Callable) -> None:
+    def __init__(self, most: int, named: Mapping[str, Tensor], *tasks: Callable) -> None:
+        self.named = named
         self.tasks = tasks
         self.workers: list[tuple[int, Connection]] = []
         self.blas_threads: int | None = None  # the caller's own count, while it is lowered
@@ -390,7 +397,7 @@ class _Workers:
                         ours.close()
                         for _, conn in self.workers:  # only the caller may hold an earlier worker's pipe
                             conn.close()
-                        _serve(tasks, theirs)
+                        _serve(named, tasks, theirs)
                         code = 0
                     finally:
                         os._exit(code)
@@ -405,7 +412,8 @@ class _Workers:
         return len(self.workers) + 1
 
     def map(self, task: Callable, payloads: Sequence, grad: bool = False) -> list:
-        """``[task(p) for p in payloads]``, gradient-free unless ``grad``.
+        """``[task(p) for p in payloads]``, gradient-free unless ``grad``,
+        with the parameters as the caller holds them now.
 
         Payload i runs on process i mod ``processes``, the caller being
         process 0, so each process's share of the work repeats from run
@@ -415,9 +423,10 @@ class _Workers:
         before it ran.
         """
         index, n = self.tasks.index(task), self.processes
+        arrays = {name: t.data for name, t in self.named.items()}
         busy = [(w, pid, conn) for w, (pid, conn) in enumerate(self.workers, 1) if w < len(payloads)]
         for w, _, conn in busy:
-            conn.send((index, payloads[w::n], grad))
+            conn.send((index, arrays, payloads[w::n], grad))
         replies = [(0, _run(task, payloads[::n], grad))]
         for w, pid, conn in busy:
             try:
@@ -453,18 +462,6 @@ class _Workers:
         self.close()
 
 
-def _load(named: Mapping[str, Tensor], arrays: Mapping[str, np.ndarray]) -> None:
-    """Point the parameters ``named`` at ``arrays``: in the caller, whose
-    arrays they are, this changes nothing; in a worker it loads their
-    current values into the worker's copy."""
-    for name, t in named.items():
-        t.data = arrays[name]
-
-
-def _arrays(named: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-    return {name: t.data for name, t in named.items()}
-
-
 def _leaf_views(params: BackboneParams) -> BackboneParams:
     """``params`` as fresh leaves over the same arrays, each with its own gradient."""
     def leaf(t: Tensor | None) -> Tensor | None:
@@ -473,20 +470,18 @@ def _leaf_views(params: BackboneParams) -> BackboneParams:
                           leaf(params.head_weight), leaf(params.head_bias))
 
 
-def _sgd_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
-              chunk_loss: Callable[[list[Sample]], tuple]) -> Callable:
-    """The SGD task of a stage whose trainable parameters are ``named``.
-    Its payload is (their arrays, a chunk of indices into ``samples``, the
+def _sgd_task(samples: Sequence[Sample], chunk_loss: Callable[[list[Sample]], tuple]) -> Callable:
+    """The SGD task of a stage, run on a pool given its trainable
+    parameters. Its payload is (a chunk of indices into ``samples``, the
     chunk's share of the batch). ``chunk_loss(chunk)`` returns private
-    leaves named as in ``named`` and the chunk's mean loss built on them;
-    the task seeds that loss with the share and returns the chunk's size,
-    its mean loss and the leaves' gradients."""
+    leaves named as the pool's parameters and the chunk's mean loss built
+    on them; the task seeds that loss with the share and returns the
+    chunk's size, its mean loss and the leaves' gradients."""
     last = None
 
     def task(payload: tuple) -> tuple[int, float, dict[str, np.ndarray]]:
         nonlocal last
-        arrays, chunk, share = payload
-        _load(named, arrays)
+        chunk, share = payload
         leaves, loss = chunk_loss([samples[i] for i in chunk])
         # each process keeps its last graph until it has built the next; freed at once, its buffers
         # were faulted in anew (fresh 3-epoch stage 1, 1000 images: 650 k faults, 3.0 s, not 22 k, 2.2 s)
@@ -497,49 +492,31 @@ def _sgd_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
     return task
 
 
-def _chunked_gradients(workers: _Workers, task: Callable, named: Mapping[str, Tensor],
-                       samples: Sequence[Sample], batch: Sequence[int]) -> tuple[float, float]:
-    """Accumulate into ``named`` the gradient of the mean loss of the
-    samples ``batch`` indexes, one graph per same-size chunk of at most
-    ``SGD_CHUNK`` images, by the :func:`_sgd_task` ``task`` over
-    ``samples`` on every process. The caller adds the chunks' gradients in chunk order, the
-    same bits on any number of cores. Returns the images' loss sum and
-    the batch's mean loss."""
-    arrays = _arrays(named)
-    payloads = [(arrays, chunk, len(chunk) / len(batch)) for chunk in _same_size_chunks(samples, SGD_CHUNK, batch)]
+def _chunked_gradients(workers: _Workers, task: Callable, samples: Sequence[Sample],
+                       batch: Sequence[int]) -> tuple[float, float]:
+    """Accumulate into the pool's parameters the gradient of the mean loss
+    of the samples ``batch`` indexes, one graph per same-size chunk of at
+    most ``SGD_CHUNK`` images, by the :func:`_sgd_task` ``task`` over
+    ``samples`` on every process. The caller adds the chunks' gradients
+    in chunk order, the same bits on any number of cores. Returns the
+    images' loss sum and the batch's mean loss."""
+    payloads = [(chunk, len(chunk) / len(batch)) for chunk in _same_size_chunks(samples, SGD_CHUNK, batch)]
     total = mean = 0.0
     for n, loss, grads in workers.map(task, payloads, grad=True):
         total += loss * n
         mean += loss * (n / len(batch))
         for name, g in grads.items():
-            named[name]._accumulate(g)
+            workers.named[name]._accumulate(g)
     return total, mean
 
 
-def _map_once(task: Callable, payloads: Sequence) -> list:
-    """``_Workers.map``, gradient-free, on workers forked for this one call."""
-    with _Workers(len(payloads), task) as workers:
-        return workers.map(task, payloads)
-
-
-def _score_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
-                score: Callable[[list[Sample]], np.ndarray]) -> Callable:
-    """A scoring task over ``samples`` for a model whose parameters are
-    ``named``: payload (their arrays, a chunk of indices), result
-    ``score(chunk)``, the chunk's [n, c] logits."""
-    def task(payload: tuple) -> np.ndarray:
-        arrays, chunk = payload
-        _load(named, arrays)
-        return score([samples[i] for i in chunk])
-
-    return task
-
-
-def _score_payloads(named: Mapping[str, Tensor], samples: Sequence[Sample]) -> list[tuple]:
-    """The payloads of a :func:`_score_task` over ``samples``: chunks of up
-    to ``SCORE_BATCH`` consecutive same-size images."""
-    arrays = _arrays(named)
-    return [(arrays, chunk) for chunk in _same_size_chunks(samples, SCORE_BATCH)]
+def _map_once(task: Callable, samples: Sequence[Sample]) -> list:
+    """``task`` on each chunk of up to ``SCORE_BATCH`` consecutive
+    same-size ``samples``, gradient-free, on workers forked for this one
+    call."""
+    chunks = _same_size_chunks(samples, SCORE_BATCH)
+    with _Workers(len(chunks), {}, task) as workers:
+        return workers.map(task, chunks)
 
 
 def _frozen_forward(params: BackboneParams, config: BackboneConfig,
@@ -555,15 +532,10 @@ def _frozen_forward(params: BackboneParams, config: BackboneConfig,
 
 
 def _global_score_task(model: GlobalModel, samples: Sequence[Sample]) -> Callable:
-    """Stage-1 scoring of ``samples``: each row the bits of the image's own
-    ``forward_global``, as the frozen half of a stage-2 model computes them."""
-    return _score_task(model.params.named(), samples,
-                       lambda chunk: _frozen_forward(model.params, model.backbone, chunk)[1])
-
-
-def _global_scores(model: GlobalModel, samples: Sequence[Sample]) -> np.ndarray:
-    """Stage-1 logits of ``samples``, on every core."""
-    return np.concatenate(_map_once(_global_score_task(model, samples), _score_payloads(model.params.named(), samples)))
+    """Stage-1 scoring of a chunk of indices into ``samples``: [n, c]
+    logits, each row the bits of the image's own ``forward_global``, as
+    the frozen half of a stage-2 model computes them."""
+    return lambda chunk: _frozen_forward(model.params, model.backbone, [samples[i] for i in chunk])[1]
 
 
 def _stage1_chunk_loss(params: BackboneParams, config: BackboneConfig, pos: np.ndarray, sigma: float) -> Callable:
@@ -595,17 +567,18 @@ def train_stage1(
     pos = positive_ratio(_label_matrix(train))
     val_labels = _label_matrix(val)
     step_losses: list[float] = []  # each step's mean loss, epoch after epoch
-    sgd = _sgd_task(named, train, _stage1_chunk_loss(params, bb, pos, config.loss_sigma))
+    sgd = _sgd_task(train, _stage1_chunk_loss(params, bb, pos, config.loss_sigma))
     score = _global_score_task(GlobalModel(bb, params), val)
+    val_chunks = _same_size_chunks(val, SCORE_BATCH)
 
-    with _Workers(max(_sgd_chunks(config), len(_same_size_chunks(val, SCORE_BATCH))), sgd, score) as workers:
+    with _Workers(max(_sgd_chunks(config), len(val_chunks)), named, sgd, score) as workers:
         def step(batch_idx: np.ndarray) -> float:
-            total, mean = _chunked_gradients(workers, sgd, named, train, batch_idx.tolist())
+            total, mean = _chunked_gradients(workers, sgd, train, batch_idx.tolist())
             step_losses.append(mean)
             return total
 
         def validate(epoch: int) -> float:
-            scores = np.concatenate(workers.map(score, _score_payloads(named, val)))
+            scores = np.concatenate(workers.map(score, val_chunks))
             return MetricsReport.from_scores(scores, val_labels).ma
 
         log_rows, best_ma, best_epoch = _fit(named, config, 1, len(train), step, validate, -1.0)
@@ -641,14 +614,14 @@ def build_lg_model(stage1: GlobalModel, config: TrainConfig) -> LGModel:
 @dataclass(frozen=True)
 class Guidance:
     """The frozen branch's output for one image; fixed through stage 2, so
-    computed once. The CAM fields stay empty under uniform affinity."""
+    computed once. The CAM fields stay None under uniform affinity."""
 
     boxes: np.ndarray  # [k, 4] corners of the k proposals, best first
     global_logits: np.ndarray  # [c]
     affinity: np.ndarray  # [c, k], rows normalized
     cams: np.ndarray | None = None  # [c, h, w]
-    cam_boxes: tuple[Box, ...] = ()
-    degenerate: tuple[bool, ...] = ()
+    cam_boxes: np.ndarray | None = None  # [c, 4] activation-box corners, the whole image where degenerate
+    degenerate: np.ndarray | None = None  # [c] bool
     affinity_raw: np.ndarray | None = None  # [c, k]
 
 
@@ -664,18 +637,13 @@ def _guidance_chunk(model: LGModel, chunk: Sequence[Sample], boxes: Sequence[np.
         c = model.backbone.num_attributes
         return [Guidance(b, g, np.full((c, len(b)), 1.0 / len(b))) for b, g in zip(boxes, logits)]
     cams = np.stack([class_activation_maps(f, model.cam_weights) for f in featmaps])  # [n, a, h, w]
-    a = cams.shape[1]
+    n, a = cams.shape[:2]
     corners, degenerate = activation_boxes(
         cams.reshape(-1, *cams.shape[2:]), image_w, image_h, model.cam_threshold)
     guides = []
-    for i, (b, g) in enumerate(zip(boxes, logits)):
-        rows, flags = corners[i * a : (i + 1) * a], degenerate[i * a : (i + 1) * a].tolist()
+    for b, g, cam, rows, flags in zip(boxes, logits, cams, corners.reshape(n, a, 4), degenerate.reshape(n, a)):
         raw = affinity_map(rows, b, model.affinity_mode)
-        guides.append(Guidance(
-            b, g, normalize_affinity(raw).values, cams[i],
-            tuple(corner_box(r, f, image_w, image_h) for r, f in zip(rows, flags)),
-            tuple(flags), raw.values,
-        ))
+        guides.append(Guidance(b, g, normalize_affinity(raw).values, cam, rows, flags, raw.values))
     return guides
 
 
@@ -729,10 +697,12 @@ def _prepare_proposals(
     return ready
 
 
-def _guidance_task(model: LGModel, samples: Sequence[Sample], boxes: Mapping[str, np.ndarray]) -> Callable:
+def _guidance_task(model: LGModel, samples: Sequence[Sample], proposals: Mapping[str, ProposalSet]) -> Callable:
     """The frozen half over ``samples``: payload a chunk of indices, result
-    its images' :class:`Guidance` records; ``boxes`` holds each image's
-    [k, 4] proposal corners."""
+    its images' :class:`Guidance` records, from the model's top k of each
+    image's proposal set."""
+    boxes = _prepare_proposals(samples, proposals, model.top_k)
+
     def task(chunk: list[int]) -> list[Guidance]:
         batch = [samples[i] for i in chunk]
         return _guidance_chunk(model, batch, [boxes[s.image_id] for s in batch])
@@ -753,8 +723,7 @@ def _guidance_for(
     """The guidance of every sample, keyed by image id, computed over
     consecutive same-size images in chunks of up to ``SCORE_BATCH`` on
     every core."""
-    task = _guidance_task(model, samples, _prepare_proposals(samples, proposals, model.top_k))
-    return _records(samples, _map_once(task, _same_size_chunks(samples, SCORE_BATCH)))
+    return _records(samples, _map_once(_guidance_task(model, samples, proposals), samples))
 
 
 def _stage2_chunk_loss(model: LGModel, guides: Mapping[str, Guidance], pos: np.ndarray, sigma: float) -> Callable:
@@ -768,10 +737,16 @@ def _stage2_chunk_loss(model: LGModel, guides: Mapping[str, Guidance], pos: np.n
     return chunk_loss
 
 
-def _lg_score_task(model: LGModel, samples: Sequence[Sample], guides: Mapping[str, Guidance]) -> Callable:
-    """Stage-2 scoring of ``samples`` from their guidance records."""
-    return _score_task(model.trainable(), samples,
-                       lambda chunk: _fused_logits(model, chunk, [guides[s.image_id] for s in chunk]).data)
+def _lg_score_task(model: LGModel, samples: Sequence[Sample],
+                   given: Mapping[str, Guidance] | Mapping[str, ProposalSet]) -> Callable:
+    """Stage-2 scoring of a chunk of indices into ``samples``: [n, c]
+    fused logits, from each image's guidance record or, given proposal
+    sets, from the chunk's guidance found first."""
+    def records(chunk: list[int]) -> list[Guidance]:
+        return [given[samples[i].image_id] for i in chunk]
+
+    find = _guidance_task(model, samples, given) if isinstance(next(iter(given.values())), ProposalSet) else records
+    return lambda chunk: _fused_logits(model, [samples[i] for i in chunk], find(chunk)).data
 
 
 def train_stage2(
@@ -792,25 +767,26 @@ def train_stage2(
     pos = positive_ratio(_label_matrix(train))
     val_labels = _label_matrix(val)
     both = [*train, *val]
-    find = _guidance_task(model, both, _prepare_proposals(both, proposals, model.top_k))
+    find = _guidance_task(model, both, proposals)
 
     def trimmed(chunk: list[int]) -> list[Guidance]:  # the fields the trainable half reads
         return [Guidance(g.boxes, g.global_logits, g.affinity) for g in find(chunk)]
 
     # found before the stage's workers are forked, so they inherit the records
-    guides = _records(both, _map_once(trimmed, _same_size_chunks(both, SCORE_BATCH)))
-    sgd = _sgd_task(named, train, _stage2_chunk_loss(model, guides, pos, config.loss_sigma))
+    guides = _records(both, _map_once(trimmed, both))
+    sgd = _sgd_task(train, _stage2_chunk_loss(model, guides, pos, config.loss_sigma))
     score = _lg_score_task(model, val, guides)
+    val_chunks = _same_size_chunks(val, SCORE_BATCH)
     digest = model.frozen_digest()
 
-    with _Workers(max(_sgd_chunks(config), len(_same_size_chunks(val, SCORE_BATCH))), sgd, score) as workers:
+    with _Workers(max(_sgd_chunks(config), len(val_chunks)), named, sgd, score) as workers:
         def step(batch_idx: np.ndarray) -> float:
-            return _chunked_gradients(workers, sgd, named, train, batch_idx.tolist())[0]
+            return _chunked_gradients(workers, sgd, train, batch_idx.tolist())[0]
 
         def validate(epoch: int) -> float:
             if model.frozen_digest() != digest:
                 raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
-            scores = np.concatenate(workers.map(score, _score_payloads(named, val)))
+            scores = np.concatenate(workers.map(score, val_chunks))
             return MetricsReport.from_scores(scores, val_labels).ma
 
         best_ma = _untrained_report(val, guides).ma  # the fresh model is a candidate
@@ -829,17 +805,6 @@ def _untrained_report(samples: Sequence[Sample], guides: Mapping[str, Guidance])
     return MetricsReport.from_scores(scores, _label_matrix(samples))
 
 
-def _guided_scores(model: LGModel, samples: Sequence[Sample], proposals: Mapping[str, ProposalSet]) -> np.ndarray:
-    """Stage-2 logits of ``samples`` from proposal sets: one task per chunk
-    finds the chunk's guidance, then its fused logits."""
-    find = _guidance_task(model, samples, _prepare_proposals(samples, proposals, model.top_k))
-
-    def task(chunk: list[int]) -> np.ndarray:
-        return _fused_logits(model, [samples[i] for i in chunk], find(chunk)).data
-
-    return np.concatenate(_map_once(task, _same_size_chunks(samples, SCORE_BATCH)))
-
-
 def evaluate(
     model: GlobalModel | LGModel,
     samples: Sequence[Sample],
@@ -855,15 +820,12 @@ def evaluate(
     task per chunk finds its guidance and scores it.
     """
     if isinstance(model, GlobalModel):
-        scores = _global_scores(model, samples)
+        task = _global_score_task(model, samples)
     elif not proposals:
         raise DataError("stage-2 evaluation requires proposals")
-    elif isinstance(next(iter(proposals.values())), ProposalSet):
-        scores = _guided_scores(model, samples, proposals)
     else:
-        scores = np.concatenate(_map_once(_lg_score_task(model, samples, proposals),
-                                          _score_payloads(model.trainable(), samples)))
-    return MetricsReport.from_scores(scores, _label_matrix(samples), threshold)
+        task = _lg_score_task(model, samples, proposals)
+    return MetricsReport.from_scores(np.concatenate(_map_once(task, samples)), _label_matrix(samples), threshold)
 
 
 # -- persistence -----------------------------------------------------------------

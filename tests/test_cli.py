@@ -353,6 +353,27 @@ class TestMalformedInput:
         shutil.rmtree(data / "test")
         self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data], capsys)
 
+    @pytest.mark.parametrize("command, split", [("train-stage1", "train"), ("eval", "test")])
+    def test_empty_split(self, workspace, tmp_path, capsys, command, split):
+        data, out = tmp_path / "data", tmp_path / "out"
+        shutil.copytree(workspace / "data", data)
+        labels = data / split / "labels.csv"
+        labels.write_text(labels.read_text().splitlines()[0] + "\n")  # the header alone
+        for path in (data / split).glob("*/*"):
+            path.unlink()
+        argv = {"train-stage1": ["train-stage1", "--data", data, "--out", out],
+                "eval": ["eval", "--model", workspace / "stage1.lgn", "--data", data, "--out", out]}[command]
+        err = self._assert_data_error(argv, capsys)
+        assert err == f"error: {labels}: lists no image\n"
+        assert not out.exists()
+
+    def test_dump_affinity_refuses_a_stage1_model_before_scoring(self, workspace, tmp_path, capsys):
+        out, dump = tmp_path / "report.json", tmp_path / "affinity"
+        err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", workspace / "data",
+                                       "--out", out, "--dump-affinity", dump], capsys)
+        assert err == "error: --dump-affinity needs a stage-2 model\n"
+        assert not out.exists() and not out.with_suffix(".tsv").exists() and not dump.exists()
+
 
 class TestEval:
     def test_prints_percent_tsv(self, workspace, capsys):
@@ -488,9 +509,9 @@ class TestMixedSizeSplit:
         from lgnet.synthdata import load_split
         from lgnet.tensor import no_grad
         from lgnet.training import (
-            GlobalModel, _fused_logits, _global_scores, _guidance_for, _label_matrix,
-            load_proposal_dir, load_stage2_checkpoint,
+            GlobalModel, _fused_logits, _guidance_for, _label_matrix, load_proposal_dir, load_stage2_checkpoint,
         )
+        from test_training import _global_scores
 
         data, props = tmp_path / "data", tmp_path / "props"
         shutil.copytree(workspace / "data", data)

@@ -101,7 +101,7 @@ print(json.dumps([training._cores(), test_golden._pipeline_digests(Path(sys.argv
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_one_cpu_process_matches_golden_digests(tmp_path):
     """The digests hold end to end in a process that may run on one CPU
-    only, where no helper thread starts."""
+    only, where no worker process is forked."""
     src = str(Path(lgnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", ONE_CPU, str(Path(__file__).parent), str(tmp_path)],

@@ -112,3 +112,40 @@ def test_traced_site_is_called_on_its_path(cli_workspace, monkeypatch, module_na
     monkeypatch.setattr(module, attr, counted)
     assert main(cli_workspace[command]) == 0
     assert len(calls) == expected
+
+
+# hooks whose sites no command reaches: the proposal path calls neither
+# generate_candidates nor nms by these names, and training calls
+# activation_boxes, not activation_box
+UNREACHED_HOOKS = {"proposals.generate_candidates", "proposals.nms", "cam.activation_box"}
+
+
+def test_tracer_counts_on_the_eval_and_train_stage2_paths(cli_workspace, monkeypatch):
+    """The benchmark's tracer, installed as it runs, reads the counts its
+    per-layer metrics report off the arguments and results of the
+    functions they wrap, on both commands."""
+    from lgnet import training
+    from lgnet.cli import main
+
+    monkeypatch.setattr(training, "_cores", lambda: 1)  # the tracer sees the calling process only
+    ran = set()
+    for name, (sites, hook) in tracing.FUNCTIONS.items():
+        if hook is not None:
+            def recorded(*args, _name=name, _hook=hook):
+                ran.add(_name)
+                return _hook(*args)
+
+            monkeypatch.setitem(tracing.FUNCTIONS, name, (sites, recorded))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for command in ("eval", "train-stage2"):
+            assert main(cli_workspace[command]) == 0
+    finally:
+        tracer.uninstall()
+    hooked = {name for name, (_, hook) in tracing.FUNCTIONS.items() if hook is not None}
+    assert ran == hooked - UNREACHED_HOOKS
+    counted = {name for _, name in tracer.counts}
+    assert {"tensor.roi_boxes", "backbone.forward_global_images", "guidance.zero_affinity_rows"} <= counted
+    assert tracer.counts["setup", "tensor.roi_boxes"] > 0
+    assert tracer.counts["setup", "backbone.forward_global_images"] > 0
