@@ -397,10 +397,25 @@ def _conv_gather_index(
     return idx
 
 
-# Largest output map, in cells, whose kernel gradient is one GEMM over all
-# images' columns. One BLAS thread, per-image products against one GEMM:
-# 100 maps at 2x2, 0.76 against 0.23 ms; at 4x4, 1.24 against 1.03 ms;
-# 16 maps at 8x8, 0.47 against 0.68 ms; at 32x32, 0.39 against 1.33 ms.
+def _dense_operator(wmat: np.ndarray, idx: np.ndarray, cells: int) -> np.ndarray:
+    """The conv's linear operator T, [C*H*W, K*out_h*out_w], from the
+    kernel matrix [K, C*kh*kw] and the gather index: input cell j feeds
+    output channel k at output cell o with T[j, k*L + o], L = out_h*out_w,
+    the kernel tap that reads j at o, or 0 where none does. Taps that read
+    padding land on a spare row, which is dropped."""
+    k, positions = len(wmat), idx.shape[1]
+    op = np.zeros((cells + 1, k, positions))
+    op[idx, :, np.arange(positions)] = wmat.T[:, None, :]
+    return op[:-1].reshape(cells, k * positions)
+
+
+# Largest output map, in cells, whose im2col kernel gradient is one GEMM
+# over all images' columns. One BLAS thread, per-image products against one
+# GEMM, for 100 maps of 4x4: 2x2 out, 0.85 against 0.25 ms; 4x4 out, 1.59
+# against 1.10 ms; for 16 maps: 8x8 out, 0.53 against 0.82 ms; 32x32 out,
+# 0.47 against 1.95 ms. The dense path cannot serve these maps as well: at
+# 400 maps of 7x7 (4x4 out) its forward took 12.2 against 6.3 ms, and at
+# 16 maps of 4x4 (2x2 out) forward and backward took 0.23 against 0.17 ms.
 DW_GEMM_MAX_CELLS = 16
 
 
@@ -418,12 +433,20 @@ def conv2d(
     [K, C, kh, kw]; ``bias`` is [K]. The output has the matching rank.
     Differentiable with respect to all three tensor arguments.
 
-    The columns are one gather, ``np.take`` of the flattened input with
-    a cached index (:func:`_conv_gather_index`), followed by one batched
-    matmul. The input gradient is one ``np.bincount`` over the same
-    index, so every input cell sums its taps in row-major tap order. The
-    kernel gradient is one GEMM over all images' columns for an output
-    map of at most ``DW_GEMM_MAX_CELLS`` cells, else per-image products.
+    An input map of at most kh*kw cells (the region tail's pooled grids)
+    is convolved by its dense operator T (:func:`_dense_operator`): the
+    output is one GEMM ``X @ T`` over all images, the input gradient
+    ``G @ T.T``, one sum over every (k, oy, ox), and the kernel gradient
+    ``X.T @ G``, summed over the images first and then, per tap, over
+    the output cells in row-major order.
+
+    Any larger map takes the im2col path. The columns are one gather,
+    ``np.take`` of the flattened input with a cached index
+    (:func:`_conv_gather_index`), followed by one batched matmul. The
+    input gradient is one ``np.bincount`` over the same index, so every
+    input cell sums its taps in row-major tap order. The kernel gradient
+    is one GEMM over all images' columns for an output map of at most
+    ``DW_GEMM_MAX_CELLS`` cells, else per-image products.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ValueError(f"bad conv spec: stride={stride} dilation={dilation} padding={padding}")
@@ -444,11 +467,19 @@ def conv2d(
     out_w = conv_output_extent(w, kw, stride, dilation, padding)
 
     idx = _conv_gather_index(c, h, w, kh, kw, stride, dilation, padding)
-    cells = c * h * w + 1  # the last cell is the zero that padding taps read
-    flat = np.concatenate([xd.reshape(n, cells - 1), np.zeros((n, 1))], axis=1)
-    cols = np.take(flat, idx, axis=1)  # [N, C*kh*kw, out_h*out_w]
+    cells = c * h * w
     wmat = wd.reshape(k, -1)
-    data = np.matmul(wmat, cols)
+    rows = xd.reshape(n, cells)
+    # a map no larger than the kernel window: T has no more rows than the
+    # im2col columns, so its GEMMs do no more multiply-adds
+    op = _dense_operator(wmat, idx, cells) if h * w <= kh * kw else None
+    if op is not None:
+        data = rows @ op
+    else:
+        flat = np.concatenate([rows, np.zeros((n, 1))], axis=1)  # the last cell is the zero padding reads
+        cols = np.take(flat, idx, axis=1)  # [N, C*kh*kw, out_h*out_w]
+        data = np.matmul(wmat, cols)
+    data = data.reshape(n, k, out_h * out_w)
     data += bias.data[None, :, None]
     data = data.reshape(n, k, out_h, out_w)
     if squeezed:
@@ -457,7 +488,12 @@ def conv2d(
     def backward(g):
         gmat = (g[None] if squeezed else g).reshape(n, k, -1)
         if kernels.requires_grad:
-            if out_h * out_w <= DW_GEMM_MAX_CELLS:
+            if op is not None:
+                # [C*H*W + 1, K, L] sums over the images, a zero row for padding
+                per_cell = np.zeros((cells + 1, k, out_h * out_w))
+                per_cell[:-1] = (rows.T @ gmat.reshape(n, -1)).reshape(cells, k, -1)
+                dw = per_cell[idx, :, np.arange(out_h * out_w)].sum(axis=1).T
+            elif out_h * out_w <= DW_GEMM_MAX_CELLS:
                 dw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2]))
             else:
                 dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
@@ -465,11 +501,15 @@ def conv2d(
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, gmat)
-            # each cell sums its taps from 0 in row-major tap order
-            scatter = idx + (np.arange(n) * cells)[:, None, None]
-            dx = np.bincount(scatter.ravel(), weights=dcols.ravel(), minlength=n * cells)
-            dx = dx.reshape(n, cells)[:, :-1].reshape(xd.shape)
+            if op is not None:
+                dx = gmat.reshape(n, -1) @ op.T
+            else:
+                dcols = np.matmul(wmat.T, gmat)
+                # each cell sums its taps from 0 in row-major tap order
+                scatter = idx + (np.arange(n) * (cells + 1))[:, None, None]
+                dx = np.bincount(scatter.ravel(), weights=dcols.ravel(), minlength=n * (cells + 1))
+                dx = dx.reshape(n, cells + 1)[:, :-1]
+            dx = dx.reshape(xd.shape)
             x._accumulate(dx[0] if squeezed else dx)
 
     return Tensor._make(data, (x, kernels, bias), backward, "conv2d")

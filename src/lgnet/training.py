@@ -19,7 +19,7 @@ import itertools
 import json
 import os
 import signal
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import Pipe
 from multiprocessing.connection import Connection
@@ -75,15 +75,15 @@ AFFINITY_CHOICES = ("iou", "overlap_area", "uniform")
 # half); one BLAS thread, the trunk read 0.31 ms per image in chunks of
 # 8-16, 0.37 ms one image at a time and 0.47 ms in chunks of 64. Each
 # process holds one chunk in flight: on 2 cores (one worker), one run each
-# of the benchmark's train and eval workloads read 94 and 99 MB peak RSS in
-# the calling process with chunks of 8, and 102 and 105 MB with 16; the
-# worker's peak, pages shared with the caller included, was 78 and 83 MB
-# against 85 and 89 MB
+# of the benchmark's train and eval workloads read 87 and 94 MB peak RSS in
+# the calling process with chunks of 8, and 92 and 98 MB with 16; the
+# worker's peak, pages shared with the caller included, was 81 and 77 MB
+# against 85 and 79 MB
 SCORE_BATCH = 8
 # images per SGD graph, in both stages; each process holds a chunk graph in
 # flight and keeps its last. On 2 cores the benchmark's train and eval
-# workloads read 94 and 99 MB peak RSS in the calling process with chunks
-# of 4 (worker 78 and 83 MB), and 112 and 114 MB with 8 (worker 97 and 99 MB)
+# workloads read 87 and 94 MB peak RSS in the calling process with chunks
+# of 4 (worker 81 and 77 MB), and 98 and 104 MB with 8 (worker 92 and 88 MB)
 SGD_CHUNK = 4
 
 
@@ -355,6 +355,17 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
+@contextmanager
+def _lost_worker(pid: int):
+    """Report a worker's end of the pipe gone, as when the worker was
+    killed, as a ``RuntimeError`` naming it. The pipe reads as closed, or
+    as reset when the worker died with a call unread."""
+    try:
+        yield
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        raise RuntimeError(f"worker process {pid} exited during a call") from None
+
+
 class _Workers:
     """The calling process plus up to ``cores - 1`` worker processes,
     forked here, that run ``tasks`` on chunks; ``most`` bounds the chunks
@@ -373,7 +384,11 @@ class _Workers:
     comes back at :meth:`close`. Use it in a ``with`` block: on any exit
     the workers are stopped, mid-call or not, and joined. On one core,
     where ``os.fork`` does not exist or where OpenBLAS's thread count
-    cannot be set, the caller runs every payload itself.
+    cannot be set, the caller runs every payload itself. Where a fork
+    fails, at a process or memory limit, the workers already forked are
+    kept and the pool is that much smaller; each chunk's results are the
+    same bits on any process. A worker that dies during a call is
+    reported as a ``RuntimeError`` naming it.
     """
 
     def __init__(self, most: int, named: Mapping[str, Tensor], *tasks: Callable) -> None:
@@ -390,7 +405,13 @@ class _Workers:
                 put(min(self.blas_threads, max(1, _cores() // processes)))  # the workers inherit it
             for _ in range(processes - 1):
                 ours, theirs = Pipe()
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:  # at a process or memory limit: the caller runs the unforked workers' chunks
+                    ours.close()
+                    theirs.close()
+                    put(min(self.blas_threads, max(1, _cores() // self.processes)))
+                    break
                 if pid == 0:
                     code = 1
                     try:
@@ -425,14 +446,13 @@ class _Workers:
         index, n = self.tasks.index(task), self.processes
         arrays = {name: t.data for name, t in self.named.items()}
         busy = [(w, pid, conn) for w, (pid, conn) in enumerate(self.workers, 1) if w < len(payloads)]
-        for w, _, conn in busy:
-            conn.send((index, arrays, payloads[w::n], grad))
+        for w, pid, conn in busy:
+            with _lost_worker(pid):
+                conn.send((index, arrays, payloads[w::n], grad))
         replies = [(0, _run(task, payloads[::n], grad))]
         for w, pid, conn in busy:
-            try:
+            with _lost_worker(pid):
                 replies.append((w, conn.recv()))
-            except EOFError:
-                raise RuntimeError(f"worker process {pid} exited during a call") from None
         results, errors = [None] * len(payloads), {}
         for first, (done, exc) in replies:
             results[first : first + n * len(done) : n] = done

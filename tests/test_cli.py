@@ -1,5 +1,8 @@
 import json
+import os
+import re
 import shutil
+import signal
 import struct
 import xml.etree.ElementTree as ET
 
@@ -497,6 +500,26 @@ class TestWorkerProcesses:
             assert main(["localize", *common, "--split", "train", "--out", str(tmp_path / "loc")]) == 0
             assert _no_children()
         capsys.readouterr()
+
+    def test_a_worker_killed_during_eval_exits_2(self, workspace, capsys, monkeypatch):
+        from lgnet import training
+        from test_training import _no_children
+
+        if training._openblas() is None:
+            pytest.skip("no worker processes where numpy's OpenBLAS cannot be reached")
+        monkeypatch.setattr(training, "_cores", lambda: 2)
+        caller, real = os.getpid(), training._frozen_forward
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
+            return real(*args)
+
+        monkeypatch.setattr(training, "_frozen_forward", dying)
+        argv = ["eval", "--model", workspace / "stage1.lgn", "--data", workspace / "data", "--split", "train"]
+        assert main([str(a) for a in argv]) == 2
+        assert re.fullmatch(r"error: worker process \d+ exited during a call\n", capsys.readouterr().err)
+        assert _no_children()
 
 
 class TestMixedSizeSplit:

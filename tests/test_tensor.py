@@ -5,6 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
+from lgnet import tensor
+from lgnet.backbone import forward_global, forward_local_stem, forward_local_tail, init_backbone_params, preset_config
 from lgnet.boxes import Box
 from lgnet.tensor import (
     Tensor,
@@ -20,8 +22,9 @@ from lgnet.tensor import (
 )
 from lgnet.tensor import DW_GEMM_MAX_CELLS, _conv_gather_index, _sigmoid_stable
 
-# relative bound on a kernel gradient summed as one GEMM against the
-# per-image products of the references; measured below 1.5e-15
+# relative bound on a result that sums in another order than the references:
+# a kernel gradient summed as one GEMM against their per-image products, and
+# every product of the dense small-map path; measured below 2e-15
 DW_GEMM_REL = 1e-13
 
 
@@ -36,18 +39,94 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), backward, "sigmoid")
 
 
+def _run_conv(op, x_data, k_data, b_data, **spec):
+    """``op``'s output and its input, kernel and bias gradients under a
+    fixed random output gradient."""
+    x = Tensor(x_data, requires_grad=True)
+    k = Tensor(k_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True)
+    out = op(x, k, b, **spec)
+    out.backward(np.random.default_rng(5).normal(size=out.data.shape))
+    return out.data, x.grad, k.grad, b.grad
+
+
+def _assert_close(a, b):
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= DW_GEMM_REL * np.abs(b).max()
+
+
 def _assert_same_conv(results):
     """Output, input and bias gradients equal the reference's bit for bit,
-    and so does the kernel gradient of a large output map. A small map's
-    kernel gradient is one GEMM over every image, which sums in another
-    order, so it agrees within ``DW_GEMM_REL`` of its largest entry."""
+    and so does the kernel gradient of a large output map. What sums in
+    another order agrees within ``DW_GEMM_REL`` of its largest entry: a
+    small output map's kernel gradient, one GEMM over every image, and
+    the output, input and kernel gradients of an input map of at most
+    kh*kw cells, which takes the dense path."""
     got, want = results
+    h, w = got[1].shape[-2:]
+    kh, kw = got[2].shape[-2:]
+    dense = h * w <= kh * kw
     one_gemm = got[0].shape[-2] * got[0].shape[-1] <= DW_GEMM_MAX_CELLS
     for i, (a, b) in enumerate(zip(got, want)):
-        if i == 2 and one_gemm:
-            assert np.abs(a - b).max() <= DW_GEMM_REL * np.abs(b).max()
+        if (dense and i < 3) or (i == 2 and one_gemm):
+            _assert_close(a, b)
         else:
             assert np.array_equal(a, b)
+
+
+def _dense_reference_conv2d(x, kernels, bias, stride=1, dilation=1, padding=0):
+    """The dense-operator convolution of a batch [N, C, H, W], its operator
+    T [C*H*W, K*L] (L output cells) built entry by entry: the bit-for-bit
+    reference for :func:`conv2d` on a map of at most kh*kw cells. The
+    kernel gradient sums ``X.T @ G`` per tap over the output cells the
+    tap reads the input at, in row-major order."""
+    xd, wd = x.data, kernels.data
+    n, c, h, w = xd.shape
+    k, _, kh, kw = wd.shape
+    out_h = conv_output_extent(h, kh, stride, dilation, padding)
+    out_w = conv_output_extent(w, kw, stride, dilation, padding)
+    positions = out_h * out_w
+    op = np.zeros((c * h * w, k * positions))
+    reads = {}  # tap (c, i, j) -> the (input cell, output cell) pairs it reads
+    for ci in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                for oy in range(out_h):
+                    for ox in range(out_w):
+                        y, xx = oy * stride + i * dilation - padding, ox * stride + j * dilation - padding
+                        if 0 <= y < h and 0 <= xx < w:
+                            cell, o = (ci * h + y) * w + xx, oy * out_w + ox
+                            op[cell, np.arange(k) * positions + o] = wd[:, ci, i, j]
+                            reads.setdefault((ci, i, j), []).append((cell, o))
+    rows = xd.reshape(n, -1)
+    data = (rows @ op).reshape(n, k, positions) + bias.data[None, :, None]
+
+    def backward(g):
+        gm = g.reshape(n, -1)
+        if kernels.requires_grad:
+            per_cell = rows.T @ gm
+            dw = np.zeros(wd.shape)
+            for (ci, i, j), pairs in reads.items():
+                total = np.zeros(k)
+                for cell, o in pairs:
+                    total += per_cell[cell, np.arange(k) * positions + o]
+                dw[:, ci, i, j] = total
+            kernels._accumulate(dw)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            x._accumulate((gm @ op.T).reshape(xd.shape))
+
+    return Tensor._make(data.reshape(n, k, out_h, out_w), (x, kernels, bias), backward, "dense_reference_conv2d")
+
+
+def _tail_spec(preset: str) -> tuple[int, int, dict]:
+    """The in and out channels and the conv spec of a backbone preset's
+    region tail, the trunk stage after the split."""
+    config = preset_config(preset, 8)
+    i = config.split_index
+    spec = dict(stride=config.strides[i], dilation=config.dilations[i], padding=config.padding(i))
+    return config.stage_in_channels(i), config.stage_channels[i], spec
 
 
 def _reference_conv2d(x, kernels, bias, stride=1, dilation=1, padding=0):
@@ -312,41 +391,23 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_reference_bit_for_bit(self, rng, stride, dilation, padding, rank):
         shape = (3, 7, 8) if rank == 3 else (2, 3, 7, 8)
-        x_data = rng.normal(size=shape)
-        k_data = rng.normal(size=(4, 3, 3, 3))
-        b_data = rng.normal(size=4)
-        results = []
-        for op in (conv2d, _reference_conv2d):
-            x = Tensor(x_data, requires_grad=True)
-            k = Tensor(k_data, requires_grad=True)
-            b = Tensor(b_data, requires_grad=True)
-            out = op(x, k, b, stride=stride, dilation=dilation, padding=padding)
-            out.backward(np.random.default_rng(5).normal(size=out.data.shape))
-            results.append((out.data, x.grad, k.grad, b.grad))
-        _assert_same_conv(results)
+        data = rng.normal(size=shape), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+        spec = dict(stride=stride, dilation=dilation, padding=padding)
+        _assert_same_conv([_run_conv(op, *data, **spec) for op in (conv2d, _reference_conv2d)])
 
     @pytest.mark.parametrize("x_shape, k_out, stride, dilation, padding", [
         ((16, 3, 64, 64), 8, 2, 1, 1),  # stage-1 batch, first stage
         ((8, 32, 32), 16, 2, 1, 1),  # stem 8 -> 16
-        ((100, 16, 3, 3), 32, 2, 1, 1),  # tail over 100 pooled regions
+        ((100, 16, 3, 3), 32, 2, 1, 1),  # tail over 100 pooled regions: the dense path, within a bound
         *[((2, 3, 9, 8), 4, s, d, p) for s in (1, 2) for d in (1, 2) for p in (0, 1)],
     ])
     def test_matches_sliding_window_conv_bit_for_bit(self, rng, x_shape, k_out, stride, dilation, padding):
-        x_data = rng.normal(size=x_shape)
-        k_data = rng.normal(size=(k_out, x_shape[-3], 3, 3))
-        b_data = rng.normal(size=k_out)
-        results = []
-        for op in (conv2d, _sliding_window_conv2d):
-            x = Tensor(x_data, requires_grad=True)
-            k = Tensor(k_data, requires_grad=True)
-            b = Tensor(b_data, requires_grad=True)
-            out = op(x, k, b, stride=stride, dilation=dilation, padding=padding)
-            out.backward(np.random.default_rng(5).normal(size=out.data.shape))
-            results.append((out.data, x.grad, k.grad, b.grad))
-        _assert_same_conv(results)
+        data = rng.normal(size=x_shape), rng.normal(size=(k_out, x_shape[-3], 3, 3)), rng.normal(size=k_out)
+        spec = dict(stride=stride, dilation=dilation, padding=padding)
+        _assert_same_conv([_run_conv(op, *data, **spec) for op in (conv2d, _sliding_window_conv2d)])
 
     @pytest.mark.parametrize("x_shape, stride", [
-        ((100, 16, 3, 3), 2),  # the region tail: 2x2 cells per region
+        ((100, 16, 4, 4), 2),  # 100 pooled 4x4 regions: 2x2 cells per region
         ((7, 2, 4, 4), 1),  # 4x4 cells, the largest map summed as one GEMM
     ])
     def test_one_gemm_kernel_gradient_matches_per_image_products(self, rng, x_shape, stride):
@@ -365,7 +426,7 @@ class TestConv2d:
         assert np.abs(got - want).max() <= DW_GEMM_REL * np.abs(want).max()
 
     def test_one_gemm_kernel_gradient_passes_gradient_check(self, rng):
-        x = Tensor(rng.normal(size=(5, 2, 3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 2, 4, 4)), requires_grad=True)
         k = Tensor(0.5 * rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         b = Tensor(0.1 * rng.normal(size=3), requires_grad=True)
         weights = Tensor(rng.normal(size=(5, 3, 2, 2)))
@@ -403,6 +464,62 @@ class TestConv2d:
             single = conv2d(Tensor(x[n]), k, b, stride=2, padding=1)
             # BLAS may sum batched and single gemms in different orders
             assert np.allclose(batched.data[n], single.data, atol=1e-12, rtol=0)
+
+
+class TestDenseSmallMapConv:
+    """An input map of at most kh*kw cells, as each backbone preset's region
+    tail convolves, takes the dense-operator path."""
+
+    @pytest.mark.parametrize("n", [1, 100])
+    @pytest.mark.parametrize("preset", ["base", "stretched", "dilated"])
+    def test_matches_the_dense_reference_bit_for_bit(self, rng, preset, n):
+        c, k, spec = _tail_spec(preset)
+        data = rng.normal(size=(n, c, 3, 3)), rng.normal(size=(k, c, 3, 3)), rng.normal(size=k)
+        got, want = (_run_conv(op, *data, **spec) for op in (conv2d, _dense_reference_conv2d))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_one_map_equals_a_batch_of_one(self, rng):
+        c, k, spec = _tail_spec("base")
+        data = rng.normal(size=(c, 3, 3)), rng.normal(size=(k, c, 3, 3)), rng.normal(size=k)
+        single = _run_conv(conv2d, *data, **spec)
+        batch = _run_conv(conv2d, data[0][None], *data[1:], **spec)
+        for a, b in zip(single, batch):
+            assert np.array_equal(a, b.reshape(a.shape))
+
+    @pytest.mark.parametrize("reference", [_reference_conv2d, _sliding_window_conv2d])
+    @pytest.mark.parametrize("preset", ["base", "stretched", "dilated"])
+    def test_matches_the_im2col_references_within_a_bound(self, rng, preset, reference):
+        c, k, spec = _tail_spec(preset)
+        data = rng.normal(size=(100, c, 3, 3)), rng.normal(size=(k, c, 3, 3)), rng.normal(size=k)
+        got, want = (_run_conv(op, *data, **spec) for op in (conv2d, reference))
+        for a, b in zip(got, want):
+            _assert_close(a, b)
+
+    @pytest.mark.parametrize("preset", ["base", "stretched", "dilated"])
+    def test_passes_gradient_check(self, rng, preset):
+        _, _, spec = _tail_spec(preset)
+        x = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        k = Tensor(0.5 * rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(0.1 * rng.normal(size=3), requires_grad=True)
+        weights = Tensor(rng.normal(size=conv2d(x, k, b, **spec).data.shape))
+        f = lambda: (conv2d(x, k, b, **spec) * weights).sum()
+        assert check_gradients(f, [k, b, x], eps=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("preset", ["base", "stretched", "dilated"])
+    def test_taken_at_the_tail_and_not_at_the_stem_or_trunk(self, monkeypatch, preset):
+        built = []
+        real = tensor._dense_operator
+        monkeypatch.setattr(tensor, "_dense_operator", lambda *args: built.append(args) or real(*args))
+        config = preset_config(preset, 8)
+        params = init_backbone_params(config, np.random.default_rng(0))
+        image = Tensor(np.random.default_rng(1).uniform(size=(2, 3, 64, 64)))
+        forward_global(params, config, image)
+        forward_local_stem(params, config, image)
+        assert built == []
+        pooled = Tensor(np.random.default_rng(2).normal(size=(100, config.split_channels, 3, 3)))
+        forward_local_tail(params, config, pooled)
+        assert len(built) == config.num_stages - config.split_index == 1
 
 
 class TestGlobalAvgPool:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import itertools
 import math
 import os
@@ -645,6 +646,19 @@ def _no_children():
     return False
 
 
+def _failing_fork(monkeypatch, at: int) -> None:
+    """Make the ``at``-th call of ``os.fork`` fail as at a process limit."""
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == at:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
 class TestChunksOnEveryCore:
     """``_Workers`` with no helper process (one core) and with three gives
     the plain loop's outputs bit for bit."""
@@ -767,6 +781,71 @@ class TestChunksOnEveryCore:
                 assert workers.processes == 2
                 workers.map(fn, [0, 1])
         assert time.perf_counter() - start < 10
+        assert _no_children()
+
+    @pytest.mark.parametrize("at, threads", [(1, [4]), (2, [2, 1])], ids=["fork 1 fails", "fork 2 fails"])
+    def test_a_failed_fork_keeps_the_workers_forked_before_it(self, monkeypatch, at, threads):
+        """Fork ``at`` of three failing leaves ``at`` processes; the caller
+        takes the BLAS threads of the workers that are missing."""
+        from lgnet import training
+
+        if training._openblas() is None:
+            pytest.skip("no worker processes where numpy's OpenBLAS cannot be reached")
+        get, put = training._openblas()
+        monkeypatch.setattr(training, "_cores", lambda: 4)
+        _failing_fork(monkeypatch, at)
+        chunks = [[i, i + 100] for i in range(9)]
+        before = get()
+        put(4)
+        try:
+            def blas(chunk):
+                return get()
+
+            with _Workers(len(chunks), {}, _spread, blas) as workers:
+                assert workers.processes == at
+                found = workers.map(_spread, chunks)
+                assert [out for _, out, _ in found] == [[10 * i, 10 * i + 1000] for i in range(9)]
+                pids = [pid for pid, _, _ in found]
+                assert pids[0] == os.getpid() and len(set(pids)) == at
+                assert all(pid == pids[i % at] for i, pid in enumerate(pids))
+                assert workers.map(blas, range(at)) == threads
+            assert get() == 4
+        finally:
+            put(before)
+        assert _no_children()
+
+    def test_a_worker_killed_during_a_call_is_named(self, monkeypatch):
+        from lgnet import training
+
+        if training._openblas() is None:
+            pytest.skip("no worker processes where numpy's OpenBLAS cannot be reached")
+        monkeypatch.setattr(training, "_cores", lambda: 2)
+        caller = os.getpid()
+
+        def fn(chunk):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk
+
+        with _Workers(2, {}, fn) as workers:
+            (pid, _), = workers.workers
+            with pytest.raises(RuntimeError, match=f"^worker process {pid} exited during a call$"):
+                workers.map(fn, [0, 1])
+        assert _no_children()
+
+    def test_a_worker_killed_between_calls_is_named(self, monkeypatch):
+        from lgnet import training
+
+        if training._openblas() is None:
+            pytest.skip("no worker processes where numpy's OpenBLAS cannot be reached")
+        monkeypatch.setattr(training, "_cores", lambda: 2)
+        with _Workers(2, {}, _spread) as workers:
+            (pid, _), = workers.workers
+            assert len(workers.map(_spread, [[0], [1]])) == 2
+            os.kill(pid, signal.SIGKILL)
+            for _ in range(3):  # whether the call finds the pipe closed or reset
+                with pytest.raises(RuntimeError, match=f"^worker process {pid} exited during a call$"):
+                    workers.map(_spread, [[0], [1]])
         assert _no_children()
 
     def test_each_process_runs_its_share_of_the_blas_threads(self, monkeypatch):
@@ -1004,6 +1083,29 @@ class TestSgdChunksOnEveryCore:
             t.zero_grad()
         got = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)[0]
         self._assert_same(model.trainable(), want, [got], [want_total])
+
+    @pytest.mark.parametrize("at", [1, 2], ids=["fork 1 fails", "fork 2 fails"])
+    def test_a_failed_fork_gives_the_serial_loops_bits(self, tiny_data, monkeypatch, at):
+        from lgnet import training
+
+        monkeypatch.setattr(training, "_cores", lambda: 4)
+        _failing_fork(monkeypatch, at)
+        train, _, proposals = tiny_data
+        batch = train[:16]
+        bb = preset_config("base", 8)
+        params = init_backbone_params(bb, np.random.default_rng(5))
+        pos = positive_ratio(_label_matrix(train))
+
+        def chunk_loss(chunk):
+            _, logits = forward_global(params, bb, Tensor(np.stack([s.image for s in chunk])))
+            return weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, 1.0)
+
+        want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
+        for t in params.named().values():
+            t.zero_grad()
+        got = _step(params.named(), _stage1_chunk_loss(params, bb, pos, 1.0), batch)
+        self._assert_same(params.named(), want, list(got), want_losses)
+        assert _no_children()
 
     def test_first_failing_chunk_in_order_is_reported(self, cores, monkeypatch):
         from lgnet import training
