@@ -7,7 +7,7 @@ prediction. Includes a from-scratch autodiff core, a synthetic benchmark
 with ground-truth object locations, two-stage training and a CLI.
 """
 
-from .boxes import Box, full_image_box
+from .boxes import Box
 from .cam import activation_box, class_activation_maps
 from .guidance import (
     AffinityMatrix,

@@ -36,10 +36,6 @@ class Box:
         return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max
 
 
-def full_image_box(image_w: float, image_h: float, score: float | None = None) -> Box:
-    return Box(0.0, 0.0, float(image_w), float(image_h), score)
-
-
 def box_array(boxes, scored: bool = False) -> np.ndarray:
     """Boxes as float64 rows (x_min, y_min, x_max, y_max), with the score
     as a fifth column when ``scored``.

@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=int, default=None, help="random seed (default: a training config's seed, else 0)")
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
 
 
@@ -150,7 +150,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _train_config(args) -> TrainConfig:
     base = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    overrides: dict = {"seed": args.seed}
+    overrides: dict = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     if getattr(args, "epochs", None) is not None:
         overrides["epochs"] = args.epochs
     if getattr(args, "batch_size", None) is not None:
@@ -201,7 +203,7 @@ def _cmd_gen_data(args) -> int:
             raise DataError(f"--{key.replace('_', '-')} must be at least 1, not {cfg[key]}")
     generate_dataset(
         spec,
-        seed=args.seed,
+        seed=args.seed or 0,
         n_train=cfg["n_train"],
         n_val=cfg["n_val"],
         n_test=cfg["n_test"],

@@ -56,8 +56,7 @@ __all__ = [
     "GlobalModel",
     "LGModel",
     "Guidance",
-    "Stage1Result",
-    "Stage2Result",
+    "StageResult",
     "learning_rate",
     "train_stage1",
     "train_stage2",
@@ -120,6 +119,10 @@ class TrainConfig:
             raise ValueError("roi_out must be two positive integers")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must lie in [0, 1)")
+        if not (0 < self.loss_sigma * self.loss_sigma < float("inf")):
+            raise ValueError(f"loss_sigma must have a positive, finite square, not {self.loss_sigma!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, not {self.seed}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -186,22 +189,12 @@ class LGModel:
 
 
 @dataclass
-class Stage1Result:
-    model: GlobalModel
-    pos_ratio: np.ndarray
+class StageResult:
+    model: GlobalModel | LGModel
     log_rows: list[dict]
     best_val_ma: float
-    best_epoch: int
+    best_epoch: int  # -1 means the parameters the stage started from won
     step_losses: list[list[float]]  # per epoch and step: sum of chunk losses x batch shares
-
-
-@dataclass
-class Stage2Result:
-    model: LGModel
-    pos_ratio: np.ndarray
-    log_rows: list[dict]
-    best_val_ma: float
-    best_epoch: int  # -1 means the untrained initialization won
 
 
 # -- SGD -----------------------------------------------------------------------
@@ -239,40 +232,57 @@ def _epoch_permutation(seed: int, stage: int, epoch: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(ss)).permutation(n)
 
 
-def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int, n_train: int,
-         step: Callable[[np.ndarray], float], validate: Callable[[int], float],
-         best_ma: float) -> tuple[list[dict], float, int]:
-    """The SGD epochs of one stage. ``step(batch_idx)`` accumulates the
-    gradient of the batch's mean loss and returns its samples' loss sum;
-    ``validate(epoch)`` returns the val mA. ``named`` ends at the best
-    snapshot: epoch -1, scoring ``best_ma``, is the parameters as given.
-    Returns the log rows, the best val mA and its epoch."""
+def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int,
+         train: Sequence[Sample], chunk_loss: Callable[[list[Sample]], tuple],
+         val: Sequence[Sample], score: Callable[[list[int]], np.ndarray], best_ma: float,
+         frozen: Callable[[], str] | None = None) -> tuple[list[dict], float, int, list[list[float]]]:
+    """The SGD epochs of one stage, on workers forked here. Each step
+    accumulates the gradient of its batch's mean loss, ``chunk_loss``
+    being that of :func:`_sgd_task`; each epoch ends with the val mA of
+    ``score``, a chunk of indices into ``val`` to its [n, c] logits.
+    ``frozen()``, where given, is a digest that must not move from epoch
+    to epoch. ``named`` ends at the best snapshot: epoch -1, scoring
+    ``best_ma``, is the parameters as given. Returns the log rows, the
+    best val mA, its epoch and each step's mean loss, epoch by epoch."""
+    sgd = _sgd_task(train, chunk_loss)
+    val_chunks = _same_size_chunks(val, SCORE_BATCH)
+    val_labels = _label_matrix(val)
+    digest = None if frozen is None else frozen()
     velocity: dict[str, np.ndarray] = {}
     best_epoch, best_arrays = -1, {n: t.data.copy() for n, t in named.items()}
     log_rows: list[dict] = []
-    for epoch in range(config.epochs):
-        lr = learning_rate(config, epoch)
-        order = _epoch_permutation(config.seed, stage, epoch, n_train)
-        total_loss = 0.0
-        for i, start in enumerate(range(0, n_train, config.batch_size)):
-            for t in named.values():
-                t.zero_grad()
+    step_losses: list[list[float]] = []
+    # a full batch of same-size images makes ceil(batch_size / SGD_CHUNK) chunks
+    with _Workers(max(-(-config.batch_size // SGD_CHUNK), len(val_chunks)), named, sgd, score) as workers:
+        for epoch in range(config.epochs):
+            lr = learning_rate(config, epoch)
+            order = _epoch_permutation(config.seed, stage, epoch, len(train))
+            total_loss = 0.0
+            step_losses.append([])
+            for i, start in enumerate(range(0, len(train), config.batch_size)):
+                for t in named.values():
+                    t.zero_grad()
+                batch = order[start : start + config.batch_size].tolist()
+                try:
+                    total, mean = _chunked_gradients(workers, sgd, train, batch)
+                except FloatingPointError as exc:
+                    raise RuntimeError(f"stage-{stage} training diverged at epoch {epoch} step {i}: {exc}") from exc
+                total_loss += total
+                step_losses[-1].append(mean)
+                _sgd_step(named, lr, config.weight_decay, config.momentum, velocity)
+            if frozen is not None and frozen() != digest:
+                raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
             try:
-                total_loss += step(order[start : start + config.batch_size])
+                val_ma = MetricsReport.from_scores(np.concatenate(workers.map(score, val_chunks)), val_labels).ma
             except FloatingPointError as exc:
-                raise RuntimeError(f"stage-{stage} training diverged at epoch {epoch} step {i}: {exc}") from exc
-            _sgd_step(named, lr, config.weight_decay, config.momentum, velocity)
-        try:
-            val_ma = validate(epoch)
-        except FloatingPointError as exc:
-            raise RuntimeError(f"stage-{stage} validation diverged at epoch {epoch}: {exc}") from exc
-        log_rows.append({"epoch": epoch, "lr": lr, "train_loss": total_loss / n_train, "val_mA": val_ma})
-        if val_ma > best_ma:
-            best_ma, best_epoch = val_ma, epoch
-            best_arrays = {n: t.data.copy() for n, t in named.items()}
+                raise RuntimeError(f"stage-{stage} validation diverged at epoch {epoch}: {exc}") from exc
+            log_rows.append({"epoch": epoch, "lr": lr, "train_loss": total_loss / len(train), "val_mA": val_ma})
+            if val_ma > best_ma:
+                best_ma, best_epoch = val_ma, epoch
+                best_arrays = {n: t.data.copy() for n, t in named.items()}
     for name, t in named.items():
         t.data = best_arrays[name]
-    return log_rows, best_ma, best_epoch
+    return log_rows, best_ma, best_epoch, step_losses
 
 
 # -- stage 1 ---------------------------------------------------------------------
@@ -568,44 +578,21 @@ def _stage1_chunk_loss(params: BackboneParams, config: BackboneConfig, pos: np.n
     return chunk_loss
 
 
-def _sgd_chunks(config: TrainConfig) -> int:
-    """The chunks of a full batch of same-size images."""
-    return -(-config.batch_size // SGD_CHUNK)
-
-
 def train_stage1(
     train: Sequence[Sample],
     val: Sequence[Sample],
     config: TrainConfig,
-) -> Stage1Result:
+) -> StageResult:
     """Train the whole-image classifier; keeps the best-val-mA snapshot."""
     num_attributes = len(train[0].labels)
     bb = preset_config(config.backbone, num_attributes)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
     params = init_backbone_params(bb, rng, trainable=True)
-    named = params.named()
     pos = positive_ratio(_label_matrix(train))
-    val_labels = _label_matrix(val)
-    step_losses: list[float] = []  # each step's mean loss, epoch after epoch
-    sgd = _sgd_task(train, _stage1_chunk_loss(params, bb, pos, config.loss_sigma))
+    chunk_loss = _stage1_chunk_loss(params, bb, pos, config.loss_sigma)
     score = _global_score_task(GlobalModel(bb, params), val)
-    val_chunks = _same_size_chunks(val, SCORE_BATCH)
-
-    with _Workers(max(_sgd_chunks(config), len(val_chunks)), named, sgd, score) as workers:
-        def step(batch_idx: np.ndarray) -> float:
-            total, mean = _chunked_gradients(workers, sgd, train, batch_idx.tolist())
-            step_losses.append(mean)
-            return total
-
-        def validate(epoch: int) -> float:
-            scores = np.concatenate(workers.map(score, val_chunks))
-            return MetricsReport.from_scores(scores, val_labels).ma
-
-        log_rows, best_ma, best_epoch = _fit(named, config, 1, len(train), step, validate, -1.0)
-    per_epoch = len(step_losses) // config.epochs
-    by_epoch = [step_losses[i : i + per_epoch] for i in range(0, len(step_losses), per_epoch)]
-    model = GlobalModel(bb, params.copy(requires_grad=False))
-    return Stage1Result(model, pos, log_rows, best_ma, best_epoch, by_epoch)
+    fitted = _fit(params.named(), config, 1, train, chunk_loss, val, score, -1.0)
+    return StageResult(GlobalModel(bb, params.copy(requires_grad=False)), *fitted)
 
 
 # -- stage 2 ---------------------------------------------------------------------
@@ -775,17 +762,15 @@ def train_stage2(
     stage1: GlobalModel,
     proposals: Mapping[str, ProposalSet],
     config: TrainConfig,
-) -> Stage2Result:
+) -> StageResult:
     """Train the local branch and guidance head against frozen localization.
 
     The best snapshot is selected on validation mA, with the untouched
     initialization (which scores with the frozen global logits alone)
-    included as a candidate.
+    included as a candidate. The frozen branch is checked every epoch.
     """
     model = build_lg_model(stage1, config)
-    named = model.trainable()
     pos = positive_ratio(_label_matrix(train))
-    val_labels = _label_matrix(val)
     both = [*train, *val]
     find = _guidance_task(model, both, proposals)
 
@@ -794,24 +779,11 @@ def train_stage2(
 
     # found before the stage's workers are forked, so they inherit the records
     guides = _records(both, _map_once(trimmed, both))
-    sgd = _sgd_task(train, _stage2_chunk_loss(model, guides, pos, config.loss_sigma))
+    chunk_loss = _stage2_chunk_loss(model, guides, pos, config.loss_sigma)
     score = _lg_score_task(model, val, guides)
-    val_chunks = _same_size_chunks(val, SCORE_BATCH)
-    digest = model.frozen_digest()
-
-    with _Workers(max(_sgd_chunks(config), len(val_chunks)), named, sgd, score) as workers:
-        def step(batch_idx: np.ndarray) -> float:
-            return _chunked_gradients(workers, sgd, train, batch_idx.tolist())[0]
-
-        def validate(epoch: int) -> float:
-            if model.frozen_digest() != digest:
-                raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
-            scores = np.concatenate(workers.map(score, val_chunks))
-            return MetricsReport.from_scores(scores, val_labels).ma
-
-        best_ma = _untrained_report(val, guides).ma  # the fresh model is a candidate
-        log_rows, best_ma, best_epoch = _fit(named, config, 2, len(train), step, validate, best_ma)
-    return Stage2Result(model, pos, log_rows, best_ma, best_epoch)
+    best_ma = _untrained_report(val, guides).ma  # the fresh model is a candidate
+    fitted = _fit(model.trainable(), config, 2, train, chunk_loss, val, score, best_ma, model.frozen_digest)
+    return StageResult(model, *fitted)
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from lgnet.backbone import forward_global, init_backbone_params, preset_config
-from lgnet.boxes import Box, full_image_box
+from lgnet.boxes import Box
 from lgnet.cam import activation_box, activation_boxes, class_activation_maps
 from lgnet.synthdata import _sample_rng, default_spec, render_sample
 from lgnet.tensor import Tensor, affine, global_avg_pool
@@ -38,7 +38,7 @@ def _reference_activation_box(cam, image_w, image_h, tau=0.2):
     h, w = cam.shape
     peak = cam.max()
     if peak <= 0.0 or peak == cam.min():
-        return full_image_box(image_w, image_h), True
+        return Box(0.0, 0.0, float(image_w), float(image_h)), True
     labels, count = _label_components(cam > tau * peak)
     sizes = np.bincount(labels.reshape(-1), minlength=count + 1)
     sizes[0] = 0
@@ -62,7 +62,7 @@ def _bfs_activation_box(cam, image_w, image_h, tau=0.2):
     h, w = cam.shape
     peak = cam.max()
     if peak <= 0.0 or peak == cam.min():
-        return full_image_box(image_w, image_h), True
+        return Box(0.0, 0.0, float(image_w), float(image_h)), True
     cells = np.flatnonzero(cam > tau * peak).tolist()
     peak_cell = int(cam.argmax())
     unseen = set(cells)

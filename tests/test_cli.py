@@ -98,6 +98,20 @@ class TestGenDataConfig:
         assert (spec["positive_rate"], spec["background"]) == (0.4, 0.1)
 
 
+class TestTrainConfigSeed:
+    @pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "7"], 7)], ids=["config", "flag"])
+    def test_config_seed_is_used_unless_the_flag_is_given(self, workspace, tmp_path, capsys, flags, seed):
+        from lgnet import checkpoint
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 5, "epochs": 1, "batch_size": 6}))
+        out = tmp_path / "stage1.lgn"
+        assert main(["train-stage1", "--data", str(workspace / "data"), "--out", str(out),
+                     "--config", str(path), *flags]) == 0
+        meta, _ = checkpoint.load_container(out)
+        assert meta["train_config"]["seed"] == seed
+
+
 class TestErrors:
     def test_missing_data_dir_is_data_error(self, tmp_path):
         assert main([
@@ -221,6 +235,23 @@ class TestMalformedInput:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         self._assert_config_errors(workspace, tmp_path, capsys, path)
+
+    @pytest.mark.parametrize("config", [
+        {"loss_sigma": 0.0}, {"loss_sigma": 1e-200}, {"loss_sigma": 1e200}, {"seed": -3},
+    ])
+    def test_train_config_out_of_range_names_the_file_and_field(self, workspace, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.lgn"
+        err = self._assert_data_error(["train-stage1", "--data", workspace / "data", "--out", out,
+                                       "--config", path], capsys)
+        assert err.startswith(f"error: {path}: {next(iter(config))} ") and not out.exists()
+
+    def test_negative_seed_flag_is_named(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out.lgn"
+        err = self._assert_data_error(["train-stage1", "--data", workspace / "data", "--out", out,
+                                       "--seed", "-3"], capsys)
+        assert err.startswith("error: seed ") and not out.exists()
 
     def test_non_finite_checkpoint_tensor(self, workspace, tmp_path, capsys):
         from lgnet import checkpoint

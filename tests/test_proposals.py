@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lgnet import proposals
-from lgnet.boxes import Box, full_image_box, pairwise_overlap
+from lgnet.boxes import Box, pairwise_overlap
 from lgnet.proposals import (
     INTERIOR_PENALTY,
     MIN_SIDE,
@@ -108,7 +108,7 @@ def _reference_top_k(boxes, image_w, image_h, k):
     full-image pads, then a second stable sort."""
     picked = sorted(boxes, key=lambda b: b.score, reverse=True)[:k]
     while len(picked) < k:
-        picked.append(full_image_box(image_w, image_h, score=0.0))
+        picked.append(Box(0.0, 0.0, float(image_w), float(image_h), 0.0))
     picked.sort(key=lambda b: b.score, reverse=True)
     return tuple(picked)
 

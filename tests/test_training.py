@@ -169,6 +169,7 @@ class TestStage1:
 
     @pytest.mark.parametrize("batch_size, lengths", [(4, [4, 4, 2]), (3, [3, 3, 3, 1])])
     def test_step_losses_per_epoch_add_up_to_the_log(self, monkeypatch, one_core, batch_size, lengths):
+        """In both stages; each step here is one chunk, whose loss is recorded."""
         from lgnet import training
 
         losses = []
@@ -181,15 +182,22 @@ class TestStage1:
         monkeypatch.setattr(training, "weighted_sigmoid_ce_node", recording)
         train = _make_samples(10, "train", seed=3)
         val = _make_samples(4, "val", seed=3)
-        result = train_stage1(train, val, TrainConfig(epochs=2, batch_size=batch_size, seed=1, lr0=0.05))
-        assert [len(steps) for steps in result.step_losses] == [len(lengths)] * 2
-        # each entry is its step's mean loss, bit for bit
-        assert [loss for steps in result.step_losses for loss in steps] == losses
-        for row, steps in zip(result.log_rows, result.step_losses):
-            total = 0.0
-            for loss, n in zip(steps, lengths):
-                total += loss * n
-            assert row["train_loss"] == total / 10
+        proposals = {s.image_id: propose_for_image(s.image, k=8) for s in train + val}
+        config = TrainConfig(epochs=2, batch_size=batch_size, seed=1, lr0=0.05, top_k_proposals=8)
+        stage1 = train_stage1(train, val, config)
+        recorded = [losses[:]]
+        losses.clear()
+        stage2 = train_stage2(train, val, stage1.model, proposals, config)
+        recorded.append(losses)
+        for result, stage_losses in zip((stage1, stage2), recorded):
+            assert [len(steps) for steps in result.step_losses] == [len(lengths)] * 2
+            # each entry is its step's mean loss, bit for bit
+            assert [loss for steps in result.step_losses for loss in steps] == stage_losses
+            for row, steps in zip(result.log_rows, result.step_losses):
+                total = 0.0
+                for loss, n in zip(steps, lengths):
+                    total += loss * n
+                assert row["train_loss"] == total / 10
 
     def test_log_rows_shape(self, tiny_data):
         train, val, _ = tiny_data
@@ -272,6 +280,30 @@ class TestStage2:
         config = TrainConfig(seed=2, **dict(FAST, epochs=2, lr0=1e18))
         with pytest.raises(RuntimeError, match="stage-2 training diverged at epoch"):
             train_stage2(train[:16], val[:4], stage1.model, proposals, config)
+        assert _no_children()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_frozen_branch_drift_aborts(self, tiny_data, stage1, monkeypatch, cores):
+        """The frozen classifier, changed during epoch 0, stops the stage at
+        that epoch's end; the stage's workers are gone."""
+        from lgnet import training
+
+        monkeypatch.setattr(training, "_cores", lambda: cores)
+        built, real_build, real_step = [], training.build_lg_model, training._sgd_step
+
+        def build(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        def step(*args):
+            real_step(*args)
+            built[-1].global_params.head_weight.data[0, 0] += 1.0
+
+        monkeypatch.setattr(training, "build_lg_model", build)
+        monkeypatch.setattr(training, "_sgd_step", step)
+        train, val, proposals = tiny_data
+        with pytest.raises(RuntimeError, match="^frozen global branch drifted during epoch 0$"):
+            train_stage2(train[:16], val[:4], stage1.model, proposals, TrainConfig(seed=2, **FAST))
         assert _no_children()
 
     def test_missing_proposal_file_is_an_error(self, tmp_path, tiny_data):
@@ -1143,7 +1175,7 @@ class TestSgdChunksOnEveryCore:
             save_stage1_checkpoint(tmp_path / "s1.lgn", s1.model.backbone, s1.model.params)
             save_stage2_checkpoint(tmp_path / "s2.lgn", s2.model)
             runs.append([(tmp_path / "s1.lgn").read_bytes(), (tmp_path / "s2.lgn").read_bytes(),
-                         s1.step_losses, s1.log_rows, s2.log_rows])
+                         s1.step_losses, s1.log_rows, s2.step_losses, s2.log_rows])
             assert _no_children()  # no process outlives its stage
         assert runs[0] == runs[1] == runs[2]
 
