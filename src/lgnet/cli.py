@@ -174,6 +174,8 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise DataError(f"seed must be at least 0, not {args.seed}")
     cfg = {
         "num_attributes": args.num_attributes, "image_size": args.image_size,
         "n_train": args.n_train, "n_val": args.n_val, "n_test": args.n_test,
@@ -288,6 +290,8 @@ def _load_any_model(path: Path):
 
 
 def _cmd_eval(args) -> int:
+    if not (0 < args.threshold < 1):
+        raise DataError(f"--threshold must lie in (0, 1), not {args.threshold}")
     model = _load_any_model(args.model)
     if args.dump_affinity is not None and isinstance(model, GlobalModel):
         raise DataError("--dump-affinity needs a stage-2 model")
@@ -332,6 +336,8 @@ def _draw_box_outline(image: np.ndarray, box, color) -> None:
 
 
 def _cmd_localize(args) -> int:
+    if args.top_n < 1:
+        raise DataError(f"--top-n must be at least 1, not {args.top_n}")
     model, _ = load_stage2_checkpoint(args.model)
     if model.affinity_mode == "uniform":
         raise DataError("model was trained without localization guidance; nothing to localize")

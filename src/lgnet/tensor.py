@@ -409,16 +409,6 @@ def _dense_operator(wmat: np.ndarray, idx: np.ndarray, cells: int) -> np.ndarray
     return op[:-1].reshape(cells, k * positions)
 
 
-# Largest output map, in cells, whose im2col kernel gradient is one GEMM
-# over all images' columns. One BLAS thread, per-image products against one
-# GEMM, for 100 maps of 4x4: 2x2 out, 0.85 against 0.25 ms; 4x4 out, 1.59
-# against 1.10 ms; for 16 maps: 8x8 out, 0.53 against 0.82 ms; 32x32 out,
-# 0.47 against 1.95 ms. The dense path cannot serve these maps as well: at
-# 400 maps of 7x7 (4x4 out) its forward took 12.2 against 6.3 ms, and at
-# 16 maps of 4x4 (2x2 out) forward and backward took 0.23 against 0.17 ms.
-DW_GEMM_MAX_CELLS = 16
-
-
 def conv2d(
     x: Tensor,
     kernels: Tensor,
@@ -445,8 +435,7 @@ def conv2d(
     (:func:`_conv_gather_index`), followed by one batched matmul. The
     input gradient is one ``np.bincount`` over the same index, so every
     input cell sums its taps in row-major tap order. The kernel gradient
-    is one GEMM over all images' columns for an output map of at most
-    ``DW_GEMM_MAX_CELLS`` cells, else per-image products.
+    is one product per image, summed over the images.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ValueError(f"bad conv spec: stride={stride} dilation={dilation} padding={padding}")
@@ -493,8 +482,6 @@ def conv2d(
                 per_cell = np.zeros((cells + 1, k, out_h * out_w))
                 per_cell[:-1] = (rows.T @ gmat.reshape(n, -1)).reshape(cells, k, -1)
                 dw = per_cell[idx, :, np.arange(out_h * out_w)].sum(axis=1).T
-            elif out_h * out_w <= DW_GEMM_MAX_CELLS:
-                dw = np.tensordot(gmat, cols, axes=([0, 2], [0, 2]))
             else:
                 dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
             kernels._accumulate(dw.reshape(wd.shape))

@@ -105,8 +105,11 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr0 == 0 is allowed: a no-op optimizer is a legitimate control
-        if self.lr0 < 0 or self.weight_decay < 0 or not (0 < self.lr_decay_factor <= 1):
-            raise ValueError("bad learning-rate/weight-decay settings")
+        for name in ("lr0", "weight_decay"):
+            if not (0 <= getattr(self, name) < float("inf")):
+                raise ValueError(f"{name} must be finite and at least 0, not {getattr(self, name)!r}")
+        if not (0 < self.lr_decay_factor <= 1):
+            raise ValueError("learning-rate decay factor must lie in (0, 1]")
         if self.lr_decay_every < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs, batch size and decay interval must be positive")
         if self.top_k_proposals < 1 or not (0 < self.cam_threshold < 1):
@@ -206,15 +209,14 @@ def _is_weight(name: str) -> bool:
 
 def _sgd_step(
     named: Mapping[str, Tensor],
+    grads: Mapping[str, np.ndarray],
     lr: float,
     weight_decay: float,
     momentum: float,
     velocity: dict[str, np.ndarray],
 ) -> None:
     for name, t in named.items():
-        if t.grad is None:
-            continue
-        g = t.grad
+        g = grads[name]
         if weight_decay > 0 and _is_weight(name):
             g = g + weight_decay * t.data
         if momentum > 0:
@@ -233,18 +235,18 @@ def _epoch_permutation(seed: int, stage: int, epoch: int, n: int) -> np.ndarray:
 
 
 def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int,
-         train: Sequence[Sample], chunk_loss: Callable[[list[Sample]], tuple],
+         train: Sequence[Sample], chunk_loss: Callable[[list[Sample]], Tensor],
          val: Sequence[Sample], score: Callable[[list[int]], np.ndarray], best_ma: float,
          frozen: Callable[[], str] | None = None) -> tuple[list[dict], float, int, list[list[float]]]:
     """The SGD epochs of one stage, on workers forked here. Each step
-    accumulates the gradient of its batch's mean loss, ``chunk_loss``
-    being that of :func:`_sgd_task`; each epoch ends with the val mA of
+    applies the gradient of its batch's mean loss, ``chunk_loss`` being
+    that of :func:`_sgd_task`; each epoch ends with the val mA of
     ``score``, a chunk of indices into ``val`` to its [n, c] logits.
     ``frozen()``, where given, is a digest that must not move from epoch
     to epoch. ``named`` ends at the best snapshot: epoch -1, scoring
     ``best_ma``, is the parameters as given. Returns the log rows, the
     best val mA, its epoch and each step's mean loss, epoch by epoch."""
-    sgd = _sgd_task(train, chunk_loss)
+    sgd = _sgd_task(named, train, chunk_loss)
     val_chunks = _same_size_chunks(val, SCORE_BATCH)
     val_labels = _label_matrix(val)
     digest = None if frozen is None else frozen()
@@ -260,16 +262,14 @@ def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int,
             total_loss = 0.0
             step_losses.append([])
             for i, start in enumerate(range(0, len(train), config.batch_size)):
-                for t in named.values():
-                    t.zero_grad()
                 batch = order[start : start + config.batch_size].tolist()
                 try:
-                    total, mean = _chunked_gradients(workers, sgd, train, batch)
+                    total, mean, grads = _chunked_gradients(workers, sgd, train, batch)
                 except FloatingPointError as exc:
                     raise RuntimeError(f"stage-{stage} training diverged at epoch {epoch} step {i}: {exc}") from exc
                 total_loss += total
                 step_losses[-1].append(mean)
-                _sgd_step(named, lr, config.weight_decay, config.momentum, velocity)
+                _sgd_step(named, grads, lr, config.weight_decay, config.momentum, velocity)
             if frozen is not None and frozen() != digest:
                 raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
             try:
@@ -492,52 +492,49 @@ class _Workers:
         self.close()
 
 
-def _leaf_views(params: BackboneParams) -> BackboneParams:
-    """``params`` as fresh leaves over the same arrays, each with its own gradient."""
-    def leaf(t: Tensor | None) -> Tensor | None:
-        return None if t is None else Tensor(t.data, requires_grad=True)
-    return BackboneParams([leaf(k) for k in params.stage_kernels], [leaf(b) for b in params.stage_biases],
-                          leaf(params.head_weight), leaf(params.head_bias))
-
-
-def _sgd_task(samples: Sequence[Sample], chunk_loss: Callable[[list[Sample]], tuple]) -> Callable:
+def _sgd_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
+              chunk_loss: Callable[[list[Sample]], Tensor]) -> Callable:
     """The SGD task of a stage, run on a pool given its trainable
-    parameters. Its payload is (a chunk of indices into ``samples``, the
-    chunk's share of the batch). ``chunk_loss(chunk)`` returns private
-    leaves named as the pool's parameters and the chunk's mean loss built
-    on them; the task seeds that loss with the share and returns the
-    chunk's size, its mean loss and the leaves' gradients."""
+    parameters ``named``. Its payload is (a chunk of indices into
+    ``samples``, the chunk's share of the batch). ``chunk_loss(chunk)``
+    returns the chunk's mean loss built on ``named``; the task clears
+    their gradients, seeds that loss with the share and returns the
+    chunk's size, its mean loss and their gradients."""
     last = None
 
     def task(payload: tuple) -> tuple[int, float, dict[str, np.ndarray]]:
         nonlocal last
         chunk, share = payload
-        leaves, loss = chunk_loss([samples[i] for i in chunk])
+        loss = chunk_loss([samples[i] for i in chunk])
         # each process keeps its last graph until it has built the next; freed at once, its buffers
         # were faulted in anew (fresh 3-epoch stage 1, 1000 images: 650 k faults, 3.0 s, not 22 k, 2.2 s)
         last = loss
+        for t in named.values():
+            t.zero_grad()
         loss.backward(np.asarray(share))
-        return len(chunk), loss.item(), {name: t.grad for name, t in leaves.items()}
+        return len(chunk), loss.item(), {name: t.grad for name, t in named.items()}
 
     return task
 
 
 def _chunked_gradients(workers: _Workers, task: Callable, samples: Sequence[Sample],
-                       batch: Sequence[int]) -> tuple[float, float]:
-    """Accumulate into the pool's parameters the gradient of the mean loss
-    of the samples ``batch`` indexes, one graph per same-size chunk of at
+                       batch: Sequence[int]) -> tuple[float, float, dict[str, np.ndarray]]:
+    """The gradient of the mean loss of the samples ``batch`` indexes with
+    respect to the pool's parameters, one graph per same-size chunk of at
     most ``SGD_CHUNK`` images, by the :func:`_sgd_task` ``task`` over
-    ``samples`` on every process. The caller adds the chunks' gradients
-    in chunk order, the same bits on any number of cores. Returns the
-    images' loss sum and the batch's mean loss."""
+    ``samples`` on every process. The chunks' gradients are added in
+    chunk order from zero, the same bits on any number of cores. Returns
+    the images' loss sum, the batch's mean loss and the gradient by
+    parameter name."""
     payloads = [(chunk, len(chunk) / len(batch)) for chunk in _same_size_chunks(samples, SGD_CHUNK, batch)]
     total = mean = 0.0
-    for n, loss, grads in workers.map(task, payloads, grad=True):
+    grads = {name: np.zeros_like(t.data) for name, t in workers.named.items()}
+    for n, loss, chunk_grads in workers.map(task, payloads, grad=True):
         total += loss * n
         mean += loss * (n / len(batch))
-        for name, g in grads.items():
-            workers.named[name]._accumulate(g)
-    return total, mean
+        for name, g in chunk_grads.items():
+            grads[name] += g
+    return total, mean, grads
 
 
 def _map_once(task: Callable, samples: Sequence[Sample]) -> list:
@@ -570,10 +567,9 @@ def _global_score_task(model: GlobalModel, samples: Sequence[Sample]) -> Callabl
 
 def _stage1_chunk_loss(params: BackboneParams, config: BackboneConfig, pos: np.ndarray, sigma: float) -> Callable:
     """The chunk loss of :func:`_sgd_task` for the whole-image classifier."""
-    def chunk_loss(chunk: list[Sample]) -> tuple[dict[str, Tensor], Tensor]:
-        views = _leaf_views(params)
-        _, logits = forward_global(views, config, Tensor(np.stack([s.image for s in chunk])))
-        return views.named(), weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, sigma)
+    def chunk_loss(chunk: list[Sample]) -> Tensor:
+        _, logits = forward_global(params, config, Tensor(np.stack([s.image for s in chunk])))
+        return weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, sigma)
 
     return chunk_loss
 
@@ -735,11 +731,9 @@ def _guidance_for(
 
 def _stage2_chunk_loss(model: LGModel, guides: Mapping[str, Guidance], pos: np.ndarray, sigma: float) -> Callable:
     """The chunk loss of :func:`_sgd_task` for the trainable half."""
-    def chunk_loss(chunk: list[Sample]) -> tuple[dict[str, Tensor], Tensor]:
-        head = GuidanceHead(Tensor(model.head.weight.data, True), Tensor(model.head.bias.data, True))
-        views = replace(model, local_params=_leaf_views(model.local_params), head=head)
-        fused = _fused_logits(views, chunk, [guides[s.image_id] for s in chunk])
-        return views.trainable(), weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, sigma)
+    def chunk_loss(chunk: list[Sample]) -> Tensor:
+        fused = _fused_logits(model, chunk, [guides[s.image_id] for s in chunk])
+        return weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, sigma)
 
     return chunk_loss
 

@@ -238,6 +238,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("config", [
         {"loss_sigma": 0.0}, {"loss_sigma": 1e-200}, {"loss_sigma": 1e200}, {"seed": -3},
+        {"lr0": float("nan")}, {"lr0": float("inf")}, {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")}, {"weight_decay": -0.1},
     ])
     def test_train_config_out_of_range_names_the_file_and_field(self, workspace, tmp_path, capsys, config):
         path = tmp_path / "config.json"
@@ -252,6 +254,30 @@ class TestMalformedInput:
         err = self._assert_data_error(["train-stage1", "--data", workspace / "data", "--out", out,
                                        "--seed", "-3"], capsys)
         assert err.startswith("error: seed ") and not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_flag_is_named(self, workspace, tmp_path, capsys, lr):
+        out = tmp_path / "out.lgn"
+        err = self._assert_data_error(["train-stage1", "--data", workspace / "data", "--out", out,
+                                       "--lr", lr], capsys)
+        assert err.startswith(f"error: lr0 must be finite and at least 0, not {lr}") and not out.exists()
+
+    def test_negative_gen_data_seed_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        err = self._assert_data_error(["gen-data", "--out", out, "--seed", "-3", "--n-train", "2",
+                                       "--n-val", "1", "--n-test", "1"], capsys)
+        assert err == "error: seed must be at least 0, not -3\n" and not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("localize", "--top-n", "0"), ("localize", "--top-n", "-1"),
+        ("eval", "--threshold", "0"), ("eval", "--threshold", "1"),
+        ("eval", "--threshold", "2"), ("eval", "--threshold", "nan"),
+    ])
+    def test_out_of_range_output_flag_writes_nothing(self, workspace, tmp_path, capsys, command, flag, value):
+        out = tmp_path / ("loc" if command == "localize" else "report.json")
+        err = self._assert_data_error([command, "--model", workspace / "stage2.lgn", "--data", workspace / "data",
+                                       "--proposals", workspace / "props", "--out", out, flag, value], capsys)
+        assert err.startswith(f"error: {flag} ") and not out.exists()
 
     def test_non_finite_checkpoint_tensor(self, workspace, tmp_path, capsys):
         from lgnet import checkpoint

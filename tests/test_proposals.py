@@ -657,6 +657,10 @@ class TestPipeline:
         np.fill_diagonal(pair_iou, 0.0)
         assert round(float(pair_iou.max()), 3) == 0.619
         assert all(row.size == 0 for row in proposals._grid_suppression_rows(64, 64, config, 0.7))
+        # each overlapping pair is listed in both of its rows
+        pairs = {t: sum(row.size for row in proposals._grid_suppression_rows(64, 64, config, t)) // 2
+                 for t in (0.5, 0.6)}
+        assert pairs == {0.5: 2104, 0.6: 184}
 
     def test_propose_on_synthetic_image(self):
         from lgnet.synthdata import _sample_rng, default_spec, render_sample

@@ -20,12 +20,11 @@ from lgnet.tensor import (
     relu,
     roi_max_pool_batch,
 )
-from lgnet.tensor import DW_GEMM_MAX_CELLS, _conv_gather_index, _sigmoid_stable
+from lgnet.tensor import _conv_gather_index, _sigmoid_stable
 
 # relative bound on a result that sums in another order than the references:
-# a kernel gradient summed as one GEMM against their per-image products, and
 # every product of the dense small-map path; measured below 2e-15
-DW_GEMM_REL = 1e-13
+DENSE_REL = 1e-13
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -52,23 +51,20 @@ def _run_conv(op, x_data, k_data, b_data, **spec):
 
 def _assert_close(a, b):
     assert a.shape == b.shape
-    assert np.abs(a - b).max() <= DW_GEMM_REL * np.abs(b).max()
+    assert np.abs(a - b).max() <= DENSE_REL * np.abs(b).max()
 
 
 def _assert_same_conv(results):
-    """Output, input and bias gradients equal the reference's bit for bit,
-    and so does the kernel gradient of a large output map. What sums in
-    another order agrees within ``DW_GEMM_REL`` of its largest entry: a
-    small output map's kernel gradient, one GEMM over every image, and
-    the output, input and kernel gradients of an input map of at most
-    kh*kw cells, which takes the dense path."""
+    """Output and all three gradients equal the reference's bit for bit.
+    What sums in another order agrees within ``DENSE_REL`` of its largest
+    entry: the output, input and kernel gradients of an input map of at
+    most kh*kw cells, which takes the dense path."""
     got, want = results
     h, w = got[1].shape[-2:]
     kh, kw = got[2].shape[-2:]
     dense = h * w <= kh * kw
-    one_gemm = got[0].shape[-2] * got[0].shape[-1] <= DW_GEMM_MAX_CELLS
     for i, (a, b) in enumerate(zip(got, want)):
-        if (dense and i < 3) or (i == 2 and one_gemm):
+        if dense and i < 3:
             _assert_close(a, b)
         else:
             assert np.array_equal(a, b)
@@ -408,9 +404,9 @@ class TestConv2d:
 
     @pytest.mark.parametrize("x_shape, stride", [
         ((100, 16, 4, 4), 2),  # 100 pooled 4x4 regions: 2x2 cells per region
-        ((7, 2, 4, 4), 1),  # 4x4 cells, the largest map summed as one GEMM
+        ((7, 2, 4, 4), 1),  # 4x4 cells
     ])
-    def test_one_gemm_kernel_gradient_matches_per_image_products(self, rng, x_shape, stride):
+    def test_small_map_kernel_gradient_equals_per_image_products(self, rng, x_shape, stride):
         x = Tensor(rng.normal(size=x_shape))
         k_data, b = rng.normal(size=(8, x_shape[1], 3, 3)), Tensor(rng.normal(size=8))
         seed = None
@@ -418,21 +414,22 @@ class TestConv2d:
         for op in (conv2d, _reference_conv2d):
             k = Tensor(k_data, requires_grad=True)
             out = op(x, k, b, stride=stride, padding=1)
-            assert out.data.shape[-2] * out.data.shape[-1] <= DW_GEMM_MAX_CELLS
             seed = np.random.default_rng(6).normal(size=out.data.shape) if seed is None else seed
             out.backward(seed)
             grads.append(k.grad)
         got, want = grads
-        assert np.abs(got - want).max() <= DW_GEMM_REL * np.abs(want).max()
+        assert np.array_equal(got, want)
 
-    def test_one_gemm_kernel_gradient_passes_gradient_check(self, rng):
+    def test_small_map_kernel_gradient_passes_gradient_check(self, rng):
         x = Tensor(rng.normal(size=(5, 2, 4, 4)), requires_grad=True)
         k = Tensor(0.5 * rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         b = Tensor(0.1 * rng.normal(size=3), requires_grad=True)
         weights = Tensor(rng.normal(size=(5, 3, 2, 2)))
         f = lambda: (conv2d(x, k, b, stride=2, padding=1) * weights).sum()
-        assert f().data.size == 1 and 2 * 2 <= DW_GEMM_MAX_CELLS
+        assert f().data.size == 1
         assert check_gradients(f, [k, b, x], eps=1e-5) < 1e-6
+        _assert_same_conv([_run_conv(op, x.data, k.data, b.data, stride=2, padding=1)
+                           for op in (conv2d, _reference_conv2d)])
 
     def test_gather_index_built_once_per_geometry(self, rng):
         _conv_gather_index.cache_clear()

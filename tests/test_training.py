@@ -295,8 +295,8 @@ class TestStage2:
             built.append(real_build(*args))
             return built[-1]
 
-        def step(*args):
-            real_step(*args)
+        def step(named, grads, *args):
+            real_step(named, grads, *args)
             built[-1].global_params.head_weight.data[0, 0] += 1.0
 
         monkeypatch.setattr(training, "build_lg_model", build)
@@ -1011,31 +1011,30 @@ class TestChunkedSgd:
         guides = _guidance_for(model, batch, proposals)
         pos = positive_ratio(_label_matrix(train))
         want, want_loss = _per_image_gradients(model, batch, guides, pos, 1.0)
-        for t in model.trainable().values():
-            t.zero_grad()
-        got_loss = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)[0]
-        for name, t in model.trainable().items():
+        got_loss, _, got = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)
+        assert got.keys() == want.keys()
+        for name, g in got.items():
             scale = np.abs(want[name]).max()
             assert scale > 0, name
-            assert np.abs(t.grad - want[name]).max() <= SGD_REL * scale, name
+            assert np.abs(g - want[name]).max() <= SGD_REL * scale, name
         assert got_loss == pytest.approx(want_loss, rel=SGD_REL)
 
 
 def _step(named, chunk_loss, batch):
     """One chunked SGD step over all of ``batch`` on every core, as a
-    stage takes it; returns the images' loss sum and the batch's mean loss."""
-    task = _sgd_task(batch, chunk_loss)
+    stage takes it; returns the images' loss sum, the batch's mean loss
+    and the gradient by parameter name."""
+    task = _sgd_task(named, batch, chunk_loss)
     with _Workers(len(batch), named, task) as workers:
         return _chunked_gradients(workers, task, batch, range(len(batch)))
 
 
 def _serial_chunk_gradients(named, batch, chunk_loss):
     """The chunked SGD step as a plain serial loop, kept as the reference:
-    each chunk's graph is built on the shared leaves ``named`` themselves,
-    its mean loss seeded with the chunk's share of the batch. For stage 2
-    this is the loop the stage-2 step ran before its chunks went onto
-    every core. Returns the gradients, the images' loss sum and the
-    batch's mean loss."""
+    each chunk's graph is built on the shared parameters ``named``, whose
+    gradients add up every chunk's, and each chunk's mean loss is seeded
+    with its share of the batch. Returns the gradients, the images' loss
+    sum and the batch's mean loss."""
     for t in named.values():
         t.zero_grad()
     total = mean = 0.0
@@ -1073,10 +1072,12 @@ class TestSgdChunksOnEveryCore:
         return request.param
 
     @staticmethod
-    def _assert_same(named, want, got, want_losses):
-        for name, t in named.items():
-            assert t.grad is not None and np.array_equal(t.grad, want[name]), name
-        assert got == want_losses
+    def _assert_same(want, got, want_losses):
+        *losses, grads = got
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, want[name]), name
+        assert losses == want_losses
 
     @pytest.mark.parametrize("case, chunks", SGD_CASES, ids=[c for c, _ in SGD_CASES])
     def test_stage1_step_equals_the_serial_loop(self, tiny_data, cores, case, chunks):
@@ -1092,10 +1093,8 @@ class TestSgdChunksOnEveryCore:
             return weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, 1.0)
 
         want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
-        for t in params.named().values():
-            t.zero_grad()
         got = _step(params.named(), _stage1_chunk_loss(params, bb, pos, 1.0), batch)
-        self._assert_same(params.named(), want, list(got), want_losses)
+        self._assert_same(want, got, want_losses)
 
     @pytest.mark.parametrize("case, chunks", SGD_CASES, ids=[c for c, _ in SGD_CASES])
     def test_stage2_step_equals_the_serial_loop(self, tiny_data, stage1, cores, case, chunks):
@@ -1110,11 +1109,24 @@ class TestSgdChunksOnEveryCore:
             fused = _fused_logits(model, chunk, [guides[s.image_id] for s in chunk])
             return weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, 1.0)
 
-        want, want_total, _ = _serial_chunk_gradients(model.trainable(), batch, chunk_loss)
-        for t in model.trainable().values():
+        want, *want_losses = _serial_chunk_gradients(model.trainable(), batch, chunk_loss)
+        got = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)
+        self._assert_same(want, got, want_losses)
+
+    def test_stale_gradients_change_no_bit(self, tiny_data, cores):
+        """The step's gradient is the same bits when every trainable
+        parameter holds a non-zero gradient beforehand, on any process."""
+        train, _, _ = tiny_data
+        batch = train[:10]
+        bb = preset_config("base", 8)
+        params = init_backbone_params(bb, np.random.default_rng(5))
+        chunk_loss = _stage1_chunk_loss(params, bb, positive_ratio(_label_matrix(train)), 1.0)
+        for t in params.named().values():
             t.zero_grad()
-        got = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)[0]
-        self._assert_same(model.trainable(), want, [got], [want_total])
+        want = _step(params.named(), chunk_loss, batch)
+        for t in params.named().values():
+            t.grad = np.full_like(t.data, 0.25)
+        self._assert_same(want[2], _step(params.named(), chunk_loss, batch), list(want[:2]))
 
     @pytest.mark.parametrize("at", [1, 2], ids=["fork 1 fails", "fork 2 fails"])
     def test_a_failed_fork_gives_the_serial_loops_bits(self, tiny_data, monkeypatch, at):
@@ -1133,10 +1145,8 @@ class TestSgdChunksOnEveryCore:
             return weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, 1.0)
 
         want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
-        for t in params.named().values():
-            t.zero_grad()
         got = _step(params.named(), _stage1_chunk_loss(params, bb, pos, 1.0), batch)
-        self._assert_same(params.named(), want, list(got), want_losses)
+        self._assert_same(want, got, want_losses)
         assert _no_children()
 
     def test_first_failing_chunk_in_order_is_reported(self, cores, monkeypatch):
@@ -1186,9 +1196,8 @@ class TestSgdStep:
 
         w = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        w.grad = np.zeros(3)
-        b.grad = np.zeros(3)
-        _sgd_step({"x/weight": w, "x/bias": b}, lr=0.1, weight_decay=0.5, momentum=0.0, velocity={})
+        grads = {"x/weight": np.zeros(3), "x/bias": np.zeros(3)}
+        _sgd_step({"x/weight": w, "x/bias": b}, grads, lr=0.1, weight_decay=0.5, momentum=0.0, velocity={})
         assert np.allclose(w.data, 1.0 - 0.1 * 0.5)
         assert np.array_equal(b.data, np.ones(3))
 
