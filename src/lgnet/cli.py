@@ -228,6 +228,10 @@ def _collect_images(images_dir: Path) -> list[Path]:
 def _cmd_propose(args) -> int:
     from .ppm import read_ppm
 
+    if args.top_k < 1:
+        raise DataError(f"--top-k must be at least 1, not {args.top_k}")
+    if not (0 < args.nms < 1):
+        raise DataError(f"--nms must lie in (0, 1), not {args.nms}")
     paths = _collect_images(args.images)
     args.out.mkdir(parents=True, exist_ok=True)
     for path in paths:
@@ -311,15 +315,15 @@ def _cmd_eval(args) -> int:
         args.out.write_text(report.to_json() + "\n", encoding="utf-8")
         args.out.with_suffix(".tsv").write_text(report.tsv_line() + "\n", encoding="utf-8")
     if args.dump_affinity is not None:
-        _dump_affinity(proposals, args.dump_affinity)
+        _dump_affinity(samples, proposals, args.dump_affinity)
     return 0
 
 
-def _dump_affinity(guides, out_dir: Path) -> None:
+def _dump_affinity(samples, guides, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for image_id, guide in guides.items():
-        rows = "\n".join(",".join(f"{v:.6f}" for v in row) for row in guide.affinity)
-        (out_dir / f"{image_id}_affinity.csv").write_text(rows + "\n", encoding="utf-8")
+    for sample, affinity in zip(samples, guides.affinity):
+        rows = "\n".join(",".join(f"{v:.6f}" for v in row) for row in affinity)
+        (out_dir / f"{sample.image_id}_affinity.csv").write_text(rows + "\n", encoding="utf-8")
 
 
 def _draw_box_outline(image: np.ndarray, box, color) -> None:
@@ -351,8 +355,8 @@ def _cmd_localize(args) -> int:
         (args.out / "heatmaps").mkdir(exist_ok=True)
 
     records = []
-    for sample in samples:
-        guide = guides[sample.image_id]
+    for n, sample in enumerate(samples):
+        guide = guides.rows(n)
         boxes = guide.boxes
         overlay = sample.image.copy()
         for i, (corners, degenerate) in enumerate(zip(guide.cam_boxes, guide.degenerate.tolist())):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -327,18 +328,30 @@ def _spec_from_dict(d: dict) -> SynthSpec:
     )
 
 
+def _text_error(path: Path, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def load_split(split_dir: str | Path) -> list[Sample]:
-    """Load one split eagerly, cross-checking labels against image files."""
+    """Load one split eagerly, cross-checking labels against image files.
+
+    A ground-truth box needs an attribute id within the label count,
+    finite corners, and at least a part inside its image; an id takes at
+    most one line.
+    """
     split_dir = Path(split_dir)
     labels_path = split_dir / "labels.csv"
     if not labels_path.exists():
         raise DataError(f"missing labels file: {labels_path}")
     with open(labels_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise _text_error(labels_path, exc) from exc
         if not header or header[0] != "image_id":
             raise DataError(f"{labels_path}: malformed header")
-        rows = list(reader)
         if not rows:
             raise DataError(f"{labels_path}: lists no image")
         first_line: dict[str, int] = {}
@@ -353,11 +366,11 @@ def load_split(split_dir: str | Path) -> list[Sample]:
     listed = set(first_line)
     missing = sorted(listed - image_files)
     if missing:
-        raise DataError(f"{split_dir}: missing image file for {missing[0]!r}"
+        raise DataError(f"{labels_path}: no image file for {missing[0]!r}"
                         + (f" and {len(missing) - 1} more" if len(missing) > 1 else ""))
     if image_files != listed:
         raise DataError(
-            f"{split_dir}: labels.csv lists {len(listed)} images but "
+            f"{labels_path}: lists {len(listed)} images but "
             f"{len(image_files)} image files exist"
         )
 
@@ -366,20 +379,37 @@ def load_split(split_dir: str | Path) -> list[Sample]:
     for row in rows:
         image_id = row[0]
         image = read_ppm(split_dir / "images" / f"{image_id}.ppm")
+        h, w = image.shape[1:]
         labels = np.array([int(v) for v in row[1:]], dtype=np.int64)
         gt_boxes: dict[int, Box] = {}
+        gt_lines: dict[int, int] = {}
         gt_file = gt_dir / f"{image_id}.txt"
         if gt_dir.is_dir() and gt_file.exists():
-            for lineno, line in enumerate(gt_file.read_text(encoding="utf-8").splitlines(), 1):
+            try:
+                text = gt_file.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise _text_error(gt_file, exc) from exc
+            for lineno, line in enumerate(text.splitlines(), 1):
                 if not line.strip():
                     continue
                 parts = line.split()
+                where = f"{gt_file}:{lineno}"
                 if len(parts) != 5:
-                    raise DataError(f"{gt_file}:{lineno}: {len(parts)} fields, expected 5")
+                    raise DataError(f"{where}: {len(parts)} fields, expected 5")
                 try:
-                    gt_boxes[int(parts[0])] = Box(*map(float, parts[1:]))
+                    idx, (x0, y0, x1, y1) = int(parts[0]), map(float, parts[1:])
+                    box = Box(x0, y0, x1, y1)
                 except ValueError as exc:
-                    raise DataError(f"{gt_file}:{lineno}: {exc}") from exc
+                    raise DataError(f"{where}: {exc}") from exc
+                if not 0 <= idx < len(labels):
+                    raise DataError(f"{where}: attribute id {idx} outside [0, {len(labels)})")
+                if idx in gt_lines:
+                    raise DataError(f"{where}: attribute {idx} repeats line {gt_lines[idx]}")
+                if not all(map(math.isfinite, (x0, y0, x1, y1))):
+                    raise DataError(f"{where}: box corners must be finite")
+                if x1 <= 0 or y1 <= 0 or x0 >= w or y0 >= h:
+                    raise DataError(f"{where}: box ({x0:g}, {y0:g}, {x1:g}, {y1:g}) lies outside the {w}x{h} image")
+                gt_boxes[idx], gt_lines[idx] = box, lineno
         samples.append(Sample(image_id, image, labels, gt_boxes))
     return samples
 

@@ -235,7 +235,7 @@ def _epoch_permutation(seed: int, stage: int, epoch: int, n: int) -> np.ndarray:
 
 
 def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int,
-         train: Sequence[Sample], chunk_loss: Callable[[list[Sample]], Tensor],
+         train: Sequence[Sample], chunk_loss: Callable[[list[int]], Tensor],
          val: Sequence[Sample], score: Callable[[list[int]], np.ndarray], best_ma: float,
          frozen: Callable[[], str] | None = None) -> tuple[list[dict], float, int, list[list[float]]]:
     """The SGD epochs of one stage, on workers forked here. Each step
@@ -246,7 +246,7 @@ def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int,
     to epoch. ``named`` ends at the best snapshot: epoch -1, scoring
     ``best_ma``, is the parameters as given. Returns the log rows, the
     best val mA, its epoch and each step's mean loss, epoch by epoch."""
-    sgd = _sgd_task(named, train, chunk_loss)
+    sgd = _sgd_task(named, chunk_loss)
     val_chunks = _same_size_chunks(val, SCORE_BATCH)
     val_labels = _label_matrix(val)
     digest = None if frozen is None else frozen()
@@ -382,7 +382,7 @@ class _Workers:
     of one call, and no more processes than that are used.
 
     Forked, a worker inherits everything the tasks read (samples, frozen
-    parameters, guidance records), and the GIL of each process is its
+    parameters, guidance tables), and the GIL of each process is its
     own. Per call it receives over a pipe only its payloads and the
     current arrays of the parameters ``named`` (``{}`` for a pool of one
     call), which the caller may change between calls. So every task a
@@ -492,11 +492,10 @@ class _Workers:
         self.close()
 
 
-def _sgd_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
-              chunk_loss: Callable[[list[Sample]], Tensor]) -> Callable:
+def _sgd_task(named: Mapping[str, Tensor], chunk_loss: Callable[[list[int]], Tensor]) -> Callable:
     """The SGD task of a stage, run on a pool given its trainable
-    parameters ``named``. Its payload is (a chunk of indices into
-    ``samples``, the chunk's share of the batch). ``chunk_loss(chunk)``
+    parameters ``named``. Its payload is (a chunk of indices into the
+    stage's train split, the chunk's share of the batch). ``chunk_loss(chunk)``
     returns the chunk's mean loss built on ``named``; the task clears
     their gradients, seeds that loss with the share and returns the
     chunk's size, its mean loss and their gradients."""
@@ -505,7 +504,7 @@ def _sgd_task(named: Mapping[str, Tensor], samples: Sequence[Sample],
     def task(payload: tuple) -> tuple[int, float, dict[str, np.ndarray]]:
         nonlocal last
         chunk, share = payload
-        loss = chunk_loss([samples[i] for i in chunk])
+        loss = chunk_loss(chunk)
         # each process keeps its last graph until it has built the next; freed at once, its buffers
         # were faulted in anew (fresh 3-epoch stage 1, 1000 images: 650 k faults, 3.0 s, not 22 k, 2.2 s)
         last = loss
@@ -565,11 +564,14 @@ def _global_score_task(model: GlobalModel, samples: Sequence[Sample]) -> Callabl
     return lambda chunk: _frozen_forward(model.params, model.backbone, [samples[i] for i in chunk])[1]
 
 
-def _stage1_chunk_loss(params: BackboneParams, config: BackboneConfig, pos: np.ndarray, sigma: float) -> Callable:
-    """The chunk loss of :func:`_sgd_task` for the whole-image classifier."""
-    def chunk_loss(chunk: list[Sample]) -> Tensor:
-        _, logits = forward_global(params, config, Tensor(np.stack([s.image for s in chunk])))
-        return weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, sigma)
+def _stage1_chunk_loss(params: BackboneParams, config: BackboneConfig, samples: Sequence[Sample],
+                       pos: np.ndarray, sigma: float) -> Callable:
+    """The chunk loss of :func:`_sgd_task` for the whole-image classifier,
+    over ``samples``."""
+    def chunk_loss(chunk: list[int]) -> Tensor:
+        batch = [samples[i] for i in chunk]
+        _, logits = forward_global(params, config, Tensor(np.stack([s.image for s in batch])))
+        return weighted_sigmoid_ce_node(logits, _label_matrix(batch), pos, sigma)
 
     return chunk_loss
 
@@ -585,7 +587,7 @@ def train_stage1(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
     params = init_backbone_params(bb, rng, trainable=True)
     pos = positive_ratio(_label_matrix(train))
-    chunk_loss = _stage1_chunk_loss(params, bb, pos, config.loss_sigma)
+    chunk_loss = _stage1_chunk_loss(params, bb, train, pos, config.loss_sigma)
     score = _global_score_task(GlobalModel(bb, params), val)
     fitted = _fit(params.named(), config, 1, train, chunk_loss, val, score, -1.0)
     return StageResult(GlobalModel(bb, params.copy(requires_grad=False)), *fitted)
@@ -616,74 +618,80 @@ def build_lg_model(stage1: GlobalModel, config: TrainConfig) -> LGModel:
 
 @dataclass(frozen=True)
 class Guidance:
-    """The frozen branch's output for one image; fixed through stage 2, so
-    computed once. The CAM fields stay None under uniform affinity."""
+    """The frozen branch's output for a split, row i that of sample i;
+    fixed through stage 2, so computed once. The CAM columns stay None
+    under uniform affinity."""
 
-    boxes: np.ndarray  # [k, 4] corners of the k proposals, best first
-    global_logits: np.ndarray  # [c]
-    affinity: np.ndarray  # [c, k], rows normalized
-    cams: np.ndarray | None = None  # [c, h, w]
-    cam_boxes: np.ndarray | None = None  # [c, 4] activation-box corners, the whole image where degenerate
-    degenerate: np.ndarray | None = None  # [c] bool
-    affinity_raw: np.ndarray | None = None  # [c, k]
+    boxes: np.ndarray  # [n, k, 4] corners of each image's k proposals, best first
+    global_logits: np.ndarray  # [n, c]
+    affinity: np.ndarray  # [n, c, k], rows normalized
+    cams: np.ndarray | None = None  # [n] objects, each an image's [c, h, w] maps
+    cam_boxes: np.ndarray | None = None  # [n, c, 4] activation-box corners, the whole image where degenerate
+    degenerate: np.ndarray | None = None  # [n, c] bool
+    affinity_raw: np.ndarray | None = None  # [n, c, k]
+
+    def rows(self, index) -> "Guidance":
+        """Every column indexed by ``index`` along its rows: an index list
+        or a slice gives a table, one position one image's fields."""
+        return Guidance(*(None if col is None else col[index] for col in vars(self).values()))
 
 
-def _guidance_chunk(model: LGModel, chunk: Sequence[Sample], boxes: Sequence[np.ndarray]) -> list[Guidance]:
+def _concat(tables: Sequence[Guidance]) -> Guidance:
+    """The rows of ``tables``, one after another."""
+    columns = zip(*(vars(t).values() for t in tables))
+    return Guidance(*(None if col[0] is None else np.concatenate(col) for col in columns))
+
+
+def _guidance_chunk(model: LGModel, chunk: Sequence[Sample], boxes: np.ndarray) -> Guidance:
     """Run the frozen half of the stage-2 model on n images of one size,
     gradient-free: one trunk pass, and one labelling pass for the
-    activation boxes of all their maps. ``boxes`` holds each image's
-    [k, 4] proposal corners. Every field equals that of the image alone."""
+    activation boxes of all their maps. ``boxes`` holds the images'
+    [n, k, 4] proposal corners. Every row equals that of the image alone."""
     image_h, image_w = chunk[0].image.shape[1:]
     with no_grad():
         featmaps, logits = _frozen_forward(model.global_params, model.backbone, chunk)
     if model.affinity_mode == "uniform":
-        c = model.backbone.num_attributes
-        return [Guidance(b, g, np.full((c, len(b)), 1.0 / len(b))) for b, g in zip(boxes, logits)]
+        return Guidance(boxes, logits, np.full((*logits.shape, boxes.shape[1]), 1.0 / boxes.shape[1]))
     cams = np.stack([class_activation_maps(f, model.cam_weights) for f in featmaps])  # [n, a, h, w]
     n, a = cams.shape[:2]
     corners, degenerate = activation_boxes(
         cams.reshape(-1, *cams.shape[2:]), image_w, image_h, model.cam_threshold)
-    guides = []
-    for b, g, cam, rows, flags in zip(boxes, logits, cams, corners.reshape(n, a, 4), degenerate.reshape(n, a)):
-        raw = affinity_map(rows, b, model.affinity_mode)
-        guides.append(Guidance(b, g, normalize_affinity(raw).values, cam, rows, flags, raw.values))
-    return guides
+    corners = corners.reshape(n, a, 4)
+    raw = [affinity_map(rows, b, model.affinity_mode) for rows, b in zip(corners, boxes)]
+    return Guidance(boxes, logits, np.stack([normalize_affinity(r).values for r in raw]),
+                    np.fromiter(cams, dtype=object, count=n), corners, degenerate.reshape(n, a),
+                    np.stack([r.values for r in raw]))
 
 
-def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Sequence[Guidance]) -> Tensor:
-    """Run the trainable half on n images of one size: the local trunk,
-    ROI pooling, the tail and the fusion once for the batch. Returns the
-    [n, c] fused logits, with a gradient path outside ``no_grad``."""
-    d = len(guides[0].boxes)
-    if any(len(g.boxes) != d for g in guides):
-        raise ValueError("every image of a batch needs the same number of proposals")
+def _fused_logits(model: LGModel, samples: Sequence[Sample], guides: Guidance) -> Tensor:
+    """Run the trainable half on n images of one size and their guidance
+    rows, the local trunk, ROI pooling, tail and fusion once for the batch:
+    the [n, c] fused logits, with a gradient path outside ``no_grad``."""
     image_h, image_w = samples[0].image.shape[1:]
     images = Tensor(np.stack([s.image for s in samples]))
     stem = forward_local_stem(model.local_params, model.backbone, images)
     oh, ow = model.roi_out
-    boxes = np.concatenate([g.boxes for g in guides])
-    pooled = roi_max_pool_batch(stem, boxes, oh, ow, image_w, image_h)
+    pooled = roi_max_pool_batch(stem, guides.boxes.reshape(-1, 4), oh, ow, image_w, image_h)
     feats = forward_local_tail(model.local_params, model.backbone, pooled)
-    affinity = np.stack([g.affinity for g in guides])
-    return guided_fusion(affinity, feats, model.head, np.stack([g.global_logits for g in guides]))[0]
+    return guided_fusion(guides.affinity, feats, model.head, guides.global_logits)[0]
 
 
 def _lg_forward(model: LGModel, sample: Sample, boxes: Sequence[Box] | np.ndarray) -> tuple[Tensor, Guidance]:
     """One sample through the full pipeline, its frozen half a chunk of
     one; ``boxes`` are the proposals, as :class:`Box` objects or corner
-    rows. Returns (fused logits, guidance)."""
-    guide = _guidance_chunk(model, [sample], [box_array(boxes)])[0]
-    return _fused_logits(model, [sample], [guide]).reshape(-1), guide
+    rows. Returns (fused logits, its one-row guidance)."""
+    guide = _guidance_chunk(model, [sample], box_array(boxes)[None])
+    return _fused_logits(model, [sample], guide).reshape(-1), guide
 
 
 def _prepare_proposals(
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet],
     k: int,
-) -> dict[str, np.ndarray]:
-    """The [k, 4] corners of each image's k best proposals, padded with
+) -> np.ndarray:
+    """The [n, k, 4] corners of each image's k best proposals, padded with
     full-image boxes."""
-    ready = {}
+    ready = []
     for s in samples:
         if s.image_id not in proposals:
             raise DataError(f"no proposals for image {s.image_id!r}")
@@ -696,57 +704,46 @@ def _prepare_proposals(
                 f"proposal ({x0:g}, {y0:g}, {x1:g}, {y1:g}) "
                 f"for image {s.image_id!r} lies outside the {w}x{h} image"
             )
-        ready[s.image_id] = top_k(rows, w, h, k).rows[:, :4]
-    return ready
+        ready.append(top_k(rows, w, h, k).rows[:, :4])
+    return np.stack(ready)
 
 
 def _guidance_task(model: LGModel, samples: Sequence[Sample], proposals: Mapping[str, ProposalSet]) -> Callable:
     """The frozen half over ``samples``: payload a chunk of indices, result
-    its images' :class:`Guidance` records, from the model's top k of each
-    image's proposal set."""
+    its rows of the :class:`Guidance` table, from the model's top k of
+    each image's proposal set."""
     boxes = _prepare_proposals(samples, proposals, model.top_k)
-
-    def task(chunk: list[int]) -> list[Guidance]:
-        batch = [samples[i] for i in chunk]
-        return _guidance_chunk(model, batch, [boxes[s.image_id] for s in batch])
-
-    return task
-
-
-def _records(samples: Sequence[Sample], found: Iterable[list[Guidance]]) -> dict[str, Guidance]:
-    """Each chunk's records, keyed by image id."""
-    return {s.image_id: g for s, g in zip(samples, itertools.chain.from_iterable(found))}
+    return lambda chunk: _guidance_chunk(model, [samples[i] for i in chunk], boxes[chunk])
 
 
 def _guidance_for(
     model: LGModel,
     samples: Sequence[Sample],
     proposals: Mapping[str, ProposalSet],
-) -> dict[str, Guidance]:
-    """The guidance of every sample, keyed by image id, computed over
-    consecutive same-size images in chunks of up to ``SCORE_BATCH`` on
-    every core."""
-    return _records(samples, _map_once(_guidance_task(model, samples, proposals), samples))
+) -> Guidance:
+    """The guidance table of ``samples``, computed over consecutive
+    same-size images in chunks of up to ``SCORE_BATCH`` on every core."""
+    return _concat(_map_once(_guidance_task(model, samples, proposals), samples))
 
 
-def _stage2_chunk_loss(model: LGModel, guides: Mapping[str, Guidance], pos: np.ndarray, sigma: float) -> Callable:
-    """The chunk loss of :func:`_sgd_task` for the trainable half."""
-    def chunk_loss(chunk: list[Sample]) -> Tensor:
-        fused = _fused_logits(model, chunk, [guides[s.image_id] for s in chunk])
-        return weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, sigma)
+def _stage2_chunk_loss(model: LGModel, samples: Sequence[Sample], guides: Guidance,
+                       pos: np.ndarray, sigma: float) -> Callable:
+    """The chunk loss of :func:`_sgd_task` for the trainable half, over
+    ``samples`` and their first rows of ``guides``."""
+    def chunk_loss(chunk: list[int]) -> Tensor:
+        batch = [samples[i] for i in chunk]
+        fused = _fused_logits(model, batch, guides.rows(chunk))
+        return weighted_sigmoid_ce_node(fused, _label_matrix(batch), pos, sigma)
 
     return chunk_loss
 
 
 def _lg_score_task(model: LGModel, samples: Sequence[Sample],
-                   given: Mapping[str, Guidance] | Mapping[str, ProposalSet]) -> Callable:
+                   given: Guidance | Mapping[str, ProposalSet]) -> Callable:
     """Stage-2 scoring of a chunk of indices into ``samples``: [n, c]
-    fused logits, from each image's guidance record or, given proposal
-    sets, from the chunk's guidance found first."""
-    def records(chunk: list[int]) -> list[Guidance]:
-        return [given[samples[i].image_id] for i in chunk]
-
-    find = _guidance_task(model, samples, given) if isinstance(next(iter(given.values())), ProposalSet) else records
+    fused logits, from the chunk's rows of the guidance table or, given
+    proposal sets, from the chunk's guidance found first."""
+    find = given.rows if isinstance(given, Guidance) else _guidance_task(model, samples, given)
     return lambda chunk: _fused_logits(model, [samples[i] for i in chunk], find(chunk)).data
 
 
@@ -768,14 +765,16 @@ def train_stage2(
     both = [*train, *val]
     find = _guidance_task(model, both, proposals)
 
-    def trimmed(chunk: list[int]) -> list[Guidance]:  # the fields the trainable half reads
-        return [Guidance(g.boxes, g.global_logits, g.affinity) for g in find(chunk)]
+    def trimmed(chunk: list[int]) -> Guidance:  # the columns the trainable half reads
+        found = find(chunk)
+        return Guidance(found.boxes, found.global_logits, found.affinity)
 
-    # found before the stage's workers are forked, so they inherit the records
-    guides = _records(both, _map_once(trimmed, both))
-    chunk_loss = _stage2_chunk_loss(model, guides, pos, config.loss_sigma)
-    score = _lg_score_task(model, val, guides)
-    best_ma = _untrained_report(val, guides).ma  # the fresh model is a candidate
+    # found before the stage's workers are forked, so they inherit the table: train rows, then val rows
+    guides = _concat(_map_once(trimmed, both))
+    val_guides = guides.rows(slice(len(train), None))
+    chunk_loss = _stage2_chunk_loss(model, train, guides, pos, config.loss_sigma)
+    score = _lg_score_task(model, val, val_guides)
+    best_ma = _untrained_report(val, val_guides).ma  # the fresh model is a candidate
     fitted = _fit(model.trainable(), config, 2, train, chunk_loss, val, score, best_ma, model.frozen_digest)
     return StageResult(model, *fitted)
 
@@ -783,18 +782,17 @@ def train_stage2(
 # -- evaluation -------------------------------------------------------------------
 
 
-def _untrained_report(samples: Sequence[Sample], guides: Mapping[str, Guidance]) -> MetricsReport:
+def _untrained_report(samples: Sequence[Sample], guides: Guidance) -> MetricsReport:
     """What :func:`evaluate` reports for a freshly built stage-2 model: its
     zero head makes the fused logits exactly the global ones, which the
-    guidance records already hold."""
-    scores = np.stack([guides[s.image_id].global_logits for s in samples])
-    return MetricsReport.from_scores(scores, _label_matrix(samples))
+    guidance table of ``samples`` already holds."""
+    return MetricsReport.from_scores(guides.global_logits, _label_matrix(samples))
 
 
 def evaluate(
     model: GlobalModel | LGModel,
     samples: Sequence[Sample],
-    proposals: Mapping[str, ProposalSet] | Mapping[str, Guidance] | None = None,
+    proposals: Mapping[str, ProposalSet] | Guidance | None = None,
     threshold: float = 0.5,
 ) -> MetricsReport:
     """Score a split and compute the five metrics at the given threshold.
@@ -802,8 +800,8 @@ def evaluate(
     Scoring is gradient-free and runs over consecutive images of one
     size, in chunks of up to ``SCORE_BATCH`` on every core. Each image's
     scores carry the bits of scoring it alone. A stage-2 model needs each
-    image's proposal set or guidance record; given proposal sets, one
-    task per chunk finds its guidance and scores it.
+    image's proposal set or the split's guidance table; given proposal
+    sets, one task per chunk finds its guidance and scores it.
     """
     if isinstance(model, GlobalModel):
         task = _global_score_task(model, samples)

@@ -379,6 +379,42 @@ class TestMalformedInput:
                                       capsys)
         assert f"{gt_file}:2" in err
 
+    @pytest.mark.parametrize("text, line, named", [
+        ("0 0 0 inf 5\n", 1, "finite"),
+        ("1 2 3 14 28\n99 1 1 5 5\n", 2, "attribute id 99 outside [0, 8)"),
+        ("-1 1 1 5 5\n", 1, "attribute id -1 outside [0, 8)"),
+        ("0 500 500 600 600\n", 1, "outside the 64x64 image"),
+        ("2 1 1 5 5\n\n2 3 3 9 9\n", 3, "attribute 2 repeats line 1"),
+    ], ids=["infinite", "id-too-large", "id-negative", "outside-image", "repeated-id"])
+    def test_bad_ground_truth_box(self, workspace, tmp_path, capsys, text, line, named):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        gt_file = sorted((data / "test" / "gt_boxes").glob("*.txt"))[0]
+        gt_file.write_text(text)
+        err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
+                                      capsys)
+        assert err.startswith(f"error: {gt_file}:{line}: ") and named in err
+
+    @pytest.mark.parametrize("name", ["labels.csv", "gt_boxes"])
+    def test_split_file_not_utf8_is_named(self, workspace, tmp_path, capsys, name):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / "test" / name
+        if name == "gt_boxes":
+            path = sorted(path.glob("*.txt"))[0]
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-2] + b"\xff" + raw[-2:])
+        err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
+                                      capsys)
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("flag, value", [("--nms", "1.5"), ("--nms", "nan"), ("--nms", "0"), ("--top-k", "0")])
+    def test_out_of_range_propose_flag_writes_nothing(self, workspace, tmp_path, capsys, flag, value):
+        out = tmp_path / "props"
+        err = self._assert_data_error(["propose", "--images", workspace / "data", "--out", out, flag, value],
+                                      capsys)
+        assert err.startswith(f"error: {flag} ") and value in err and not out.exists()
+
     # each edit maps the second data row (line 3) to the lines put in its place
     @pytest.mark.parametrize("edit", [
         lambda row: ["", row],
@@ -616,8 +652,8 @@ class TestMixedSizeSplit:
             found = load_proposal_dir(props, [s.image_id for s in samples])
             guides = _guidance_for(model, samples, found)
             with no_grad():
-                scores = np.concatenate([_fused_logits(model, [s], [guides[s.image_id]]).data
-                                         for s in samples])
+                scores = np.concatenate([_fused_logits(model, [s], guides.rows([i])).data
+                                         for i, s in enumerate(samples)])
         expected = MetricsReport.from_scores(scores, _label_matrix(samples))
         assert json.loads(out.read_text()) == expected.as_dict()
 

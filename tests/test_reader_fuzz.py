@@ -13,6 +13,7 @@ from lgnet.boxes import Box
 from lgnet.checkpoint import CheckpointError, load_container, save_container
 from lgnet.ppm import read_ppm, write_ppm
 from lgnet.proposals import ProposalSet, load_proposals, save_proposals
+from lgnet.synthdata import DataError, load_split
 
 FUZZ = settings(
     derandomize=True,
@@ -83,3 +84,30 @@ def test_load_proposals_raises_only_value_error_naming_the_file(tmp_path, valid,
 def test_load_container_raises_only_checkpoint_error_naming_the_file(tmp_path, valid, data):
     raw = data.draw(_damaged(valid[".lgn"]))
     _read_or_reject(load_container, CheckpointError, tmp_path / "damaged.lgn", raw)
+
+
+@pytest.fixture
+def split(tmp_path):
+    """A small valid split of two images of 4 rows by 5 columns and
+    three attributes, with ground-truth boxes, and the bytes of its two
+    text files."""
+    root = tmp_path / "split"
+    (root / "images").mkdir(parents=True)
+    (root / "gt_boxes").mkdir()
+    for image_id in ("a", "b"):
+        write_ppm(root / "images" / f"{image_id}.ppm", np.linspace(0.0, 1.0, 3 * 4 * 5).reshape(3, 4, 5))
+    (root / "labels.csv").write_text("image_id,attr_0,attr_1,attr_2\na,1,0,1\nb,0,0,0\n", encoding="utf-8")
+    (root / "gt_boxes" / "a.txt").write_text("0 0.500000 1.000000 4.250000 3.000000\n2 1 0 5 4\n",
+                                             encoding="utf-8")
+    assert [sorted(s.gt_boxes) for s in load_split(root)] == [[0, 2], []]
+    return root, {name: (root / name).read_bytes() for name in ("labels.csv", "gt_boxes/a.txt")}
+
+
+@pytest.mark.parametrize("name", ["labels.csv", "gt_boxes/a.txt"])
+@given(data=st.data())
+@FUZZ
+def test_load_split_raises_only_data_error_naming_the_file(split, data, name):
+    root, valid_text = split
+    raw = data.draw(_damaged(valid_text[name]))
+    samples = _read_or_reject(lambda _: load_split(root), DataError, root / name, raw)
+    assert samples is None or len(samples) == 2

@@ -265,7 +265,7 @@ class TestStage2:
         # both score the global logits of one image at a time
         guides = _guidance_for(model, val, proposals)
         with no_grad():
-            fused = _fused_logits(model, val, [guides[s.image_id] for s in val])
+            fused = _fused_logits(model, val, guides)
         assert np.array_equal(fused.data, _global_scores(stage1.model, val))
 
     def test_best_val_never_below_stage1(self, tiny_data, stage1):
@@ -317,7 +317,8 @@ class TestStage2:
         h, w = sample.image.shape[1:]
         inside = proposals[sample.image_id].boxes
         edge = Box(w - 1, h - 1, w + 5, h + 5, 1.0)  # overlaps one corner pixel
-        assert _prepare_proposals([sample], {sample.image_id: ProposalSet(inside + (edge,))}, 4)
+        ready = _prepare_proposals([sample], {sample.image_id: ProposalSet(inside + (edge,))}, 4)
+        assert ready.shape == (1, 4, 4)
         for outside in (Box(w, 0, w + 4, 4, 1.0), Box(0, -9, 4, 0, 1.0), Box(500, 500, 600, 600, 9.0)):
             bad = {sample.image_id: ProposalSet(inside + (outside,))}
             with pytest.raises(DataError, match=sample.image_id):
@@ -334,11 +335,12 @@ class TestStage2:
             shuffled[s.image_id] = ProposalSet(rng.permutation(rows))
         for k in (1, 10, 24, 30):
             ready = _prepare_proposals(train[:6], shuffled, k)
-            for s in train[:6]:
+            assert ready.shape == (6, k, 4)
+            for s, got in zip(train[:6], ready):
                 h, w = s.image.shape[1:]
                 boxes = top_k(list(shuffled[s.image_id].boxes), w, h, k).boxes
                 expected = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
-                assert np.array_equal(ready[s.image_id], expected)
+                assert np.array_equal(got, expected)
 
     def test_evaluate_builds_no_box(self, tmp_path, tiny_data, stage1, monkeypatch, one_core):
         # the files hold 20 proposals and the model takes 24, so every
@@ -490,8 +492,8 @@ class TestBatchedScoring:
         samples = train[:n]
         guides = _guidance_for(model, samples, proposals)
         with no_grad():
-            batch = _fused_logits(model, samples, [guides[s.image_id] for s in samples])
-            singles = [_fused_logits(model, [s], [guides[s.image_id]]) for s in samples]
+            batch = _fused_logits(model, samples, guides)
+            singles = [_fused_logits(model, [s], guides.rows([i])) for i, s in enumerate(samples)]
         assert batch.shape == (n, 8)
         for got, want in zip(batch.data, singles):
             assert np.array_equal(got, want.data[0])
@@ -500,19 +502,11 @@ class TestBatchedScoring:
         train, _, proposals = tiny_data
         model = _random_head(build_lg_model(stage1.model, TrainConfig(seed=2, **FAST)), 4)
         guides = _guidance_for(model, train[:4], proposals)
-        fused = _fused_logits(model, train[:4], [guides[s.image_id] for s in train[:4]])
+        fused = _fused_logits(model, train[:4], guides)
         assert fused.shape == (4, 8) and fused.requires_grad
         fused.backward(np.ones((4, 8)))
         for name, t in model.trainable().items():
             assert t.grad is not None and np.abs(t.grad).max() > 0, name
-
-    def test_batch_needs_one_proposal_count(self, tiny_data, stage1):
-        train, _, proposals = tiny_data
-        model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
-        guides = _guidance_for(model, train[:2], proposals)
-        short = dataclasses.replace(guides[train[1].image_id], boxes=guides[train[1].image_id].boxes[:-1])
-        with no_grad(), pytest.raises(ValueError, match="same number of proposals"):
-            _fused_logits(model, train[:2], [guides[train[0].image_id], short])
 
     @pytest.mark.parametrize("n", [1, 16, 17, 40])
     def test_evaluate_runs_the_local_stem_once_per_chunk(self, tiny_data, stage1, monkeypatch, one_core, n):
@@ -550,7 +544,8 @@ class TestBatchedScoring:
         model = _random_head(build_lg_model(stage1.model, TrainConfig(seed=2, **FAST)), 5)
         guides = _guidance_for(model, samples, proposals)
         with no_grad():
-            scores = np.concatenate([_fused_logits(model, [s], [guides[s.image_id]]).data for s in samples])
+            scores = np.concatenate([_fused_logits(model, [s], guides.rows([i])).data
+                                     for i, s in enumerate(samples)])
         assert evaluate(model, samples, proposals=proposals) == MetricsReport.from_scores(
             scores, _label_matrix(samples))
 
@@ -563,12 +558,16 @@ def _mixed_size_split(train, proposals):
     return samples, dict(proposals, **{s.image_id: propose_for_image(s.image, k=24) for s in odd})
 
 
+# the columns of a guidance table that uniform affinity, or stage 2's trim, leaves out
+NO_CAMS = dict(cams=None, cam_boxes=None, degenerate=None, affinity_raw=None)
+
+
 def _reference_guidance(model, sample, boxes):
     """The frozen half one image at a time, as it ran before chunking:
-    a one-image trunk pass and a breadth-first walk for each map's box."""
+    a one-image trunk pass and a breadth-first walk for each map's box.
+    Returns the image's row of the guidance table, column by column."""
     from lgnet.cam import class_activation_maps
     from lgnet.guidance import affinity_map, normalize_affinity
-    from lgnet.training import Guidance
     from test_cam import _bfs_activation_box
 
     image_h, image_w = sample.image.shape[1:]
@@ -576,13 +575,26 @@ def _reference_guidance(model, sample, boxes):
         featmap, logits = forward_global(model.global_params, model.backbone, Tensor(sample.image))
     if model.affinity_mode == "uniform":
         c, d = model.backbone.num_attributes, len(boxes)
-        return Guidance(boxes, logits.data, np.full((c, d), 1.0 / d))
+        return dict(boxes=boxes, global_logits=logits.data, affinity=np.full((c, d), 1.0 / d), **NO_CAMS)
     cams = class_activation_maps(featmap.data, model.cam_weights)
     found = [_bfs_activation_box(cam, image_w, image_h, model.cam_threshold) for cam in cams]
     cam_boxes = [box for box, _ in found]
     raw = affinity_map(cam_boxes, boxes, model.affinity_mode)
-    return Guidance(boxes, logits.data, normalize_affinity(raw).values, cams, box_array(cam_boxes),
-                    np.array([degen for _, degen in found]), raw.values)
+    return dict(boxes=boxes, global_logits=logits.data, affinity=normalize_affinity(raw).values, cams=cams,
+                cam_boxes=box_array(cam_boxes), degenerate=np.array([degen for _, degen in found]),
+                affinity_raw=raw.values)
+
+
+def _assert_same_row(got, want, where):
+    """Two rows of a guidance table hold the same bits, dtypes and shapes
+    column by column; ``got`` is a table's row, ``want`` a column dict."""
+    assert vars(got).keys() == want.keys()
+    for name, b in want.items():
+        a = getattr(got, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (where, name)
+        else:
+            assert a is b is None, (where, name)
 
 
 class TestFrozenHalfInChunks:
@@ -609,32 +621,41 @@ class TestFrozenHalfInChunks:
         model.cam_weights[0] = 0.0  # attribute 0's maps are all zero: degenerate
         guides = _guidance_for(model, samples, proposals)
         boxes = _prepare_proposals(samples, proposals, model.top_k)
-        assert list(guides) == [s.image_id for s in samples]
-        degenerate = 0
-        for s in samples:
-            got, want = guides[s.image_id], _reference_guidance(model, s, boxes[s.image_id])
-            for field in dataclasses.fields(want):
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                if isinstance(b, np.ndarray):
-                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), \
-                        (s.image_id, field.name)
-                else:
-                    assert a is b is None, (s.image_id, field.name)
-            if mode != "uniform":
-                degenerate += int(got.degenerate.sum())
+        assert {len(col) for col in vars(guides).values() if col is not None} == {len(samples)}
+        for i, s in enumerate(samples):
+            _assert_same_row(guides.rows(i), _reference_guidance(model, s, boxes[i]), s.image_id)
         if mode != "uniform":
-            assert len(samples) <= degenerate < len(samples) * 8
+            assert len(samples) <= guides.degenerate.sum() < len(samples) * 8
 
     def test_guidance_of_one_sample_is_a_chunk_of_one(self, tiny_data, stage1):
         train, _, proposals = tiny_data
         model = build_lg_model(stage1.model, TrainConfig(seed=2, **FAST))
         guides = _guidance_for(model, train[:17], proposals)
-        for s in (train[0], train[16]):
-            _, guide = _lg_forward(model, s, proposals[s.image_id].boxes[: model.top_k])
-            want = guides[s.image_id]
-            assert np.array_equal(guide.global_logits, want.global_logits)
-            assert np.array_equal(guide.cam_boxes, want.cam_boxes)
-            assert np.array_equal(guide.degenerate, want.degenerate)
+        for i in (0, 16):
+            _, guide = _lg_forward(model, train[i], proposals[train[i].image_id].boxes[: model.top_k])
+            assert len(guide.boxes) == 1
+            _assert_same_row(guide.rows(0), vars(guides.rows(i)), train[i].image_id)
+
+    def test_stage2_val_rows_equal_the_val_split_alone(self, tiny_data, stage1, monkeypatch):
+        """Stage 2 keeps one table, train rows then val rows; with 17 train
+        images one guidance chunk holds the last train image and the first
+        seven val images, yet the val rows hold the bits of the val split's
+        own table in the columns the trainable half reads."""
+        from lgnet import training
+
+        train, val, proposals = tiny_data
+        train = train[:17]
+        assert list(range(16, 24)) in _same_size_chunks(train + val, SCORE_BATCH)
+        given, real = [], training._lg_score_task
+        monkeypatch.setattr(training, "_lg_score_task",
+                            lambda model, samples, table: given.append(table) or real(model, samples, table))
+        config = TrainConfig(seed=2, **dict(FAST, epochs=1))
+        train_stage2(train, val, stage1.model, proposals, config)
+        (table,) = given
+        want = _guidance_for(build_lg_model(stage1.model, config), val, proposals)
+        assert len(table.boxes) == len(val)
+        for i, s in enumerate(val):
+            _assert_same_row(table.rows(i), dict(vars(want.rows(i)), **NO_CAMS), s.image_id)
 
     @pytest.mark.parametrize("n", [1, 16, 17, 40])
     def test_guidance_runs_the_trunk_once_per_chunk(self, tiny_data, stage1, monkeypatch, one_core, n):
@@ -657,9 +678,10 @@ class TestFrozenHalfInChunks:
 
 def _plain_loop(fn, samples, size):
     """The serial loop the chunk mapper replaces, as the reference: ``fn``
-    on each same-size run of at most ``size`` samples, gradient-free."""
+    on the indices of each same-size run of at most ``size`` samples,
+    gradient-free."""
     with no_grad():
-        return [fn([samples[i] for i in chunk]) for chunk in _same_size_chunks(samples, size)]
+        return [fn(chunk) for chunk in _same_size_chunks(samples, size)]
 
 
 def _spread(payload):
@@ -917,7 +939,8 @@ class TestChunksOnEveryCore:
         train, val, proposals = tiny_data
         model = stage1.model
         for samples in (train + val, _mixed_size_split(train, proposals)[0]):
-            want = _plain_loop(lambda chunk: _frozen_forward(model.params, model.backbone, chunk)[1],
+            want = _plain_loop(lambda chunk: _frozen_forward(model.params, model.backbone,
+                                                             [samples[i] for i in chunk])[1],
                                samples, SCORE_BATCH)
             assert np.array_equal(_global_scores(model, samples), np.concatenate(want))
 
@@ -933,19 +956,13 @@ class TestChunksOnEveryCore:
             samples = train + val
         model = build_lg_model(stage1.model, TrainConfig(seed=2, **dict(FAST, affinity_mode=mode)))
         boxes = _prepare_proposals(samples, proposals, model.top_k)
-        found = _plain_loop(lambda chunk: _guidance_chunk(model, chunk, [boxes[s.image_id] for s in chunk]),
+        found = _plain_loop(lambda chunk: _guidance_chunk(model, [samples[i] for i in chunk], boxes[chunk]),
                             samples, SCORE_BATCH)
-        want = [g for chunk in found for g in chunk]
+        want = [vars(table.rows(j)) for table in found for j in range(len(table.boxes))]
         got = _guidance_for(model, samples, proposals)
-        assert list(got) == [s.image_id for s in samples]
-        for s, w in zip(samples, want):
-            g = got[s.image_id]
-            for field in dataclasses.fields(w):
-                a, b = getattr(g, field.name), getattr(w, field.name)
-                if isinstance(b, np.ndarray):
-                    assert a.shape == b.shape and np.array_equal(a, b), (s.image_id, field.name)
-                else:
-                    assert a == b, (s.image_id, field.name)
+        assert len(got.boxes) == len(want) == len(samples)
+        for i, (s, w) in enumerate(zip(samples, want)):
+            _assert_same_row(got.rows(i), w, s.image_id)
 
     @pytest.mark.parametrize("split", ["train and val", "mixed sizes"])
     def test_stage2_scores_equal_the_plain_loop(self, tiny_data, stage1, cores, monkeypatch, split):
@@ -958,7 +975,8 @@ class TestChunksOnEveryCore:
             samples = train + val
         model = _random_head(build_lg_model(stage1.model, TrainConfig(seed=2, **FAST)), 6)
         guides = _guidance_for(model, samples, proposals)
-        want = _plain_loop(lambda chunk: _fused_logits(model, chunk, [guides[s.image_id] for s in chunk]).data,
+        want = _plain_loop(lambda chunk: _fused_logits(model, [samples[i] for i in chunk],
+                                                       guides.rows(chunk)).data,
                            samples, SCORE_BATCH)
         scored = []
         real = training.MetricsReport.from_scores
@@ -978,8 +996,8 @@ def _per_image_gradients(model, batch, guides, pos, sigma):
     for t in named.values():
         t.zero_grad()
     total = 0.0
-    for sample in batch:
-        fused = _fused_logits(model, [sample], [guides[sample.image_id]]).reshape(-1)
+    for i, sample in enumerate(batch):
+        fused = _fused_logits(model, [sample], guides.rows([i])).reshape(-1)
         loss = weighted_sigmoid_ce_node(fused, sample.labels, pos, sigma)
         loss.backward(np.asarray(1.0 / len(batch)))
         total += loss.item()
@@ -1011,7 +1029,7 @@ class TestChunkedSgd:
         guides = _guidance_for(model, batch, proposals)
         pos = positive_ratio(_label_matrix(train))
         want, want_loss = _per_image_gradients(model, batch, guides, pos, 1.0)
-        got_loss, _, got = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)
+        got_loss, _, got = _step(model.trainable(), _stage2_chunk_loss(model, batch, guides, pos, 1.0), batch)
         assert got.keys() == want.keys()
         for name, g in got.items():
             scale = np.abs(want[name]).max()
@@ -1024,22 +1042,22 @@ def _step(named, chunk_loss, batch):
     """One chunked SGD step over all of ``batch`` on every core, as a
     stage takes it; returns the images' loss sum, the batch's mean loss
     and the gradient by parameter name."""
-    task = _sgd_task(named, batch, chunk_loss)
+    task = _sgd_task(named, chunk_loss)
     with _Workers(len(batch), named, task) as workers:
         return _chunked_gradients(workers, task, batch, range(len(batch)))
 
 
 def _serial_chunk_gradients(named, batch, chunk_loss):
     """The chunked SGD step as a plain serial loop, kept as the reference:
-    each chunk's graph is built on the shared parameters ``named``, whose
-    gradients add up every chunk's, and each chunk's mean loss is seeded
-    with its share of the batch. Returns the gradients, the images' loss
-    sum and the batch's mean loss."""
+    each chunk's graph, ``chunk_loss`` of its indices into ``batch``, is
+    built on the shared parameters ``named``, whose gradients add up every
+    chunk's, and each chunk's mean loss is seeded with its share of the
+    batch. Returns the gradients, the images' loss sum and the batch's
+    mean loss."""
     for t in named.values():
         t.zero_grad()
     total = mean = 0.0
     for chunk in _same_size_chunks(batch, SGD_CHUNK):
-        chunk = [batch[i] for i in chunk]
         loss = chunk_loss(chunk)
         loss.backward(np.asarray(len(chunk) / len(batch)))
         total += loss.item() * len(chunk)
@@ -1089,11 +1107,12 @@ class TestSgdChunksOnEveryCore:
         pos = positive_ratio(_label_matrix(train))
 
         def chunk_loss(chunk):
-            _, logits = forward_global(params, bb, Tensor(np.stack([s.image for s in chunk])))
-            return weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, 1.0)
+            samples = [batch[i] for i in chunk]
+            _, logits = forward_global(params, bb, Tensor(np.stack([s.image for s in samples])))
+            return weighted_sigmoid_ce_node(logits, _label_matrix(samples), pos, 1.0)
 
         want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
-        got = _step(params.named(), _stage1_chunk_loss(params, bb, pos, 1.0), batch)
+        got = _step(params.named(), _stage1_chunk_loss(params, bb, batch, pos, 1.0), batch)
         self._assert_same(want, got, want_losses)
 
     @pytest.mark.parametrize("case, chunks", SGD_CASES, ids=[c for c, _ in SGD_CASES])
@@ -1106,11 +1125,12 @@ class TestSgdChunksOnEveryCore:
         pos = positive_ratio(_label_matrix(train))
 
         def chunk_loss(chunk):
-            fused = _fused_logits(model, chunk, [guides[s.image_id] for s in chunk])
-            return weighted_sigmoid_ce_node(fused, _label_matrix(chunk), pos, 1.0)
+            samples = [batch[i] for i in chunk]
+            fused = _fused_logits(model, samples, guides.rows(chunk))
+            return weighted_sigmoid_ce_node(fused, _label_matrix(samples), pos, 1.0)
 
         want, *want_losses = _serial_chunk_gradients(model.trainable(), batch, chunk_loss)
-        got = _step(model.trainable(), _stage2_chunk_loss(model, guides, pos, 1.0), batch)
+        got = _step(model.trainable(), _stage2_chunk_loss(model, batch, guides, pos, 1.0), batch)
         self._assert_same(want, got, want_losses)
 
     def test_stale_gradients_change_no_bit(self, tiny_data, cores):
@@ -1120,7 +1140,7 @@ class TestSgdChunksOnEveryCore:
         batch = train[:10]
         bb = preset_config("base", 8)
         params = init_backbone_params(bb, np.random.default_rng(5))
-        chunk_loss = _stage1_chunk_loss(params, bb, positive_ratio(_label_matrix(train)), 1.0)
+        chunk_loss = _stage1_chunk_loss(params, bb, batch, positive_ratio(_label_matrix(train)), 1.0)
         for t in params.named().values():
             t.zero_grad()
         want = _step(params.named(), chunk_loss, batch)
@@ -1141,11 +1161,12 @@ class TestSgdChunksOnEveryCore:
         pos = positive_ratio(_label_matrix(train))
 
         def chunk_loss(chunk):
-            _, logits = forward_global(params, bb, Tensor(np.stack([s.image for s in chunk])))
-            return weighted_sigmoid_ce_node(logits, _label_matrix(chunk), pos, 1.0)
+            samples = [batch[i] for i in chunk]
+            _, logits = forward_global(params, bb, Tensor(np.stack([s.image for s in samples])))
+            return weighted_sigmoid_ce_node(logits, _label_matrix(samples), pos, 1.0)
 
         want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
-        got = _step(params.named(), _stage1_chunk_loss(params, bb, pos, 1.0), batch)
+        got = _step(params.named(), _stage1_chunk_loss(params, bb, batch, pos, 1.0), batch)
         self._assert_same(want, got, want_losses)
         assert _no_children()
 
