@@ -21,7 +21,7 @@ from .checkpoint import CheckpointError, check_fields, load_container
 from .guidance import iou
 from .ppm import write_pgm, write_ppm
 from .synthdata import (
-    DataError, SynthSpec, default_spec, generate_dataset, load_dataset, load_split,
+    DataError, SynthSpec, _text_error, default_spec, generate_dataset, load_dataset, load_split,
 )
 from .proposals import CandidateConfig, propose_for_image, save_proposals
 from .training import (
@@ -148,25 +148,19 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=None)
 
 
+# the TrainConfig field each training flag sets, by argparse dest
+_TRAIN_FLAG_FIELDS = {
+    "seed": "seed", "epochs": "epochs", "batch_size": "batch_size", "lr": "lr0", "backbone": "backbone",
+    "top_k": "top_k_proposals", "threshold": "cam_threshold", "affinity": "affinity_mode",
+}
+
+
 def _train_config(args) -> TrainConfig:
     base = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        overrides["epochs"] = args.epochs
-    if getattr(args, "batch_size", None) is not None:
-        overrides["batch_size"] = args.batch_size
-    if getattr(args, "lr", None) is not None:
-        overrides["lr0"] = args.lr
-    if getattr(args, "backbone", None) is not None:
-        overrides["backbone"] = args.backbone
-    if getattr(args, "top_k", None) is not None:
-        overrides["top_k_proposals"] = args.top_k
-    if getattr(args, "threshold", None) is not None:
-        overrides["cam_threshold"] = args.threshold
-    if getattr(args, "affinity", None) is not None:
-        overrides["affinity_mode"] = {"overlap": "overlap_area"}.get(args.affinity, args.affinity)
+    overrides = {field: getattr(args, dest) for dest, field in _TRAIN_FLAG_FIELDS.items()
+                 if getattr(args, dest, None) is not None}
+    if overrides.get("affinity_mode") == "overlap":
+        overrides["affinity_mode"] = "overlap_area"
     return dataclasses.replace(base, **overrides)
 
 
@@ -427,20 +421,30 @@ def _cmd_ablate(args) -> int:
 # -- plotting -------------------------------------------------------------------
 
 
-def _cmd_plot(args) -> int:
-    lines = args.log.read_text(encoding="utf-8").strip().splitlines()
+def _read_log(path: Path) -> tuple[list[str], np.ndarray]:
+    """A training log's header and its [rows, columns] of finite numbers;
+    a file that is not UTF-8 or holds a malformed row raises DataError
+    naming it."""
+    try:
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise _text_error(path, exc) from exc
     if len(lines) < 2:
-        raise DataError(f"{args.log}: log has no data rows")
+        raise DataError(f"{path}: log has no data rows")
     header = lines[0].split(",")
     rows = []
     for lineno, line in enumerate(lines[1:], 2):
         try:
             rows.append([float(v) for v in line.split(",")])
         except ValueError as exc:
-            raise DataError(f"{args.log}:{lineno}: {exc}") from exc
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
         if len(rows[-1]) != len(header) or not np.isfinite(rows[-1]).all():
-            raise DataError(f"{args.log}:{lineno}: want {len(header)} finite numbers")
-    data = np.array(rows)
+            raise DataError(f"{path}:{lineno}: want {len(header)} finite numbers")
+    return header, np.array(rows)
+
+
+def _cmd_plot(args) -> int:
+    header, data = _read_log(args.log)
     svg = _render_svg(header[0], data[:, 0], header[1:], data[:, 1:].T)
     args.out.write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")

@@ -57,8 +57,10 @@ class AttributeTemplate:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
-        if self.size_range[0] < 3 or self.size_range[1] < self.size_range[0]:
+        if len(self.size_range) != 2 or self.size_range[0] < 3 or self.size_range[1] < self.size_range[0]:
             raise ValueError(f"bad size range {self.size_range}")
+        if len(self.color) != 3 or (self.region is not None and len(self.region) != 4):
+            raise ValueError(f"attribute {self.name!r}: color must be 3 numbers and region 4 or null")
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,8 @@ class SynthSpec:
     background: float = 0.12
 
     def __post_init__(self):
+        if self.image_size < 1:
+            raise ValueError(f"image_size must be at least 1, not {self.image_size}")
         if not (0.0 < self.positive_rate < 1.0):
             raise ValueError("positive_rate must lie in (0, 1)")
         clutter = self.clutter_range
@@ -87,7 +91,7 @@ class SynthSpec:
             if tpl.size_range[1] > min(rw, rh):
                 raise ValueError(
                     f"attribute {tpl.name!r}: max size {tpl.size_range[1]} "
-                    f"does not fit its placement region"
+                    f"does not fit its placement region at image_size {self.image_size}"
                 )
 
     @property
@@ -119,7 +123,7 @@ _REGIONS = {
 def default_spec(num_attributes: int = 8, image_size: int = 64) -> SynthSpec:
     """Half the attributes are free-floating, half are region-locked."""
     if not (1 <= num_attributes <= len(_PALETTE)):
-        raise ValueError(f"num_attributes must be in [1, {len(_PALETTE)}]")
+        raise ValueError(f"num_attributes must be in [1, {len(_PALETTE)}], not {num_attributes}")
     region_cycle = [None, None, None, None, _REGIONS["top"], _REGIONS["bottom"],
                     _REGIONS["left"], _REGIONS["right"]]
     templates = []
@@ -335,9 +339,9 @@ def _text_error(path: Path, exc: UnicodeDecodeError) -> DataError:
 def load_split(split_dir: str | Path) -> list[Sample]:
     """Load one split eagerly, cross-checking labels against image files.
 
-    A ground-truth box needs an attribute id within the label count,
-    finite corners, and at least a part inside its image; an id takes at
-    most one line.
+    A ground-truth box needs an attribute id within the label count that
+    the image's labels mark 1, finite corners, and at least a part inside
+    its image; an id takes at most one line.
     """
     split_dir = Path(split_dir)
     labels_path = split_dir / "labels.csv"
@@ -409,6 +413,9 @@ def load_split(split_dir: str | Path) -> list[Sample]:
                     raise DataError(f"{where}: box corners must be finite")
                 if x1 <= 0 or y1 <= 0 or x0 >= w or y0 >= h:
                     raise DataError(f"{where}: box ({x0:g}, {y0:g}, {x1:g}, {y1:g}) lies outside the {w}x{h} image")
+                if not labels[idx]:
+                    raise DataError(f"{where}: box for attribute {idx}, "
+                                    f"which {labels_path}:{first_line[image_id]} marks 0")
                 gt_boxes[idx], gt_lines[idx] = box, lineno
         samples.append(Sample(image_id, image, labels, gt_boxes))
     return samples

@@ -109,19 +109,20 @@ class TrainConfig:
             if not (0 <= getattr(self, name) < float("inf")):
                 raise ValueError(f"{name} must be finite and at least 0, not {getattr(self, name)!r}")
         if not (0 < self.lr_decay_factor <= 1):
-            raise ValueError("learning-rate decay factor must lie in (0, 1]")
-        if self.lr_decay_every < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs, batch size and decay interval must be positive")
-        if self.top_k_proposals < 1 or not (0 < self.cam_threshold < 1):
-            raise ValueError("bad proposal count or activation threshold")
+            raise ValueError(f"lr_decay_factor must lie in (0, 1], not {self.lr_decay_factor!r}")
+        for name in ("lr_decay_every", "epochs", "batch_size", "top_k_proposals"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
+        if not (0 < self.cam_threshold < 1):
+            raise ValueError(f"cam_threshold must lie in (0, 1), not {self.cam_threshold!r}")
         if self.affinity_mode not in AFFINITY_CHOICES:
-            raise ValueError(f"affinity mode must be one of {AFFINITY_CHOICES}")
+            raise ValueError(f"affinity_mode must be one of {AFFINITY_CHOICES}, not {self.affinity_mode!r}")
         if self.backbone not in BACKBONE_PRESETS:
-            raise ValueError(f"unknown backbone preset {self.backbone!r}")
+            raise ValueError(f"backbone must be one of {tuple(BACKBONE_PRESETS)}, not {self.backbone!r}")
         if len(self.roi_out) != 2 or min(self.roi_out) < 1:
-            raise ValueError("roi_out must be two positive integers")
+            raise ValueError(f"roi_out must be two positive integers, not {list(self.roi_out)}")
         if not (0 <= self.momentum < 1):
-            raise ValueError("momentum must lie in [0, 1)")
+            raise ValueError(f"momentum must lie in [0, 1), not {self.momentum!r}")
         if not (0 < self.loss_sigma * self.loss_sigma < float("inf")):
             raise ValueError(f"loss_sigma must have a positive, finite square, not {self.loss_sigma!r}")
         if self.seed < 0:
@@ -234,21 +235,24 @@ def _epoch_permutation(seed: int, stage: int, epoch: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(ss)).permutation(n)
 
 
-def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int,
-         train: Sequence[Sample], chunk_loss: Callable[[list[int]], Tensor],
-         val: Sequence[Sample], score: Callable[[list[int]], np.ndarray], best_ma: float,
+def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int, samples: Sequence[Sample], n_train: int,
+         logits: Callable[[list[int]], Tensor], score: Callable[[list[int]], np.ndarray], best_ma: float,
          frozen: Callable[[], str] | None = None) -> tuple[list[dict], float, int, list[list[float]]]:
-    """The SGD epochs of one stage, on workers forked here. Each step
-    applies the gradient of its batch's mean loss, ``chunk_loss`` being
-    that of :func:`_sgd_task`; each epoch ends with the val mA of
-    ``score``, a chunk of indices into ``val`` to its [n, c] logits.
+    """The SGD epochs of one stage, on workers forked here. ``samples``
+    holds the train split, its first ``n_train`` rows, then the val split.
+    ``logits`` maps a chunk of train indices to its [n, c] logits built on
+    ``named``; each step applies the gradient of its batch's mean loss,
+    weighted by the train split's positive ratios. Each epoch ends with
+    the val mA of ``score``, a chunk of val indices to its [n, c] logits.
     ``frozen()``, where given, is a digest that must not move from epoch
     to epoch. ``named`` ends at the best snapshot: epoch -1, scoring
     ``best_ma``, is the parameters as given. Returns the log rows, the
     best val mA, its epoch and each step's mean loss, epoch by epoch."""
-    sgd = _sgd_task(named, chunk_loss)
-    val_chunks = _same_size_chunks(val, SCORE_BATCH)
-    val_labels = _label_matrix(val)
+    labels = _label_matrix(samples)
+    pos = positive_ratio(labels[:n_train])
+    sgd = _sgd_task(named, lambda chunk: weighted_sigmoid_ce_node(logits(chunk), labels[chunk], pos,
+                                                                  config.loss_sigma))
+    val_chunks = _same_size_chunks(samples, SCORE_BATCH, range(n_train, len(samples)))
     digest = None if frozen is None else frozen()
     velocity: dict[str, np.ndarray] = {}
     best_epoch, best_arrays = -1, {n: t.data.copy() for n, t in named.items()}
@@ -258,13 +262,13 @@ def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int,
     with _Workers(max(-(-config.batch_size // SGD_CHUNK), len(val_chunks)), named, sgd, score) as workers:
         for epoch in range(config.epochs):
             lr = learning_rate(config, epoch)
-            order = _epoch_permutation(config.seed, stage, epoch, len(train))
+            order = _epoch_permutation(config.seed, stage, epoch, n_train)
             total_loss = 0.0
             step_losses.append([])
-            for i, start in enumerate(range(0, len(train), config.batch_size)):
+            for i, start in enumerate(range(0, n_train, config.batch_size)):
                 batch = order[start : start + config.batch_size].tolist()
                 try:
-                    total, mean, grads = _chunked_gradients(workers, sgd, train, batch)
+                    total, mean, grads = _chunked_gradients(workers, sgd, samples, batch)
                 except FloatingPointError as exc:
                     raise RuntimeError(f"stage-{stage} training diverged at epoch {epoch} step {i}: {exc}") from exc
                 total_loss += total
@@ -273,10 +277,10 @@ def _fit(named: Mapping[str, Tensor], config: TrainConfig, stage: int,
             if frozen is not None and frozen() != digest:
                 raise RuntimeError(f"frozen global branch drifted during epoch {epoch}")
             try:
-                val_ma = MetricsReport.from_scores(np.concatenate(workers.map(score, val_chunks)), val_labels).ma
+                val_ma = MetricsReport.from_scores(np.concatenate(workers.map(score, val_chunks)), labels[n_train:]).ma
             except FloatingPointError as exc:
                 raise RuntimeError(f"stage-{stage} validation diverged at epoch {epoch}: {exc}") from exc
-            log_rows.append({"epoch": epoch, "lr": lr, "train_loss": total_loss / len(train), "val_mA": val_ma})
+            log_rows.append({"epoch": epoch, "lr": lr, "train_loss": total_loss / n_train, "val_mA": val_ma})
             if val_ma > best_ma:
                 best_ma, best_epoch = val_ma, epoch
                 best_arrays = {n: t.data.copy() for n, t in named.items()}
@@ -494,8 +498,8 @@ class _Workers:
 
 def _sgd_task(named: Mapping[str, Tensor], chunk_loss: Callable[[list[int]], Tensor]) -> Callable:
     """The SGD task of a stage, run on a pool given its trainable
-    parameters ``named``. Its payload is (a chunk of indices into the
-    stage's train split, the chunk's share of the batch). ``chunk_loss(chunk)``
+    parameters ``named``. Its payload is (a chunk of indices of the
+    stage's train rows, the chunk's share of the batch). ``chunk_loss(chunk)``
     returns the chunk's mean loss built on ``named``; the task clears
     their gradients, seeds that loss with the share and returns the
     chunk's size, its mean loss and their gradients."""
@@ -564,18 +568,6 @@ def _global_score_task(model: GlobalModel, samples: Sequence[Sample]) -> Callabl
     return lambda chunk: _frozen_forward(model.params, model.backbone, [samples[i] for i in chunk])[1]
 
 
-def _stage1_chunk_loss(params: BackboneParams, config: BackboneConfig, samples: Sequence[Sample],
-                       pos: np.ndarray, sigma: float) -> Callable:
-    """The chunk loss of :func:`_sgd_task` for the whole-image classifier,
-    over ``samples``."""
-    def chunk_loss(chunk: list[int]) -> Tensor:
-        batch = [samples[i] for i in chunk]
-        _, logits = forward_global(params, config, Tensor(np.stack([s.image for s in batch])))
-        return weighted_sigmoid_ce_node(logits, _label_matrix(batch), pos, sigma)
-
-    return chunk_loss
-
-
 def train_stage1(
     train: Sequence[Sample],
     val: Sequence[Sample],
@@ -586,10 +578,10 @@ def train_stage1(
     bb = preset_config(config.backbone, num_attributes)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
     params = init_backbone_params(bb, rng, trainable=True)
-    pos = positive_ratio(_label_matrix(train))
-    chunk_loss = _stage1_chunk_loss(params, bb, train, pos, config.loss_sigma)
-    score = _global_score_task(GlobalModel(bb, params), val)
-    fitted = _fit(params.named(), config, 1, train, chunk_loss, val, score, -1.0)
+    both = [*train, *val]
+    fitted = _fit(params.named(), config, 1, both, len(train),
+                  lambda chunk: forward_global(params, bb, Tensor(np.stack([both[i].image for i in chunk])))[1],
+                  _global_score_task(GlobalModel(bb, params), both), -1.0)
     return StageResult(GlobalModel(bb, params.copy(requires_grad=False)), *fitted)
 
 
@@ -726,18 +718,6 @@ def _guidance_for(
     return _concat(_map_once(_guidance_task(model, samples, proposals), samples))
 
 
-def _stage2_chunk_loss(model: LGModel, samples: Sequence[Sample], guides: Guidance,
-                       pos: np.ndarray, sigma: float) -> Callable:
-    """The chunk loss of :func:`_sgd_task` for the trainable half, over
-    ``samples`` and their first rows of ``guides``."""
-    def chunk_loss(chunk: list[int]) -> Tensor:
-        batch = [samples[i] for i in chunk]
-        fused = _fused_logits(model, batch, guides.rows(chunk))
-        return weighted_sigmoid_ce_node(fused, _label_matrix(batch), pos, sigma)
-
-    return chunk_loss
-
-
 def _lg_score_task(model: LGModel, samples: Sequence[Sample],
                    given: Guidance | Mapping[str, ProposalSet]) -> Callable:
     """Stage-2 scoring of a chunk of indices into ``samples``: [n, c]
@@ -761,7 +741,6 @@ def train_stage2(
     included as a candidate. The frozen branch is checked every epoch.
     """
     model = build_lg_model(stage1, config)
-    pos = positive_ratio(_label_matrix(train))
     both = [*train, *val]
     find = _guidance_task(model, both, proposals)
 
@@ -771,22 +750,15 @@ def train_stage2(
 
     # found before the stage's workers are forked, so they inherit the table: train rows, then val rows
     guides = _concat(_map_once(trimmed, both))
-    val_guides = guides.rows(slice(len(train), None))
-    chunk_loss = _stage2_chunk_loss(model, train, guides, pos, config.loss_sigma)
-    score = _lg_score_task(model, val, val_guides)
-    best_ma = _untrained_report(val, val_guides).ma  # the fresh model is a candidate
-    fitted = _fit(model.trainable(), config, 2, train, chunk_loss, val, score, best_ma, model.frozen_digest)
+    # the fresh model is a candidate: its zero head makes the fused logits the global ones
+    best_ma = MetricsReport.from_scores(guides.global_logits[len(train):], _label_matrix(val)).ma
+    fitted = _fit(model.trainable(), config, 2, both, len(train),
+                  lambda chunk: _fused_logits(model, [both[i] for i in chunk], guides.rows(chunk)),
+                  _lg_score_task(model, both, guides), best_ma, model.frozen_digest)
     return StageResult(model, *fitted)
 
 
 # -- evaluation -------------------------------------------------------------------
-
-
-def _untrained_report(samples: Sequence[Sample], guides: Guidance) -> MetricsReport:
-    """What :func:`evaluate` reports for a freshly built stage-2 model: its
-    zero head makes the fused logits exactly the global ones, which the
-    guidance table of ``samples`` already holds."""
-    return MetricsReport.from_scores(guides.global_logits, _label_matrix(samples))
 
 
 def evaluate(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from lgnet.cli import main
+from lgnet.cli import _TRAIN_FLAG_FIELDS, build_parser, main
 
 COMMANDS = [
     "gen-data", "propose", "train-stage1", "train-stage2",
@@ -80,6 +81,51 @@ class TestParsing:
 
     def test_missing_required_flag_is_usage_error(self):
         assert main(["eval", "--model", "m.lgn"]) == 1
+
+
+def _numeric_flags():
+    """(command, flag, dest, type) of every int or float flag of every command."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[-1], action.dest, action.type)
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.type in (int, float)]
+
+
+# out-of-range values for every int or float flag, but for those a flag takes
+OUT_OF_RANGE = {int: ["0", "-1"], float: ["-1", "1.5", "nan"]}
+IN_RANGE = {"--seed": "0", "--lr": "1.5"}
+
+
+class TestNumericFlags:
+    """Every int or float flag refuses an out-of-range value with one
+    error line naming the flag, or the training-config field it sets,
+    and the value, before anything is written."""
+
+    @pytest.mark.parametrize("command, flag, dest, value", [
+        (command, flag, dest, value) for command, flag, dest, kind in _numeric_flags()
+        for value in OUT_OF_RANGE[kind] if value != IN_RANGE.get(flag)
+    ], ids=lambda v: str(v) if isinstance(v, str) else None)
+    def test_out_of_range_value_is_named_and_writes_nothing(self, workspace, tmp_path, capsys,
+                                                           command, flag, dest, value):
+        data, model, props, out = workspace / "data", workspace / "stage2.lgn", workspace / "props", tmp_path / "out"
+        required = {
+            "gen-data": ["--out", out],
+            "propose": ["--images", data, "--out", out],
+            "train-stage1": ["--data", data, "--out", out],
+            "train-stage2": ["--data", data, "--model", workspace / "stage1.lgn", "--proposals", props,
+                             "--out", out],
+            "eval": ["--model", model, "--data", data, "--proposals", props, "--out", out],
+            "localize": ["--model", model, "--data", data, "--proposals", props, "--out", out],
+            "ablate": ["--name", "resolution", "--data", data, "--out", out],
+        }[command]
+        assert main([command, *map(str, required), flag, value]) == 2
+        printed = capsys.readouterr()
+        trains = command in ("train-stage1", "train-stage2", "ablate")
+        names = [_TRAIN_FLAG_FIELDS[dest]] if trains else [flag, dest]
+        assert printed.out == "" and printed.err.startswith("error: ") and printed.err.count("\n") == 1
+        assert any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", printed.err) for name in names)
+        assert value in printed.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenDataConfig:
@@ -191,7 +237,14 @@ class TestMalformedInput:
         (lambda meta: {**meta, "spec": {**meta["spec"], "attributes": [
             {**meta["spec"]["attributes"][0], "region": "top"}]}}, "'region'"),
         (lambda meta: {**meta, "spec": {**meta["spec"], "clutter_range": [5, 1]}}, "clutter_range"),
-    ], ids=["list", "no-noise_sigma", "string-noise_sigma", "string-region", "reversed-clutter_range"])
+        (lambda meta: {**meta, "spec": {**meta["spec"], "attributes": [
+            {**meta["spec"]["attributes"][0], "size_range": []}]}}, "size range"),
+        (lambda meta: {**meta, "spec": {**meta["spec"], "attributes": [
+            {**meta["spec"]["attributes"][0], "region": [0.0, 0.5]}]}}, "region 4"),
+        (lambda meta: {**meta, "spec": {**meta["spec"], "attributes": [
+            {**meta["spec"]["attributes"][0], "color": [1.0]}]}}, "color must be 3"),
+    ], ids=["list", "no-noise_sigma", "string-noise_sigma", "string-region", "reversed-clutter_range",
+            "empty-size_range", "short-region", "short-color"])
     def test_bad_spec_json(self, workspace, tmp_path, capsys, change, named):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
@@ -374,17 +427,18 @@ class TestMalformedInput:
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         gt_file = sorted((data / "test" / "gt_boxes").glob("*.txt"))[0]
-        gt_file.write_text("1 2 3 14 28\n2 3 14 17 28 99 junk\n")
+        gt_file.write_text("3 2 3 14 28\n4 3 14 17 28 99 junk\n")
         err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
                                       capsys)
         assert f"{gt_file}:2" in err
 
+    # the first test image of the seed-3 set marks attributes 0, 3, 4 and 5, which alone may have boxes
     @pytest.mark.parametrize("text, line, named", [
         ("0 0 0 inf 5\n", 1, "finite"),
-        ("1 2 3 14 28\n99 1 1 5 5\n", 2, "attribute id 99 outside [0, 8)"),
+        ("3 2 3 14 28\n99 1 1 5 5\n", 2, "attribute id 99 outside [0, 8)"),
         ("-1 1 1 5 5\n", 1, "attribute id -1 outside [0, 8)"),
         ("0 500 500 600 600\n", 1, "outside the 64x64 image"),
-        ("2 1 1 5 5\n\n2 3 3 9 9\n", 3, "attribute 2 repeats line 1"),
+        ("4 1 1 5 5\n\n4 3 3 9 9\n", 3, "attribute 4 repeats line 1"),
     ], ids=["infinite", "id-too-large", "id-negative", "outside-image", "repeated-id"])
     def test_bad_ground_truth_box(self, workspace, tmp_path, capsys, text, line, named):
         data = tmp_path / "data"
@@ -394,6 +448,19 @@ class TestMalformedInput:
         err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
                                       capsys)
         assert err.startswith(f"error: {gt_file}:{line}: ") and named in err
+
+    def test_ground_truth_box_for_a_negative_attribute(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        labels = data / "test" / "labels.csv"
+        image_id, *row = labels.read_text().splitlines()[1].split(",")
+        negative = row.index("0")
+        gt_file = data / "test" / "gt_boxes" / f"{image_id}.txt"
+        lines = gt_file.read_text().splitlines()
+        gt_file.write_text("\n".join([*lines, f"{negative} 1 1 5 5"]) + "\n")
+        err = self._assert_data_error(["eval", "--model", workspace / "stage1.lgn", "--data", data],
+                                      capsys)
+        assert err == f"error: {gt_file}:{len(lines) + 1}: box for attribute {negative}, which {labels}:2 marks 0\n"
 
     @pytest.mark.parametrize("name", ["labels.csv", "gt_boxes"])
     def test_split_file_not_utf8_is_named(self, workspace, tmp_path, capsys, name):
@@ -813,6 +880,13 @@ class TestPlot:
         assert main(["plot", "--log", str(log), "--out", str(tmp_path / "x.svg")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{log}:3" in err and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_log_not_utf8_is_named(self, tmp_path, capsys):
+        log = tmp_path / "train.log.csv"
+        log.write_bytes(b"epoch,lr,train_loss,val_mA\n0,0.1,0.7,0.\xff4\n")
+        assert main(["plot", "--log", str(log), "--out", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err == f"error: {log}: not UTF-8 text (invalid start byte)\n"
         assert not (tmp_path / "x.svg").exists()
 
     def test_empty_log_is_data_error(self, tmp_path):

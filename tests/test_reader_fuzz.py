@@ -4,6 +4,9 @@ Each reader may reject a damaged file only with its documented error,
 and the message must name the file.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,9 +14,11 @@ from hypothesis import strategies as st
 
 from lgnet.boxes import Box
 from lgnet.checkpoint import CheckpointError, load_container, save_container
+from lgnet.cli import _read_log
 from lgnet.ppm import read_ppm, write_ppm
 from lgnet.proposals import ProposalSet, load_proposals, save_proposals
-from lgnet.synthdata import DataError, load_split
+from lgnet.synthdata import DataError, default_spec, generate_dataset, load_dataset, load_split
+from lgnet.training import TrainConfig, write_training_log
 
 FUZZ = settings(
     derandomize=True,
@@ -61,6 +66,10 @@ def valid(tmp_path_factory):
         (Box(0.0, 1.5, 12.0, 20.25, 0.75), Box(3.0, 4.0, 5.0, 6.0, -1.0))))
     save_container(root / "a.lgn", {"kind": "global", "n": 1},
                    {"w": np.arange(6.0).reshape(2, 3), "b": np.array(0.5)})
+    write_training_log(root / "a.csv", [{"epoch": e, "lr": 0.05, "train_loss": 0.7 / (e + 1), "val_mA": 0.5 + e / 9}
+                                        for e in range(3)])
+    config = TrainConfig(epochs=7, roi_out=(2, 5), affinity_mode="overlap_area")
+    (root / "a.json").write_text(json.dumps(dataclasses.asdict(config)), encoding="utf-8")
     return {path.suffix: path.read_bytes() for path in root.iterdir()}
 
 
@@ -84,6 +93,41 @@ def test_load_proposals_raises_only_value_error_naming_the_file(tmp_path, valid,
 def test_load_container_raises_only_checkpoint_error_naming_the_file(tmp_path, valid, data):
     raw = data.draw(_damaged(valid[".lgn"]))
     _read_or_reject(load_container, CheckpointError, tmp_path / "damaged.lgn", raw)
+
+
+@given(data=st.data())
+@FUZZ
+def test_read_log_raises_only_data_error_naming_the_file(tmp_path, valid, data):
+    raw = data.draw(_damaged(valid[".csv"]))
+    log = _read_or_reject(_read_log, DataError, tmp_path / "damaged.log.csv", raw)
+    assert log is None or (log[1].shape[1] == len(log[0]) and np.isfinite(log[1]).all())
+
+
+@given(data=st.data())
+@FUZZ
+def test_train_config_raises_only_data_error_naming_the_file(tmp_path, valid, data):
+    raw = data.draw(_damaged(valid[".json"]))
+    config = _read_or_reject(TrainConfig.from_file, DataError, tmp_path / "damaged.json", raw)
+    assert config is None or isinstance(config, TrainConfig)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A generated dataset of one 16-pixel image per split, and the bytes
+    of its spec.json."""
+    root = tmp_path_factory.mktemp("dataset")
+    generate_dataset(default_spec(num_attributes=2, image_size=16), seed=0, n_train=1, n_val=1, n_test=1,
+                     out_dir=root)
+    return root, (root / "spec.json").read_bytes()
+
+
+@given(data=st.data())
+@FUZZ
+def test_load_dataset_raises_only_data_error_naming_the_spec(dataset, data):
+    root, valid_spec = dataset
+    raw = data.draw(_damaged(valid_spec))
+    loaded = _read_or_reject(lambda _: load_dataset(root), DataError, root / "spec.json", raw)
+    assert loaded is None or sorted(loaded[0]) == ["test", "train", "val"]
 
 
 @pytest.fixture

@@ -34,9 +34,6 @@ from lgnet.training import (
     _same_size_chunks,
     _sgd_step,
     _sgd_task,
-    _stage1_chunk_loss,
-    _stage2_chunk_loss,
-    _untrained_report,
     build_lg_model,
     evaluate,
     learning_rate,
@@ -527,11 +524,17 @@ class TestBatchedScoring:
         assert sum(images) == n
 
     def test_untrained_score_is_the_fresh_model_evaluation(self, tiny_data, stage1):
-        _, val, proposals = tiny_data
+        train, val, proposals = tiny_data
         for mode in ("iou", "uniform"):
-            model = build_lg_model(stage1.model, TrainConfig(seed=2, **dict(FAST, affinity_mode=mode)))
-            report = _untrained_report(val, _guidance_for(model, val, proposals))
+            config = TrainConfig(seed=2, **dict(FAST, affinity_mode=mode))
+            model = build_lg_model(stage1.model, config)
+            guides = _guidance_for(model, train[:8] + val, proposals)
+            report = MetricsReport.from_scores(guides.global_logits[8:], _label_matrix(val))
             assert report == evaluate(model, val, proposals=proposals)
+            # a run that cannot move its parameters keeps the fresh model, at exactly that mA
+            result = train_stage2(train[:8], val, stage1.model, proposals,
+                                  dataclasses.replace(config, lr0=0.0, epochs=1))
+            assert (result.best_epoch, result.best_val_ma) == (-1, report.ma)
 
     def test_mixed_image_sizes_are_scored_in_same_size_runs(self, tiny_data, stage1):
         train, _, proposals = tiny_data
@@ -637,25 +640,27 @@ class TestFrozenHalfInChunks:
             _assert_same_row(guide.rows(0), vars(guides.rows(i)), train[i].image_id)
 
     def test_stage2_val_rows_equal_the_val_split_alone(self, tiny_data, stage1, monkeypatch):
-        """Stage 2 keeps one table, train rows then val rows; with 17 train
-        images one guidance chunk holds the last train image and the first
-        seven val images, yet the val rows hold the bits of the val split's
-        own table in the columns the trainable half reads."""
+        """Stage 2 keeps one table, train rows then val rows, and scores
+        from it; with 17 train images one guidance chunk holds the last
+        train image and the first seven val images, yet the val rows hold
+        the bits of the val split's own table in the columns the trainable
+        half reads."""
         from lgnet import training
 
         train, val, proposals = tiny_data
         train = train[:17]
         assert list(range(16, 24)) in _same_size_chunks(train + val, SCORE_BATCH)
         given, real = [], training._lg_score_task
-        monkeypatch.setattr(training, "_lg_score_task",
-                            lambda model, samples, table: given.append(table) or real(model, samples, table))
+        monkeypatch.setattr(training, "_lg_score_task", lambda model, samples, table:
+                            given.append((samples, table)) or real(model, samples, table))
         config = TrainConfig(seed=2, **dict(FAST, epochs=1))
         train_stage2(train, val, stage1.model, proposals, config)
-        (table,) = given
+        ((samples, table),) = given
         want = _guidance_for(build_lg_model(stage1.model, config), val, proposals)
-        assert len(table.boxes) == len(val)
+        assert [s.image_id for s in samples] == [s.image_id for s in train + val]
+        assert len(table.boxes) == len(samples)
         for i, s in enumerate(val):
-            _assert_same_row(table.rows(i), dict(vars(want.rows(i)), **NO_CAMS), s.image_id)
+            _assert_same_row(table.rows(len(train) + i), dict(vars(want.rows(i)), **NO_CAMS), s.image_id)
 
     @pytest.mark.parametrize("n", [1, 16, 17, 40])
     def test_guidance_runs_the_trunk_once_per_chunk(self, tiny_data, stage1, monkeypatch, one_core, n):
@@ -1029,7 +1034,8 @@ class TestChunkedSgd:
         guides = _guidance_for(model, batch, proposals)
         pos = positive_ratio(_label_matrix(train))
         want, want_loss = _per_image_gradients(model, batch, guides, pos, 1.0)
-        got_loss, _, got = _step(model.trainable(), _stage2_chunk_loss(model, batch, guides, pos, 1.0), batch)
+        chunk_loss = _fit_loss(_stage2_logits(model, batch, guides), batch, pos)
+        got_loss, _, got = _step(model.trainable(), chunk_loss, batch)
         assert got.keys() == want.keys()
         for name, g in got.items():
             scale = np.abs(want[name]).max()
@@ -1045,6 +1051,24 @@ def _step(named, chunk_loss, batch):
     task = _sgd_task(named, chunk_loss)
     with _Workers(len(batch), named, task) as workers:
         return _chunked_gradients(workers, task, batch, range(len(batch)))
+
+
+def _fit_loss(logits, samples, pos, sigma=1.0):
+    """The chunk loss ``_fit`` builds from a stage's ``logits``, a chunk of
+    indices into ``samples`` to its [n, c] logits: the chunk's rows of the
+    split's label matrix, weighted by the positive ratios ``pos``."""
+    labels = _label_matrix(samples)
+    return lambda chunk: weighted_sigmoid_ce_node(logits(chunk), labels[chunk], pos, sigma)
+
+
+def _stage1_logits(params, bb, samples):
+    """Stage 1's ``logits``: the whole-image classifier on a chunk."""
+    return lambda chunk: forward_global(params, bb, Tensor(np.stack([samples[i].image for i in chunk])))[1]
+
+
+def _stage2_logits(model, samples, guides):
+    """Stage 2's ``logits``: the fused logits of a chunk and its guidance rows."""
+    return lambda chunk: _fused_logits(model, [samples[i] for i in chunk], guides.rows(chunk))
 
 
 def _serial_chunk_gradients(named, batch, chunk_loss):
@@ -1075,6 +1099,54 @@ def _sgd_batch(train, proposals, case):
 
 
 SGD_CASES = [("16 images", [4, 4, 4, 4]), ("10 images", [4, 4, 2]), ("mixed sizes", [2, 2, 3, 1, 2])]
+
+
+class TestFitLoss:
+    """``_fit`` builds each stage's loss from the stage's logits over its
+    train-then-val rows: one epoch of one batch gives the serial
+    reference's loss bit for bit, its positive ratios those of the train
+    rows alone."""
+
+    @staticmethod
+    def _assert_first_step(result, named, batch, chunk_loss, n_train):
+        _, total, mean = _serial_chunk_gradients(named, batch, chunk_loss)
+        assert result.step_losses == [[mean]]
+        assert result.log_rows[0]["train_loss"] == total / n_train
+
+    def test_stage1(self, tiny_data):
+        train, val, _ = tiny_data
+        train = train[:12]
+        config = TrainConfig(seed=4, **dict(FAST, epochs=1, batch_size=len(train)))
+        bb = preset_config(config.backbone, 8)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 0))))
+        params = init_backbone_params(bb, rng, trainable=True)  # as the stage starts
+        batch = [train[i] for i in _epoch_permutation(config.seed, 1, 0, len(train))]
+        pos = positive_ratio(_label_matrix(train))
+
+        def chunk_loss(chunk):
+            samples = [batch[i] for i in chunk]
+            _, logits = forward_global(params, bb, Tensor(np.stack([s.image for s in samples])))
+            return weighted_sigmoid_ce_node(logits, _label_matrix(samples), pos, config.loss_sigma)
+
+        result = train_stage1(train, val, config)
+        self._assert_first_step(result, params.named(), batch, chunk_loss, len(train))
+
+    def test_stage2(self, tiny_data, stage1):
+        train, val, proposals = tiny_data
+        train = train[:12]
+        config = TrainConfig(seed=4, **dict(FAST, epochs=1, batch_size=len(train)))
+        model = build_lg_model(stage1.model, config)  # as the stage starts
+        batch = [train[i] for i in _epoch_permutation(config.seed, 2, 0, len(train))]
+        guides = _guidance_for(model, batch, proposals)
+        pos = positive_ratio(_label_matrix(train))
+
+        def chunk_loss(chunk):
+            samples = [batch[i] for i in chunk]
+            fused = _fused_logits(model, samples, guides.rows(chunk))
+            return weighted_sigmoid_ce_node(fused, _label_matrix(samples), pos, config.loss_sigma)
+
+        result = train_stage2(train, val, stage1.model, proposals, config)
+        self._assert_first_step(result, model.trainable(), batch, chunk_loss, len(train))
 
 
 class TestSgdChunksOnEveryCore:
@@ -1112,7 +1184,7 @@ class TestSgdChunksOnEveryCore:
             return weighted_sigmoid_ce_node(logits, _label_matrix(samples), pos, 1.0)
 
         want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
-        got = _step(params.named(), _stage1_chunk_loss(params, bb, batch, pos, 1.0), batch)
+        got = _step(params.named(), _fit_loss(_stage1_logits(params, bb, batch), batch, pos), batch)
         self._assert_same(want, got, want_losses)
 
     @pytest.mark.parametrize("case, chunks", SGD_CASES, ids=[c for c, _ in SGD_CASES])
@@ -1130,7 +1202,7 @@ class TestSgdChunksOnEveryCore:
             return weighted_sigmoid_ce_node(fused, _label_matrix(samples), pos, 1.0)
 
         want, *want_losses = _serial_chunk_gradients(model.trainable(), batch, chunk_loss)
-        got = _step(model.trainable(), _stage2_chunk_loss(model, batch, guides, pos, 1.0), batch)
+        got = _step(model.trainable(), _fit_loss(_stage2_logits(model, batch, guides), batch, pos), batch)
         self._assert_same(want, got, want_losses)
 
     def test_stale_gradients_change_no_bit(self, tiny_data, cores):
@@ -1140,7 +1212,7 @@ class TestSgdChunksOnEveryCore:
         batch = train[:10]
         bb = preset_config("base", 8)
         params = init_backbone_params(bb, np.random.default_rng(5))
-        chunk_loss = _stage1_chunk_loss(params, bb, batch, positive_ratio(_label_matrix(train)), 1.0)
+        chunk_loss = _fit_loss(_stage1_logits(params, bb, batch), batch, positive_ratio(_label_matrix(train)))
         for t in params.named().values():
             t.zero_grad()
         want = _step(params.named(), chunk_loss, batch)
@@ -1166,7 +1238,7 @@ class TestSgdChunksOnEveryCore:
             return weighted_sigmoid_ce_node(logits, _label_matrix(samples), pos, 1.0)
 
         want, *want_losses = _serial_chunk_gradients(params.named(), batch, chunk_loss)
-        got = _step(params.named(), _stage1_chunk_loss(params, bb, batch, pos, 1.0), batch)
+        got = _step(params.named(), _fit_loss(_stage1_logits(params, bb, batch), batch, pos), batch)
         self._assert_same(want, got, want_losses)
         assert _no_children()
 
